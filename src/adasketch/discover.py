@@ -8,9 +8,21 @@ unit l_p-ball vector lands in the result with probability at least 1/2,
 at a deterministic cost cap of D * 2(depth+1) measurements for the basic
 variant and D * (703 + 2*depth) for the preconditioned one.
 
+The basic variant draws the full equi-hash permutation, because ``spot``
+sees the labels of every member of a bucket, zero or not. The
+preconditioned variant draws only the buckets of the nonzero coordinates
+(``equi_buckets_of``) and filters all buckets in one segmented pass
+(``sign_filter``); a zero coordinate reaches ``spot`` only through the
+filter's Binomial tail, where the filter draws it from its exact law.
+``tests/test_discover.py`` checks this pass statistically against a
+reference built from ``equi_partition``, ``precond(..., materialize=True)``
+per bucket and ``spot``.
+
 The three random components (hashing, filtering, spotting) draw from
-distinct labelled streams and are therefore independent; per-bucket draws
-are consumed in ascending bucket order.
+children of ``rng`` with fixed labels, so they are independent of each
+other, but two calls with the same ``rng`` replay the same draws: every
+independent pass needs its own child stream (``rng.child_at("trial", t)``).
+Per-bucket draws are consumed in ascending bucket order.
 """
 
 from __future__ import annotations
@@ -21,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .hashing import equi_partition, equi_ranks
+from .hashing import equi_buckets_of, equi_partition
 from .oracle import MeasurementOracle
-from .precondition import sign_filter_mask, sign_tail_probability, signs_of
-from .rng import RngStream, rademacher
+from .precondition import sign_filter
+from .rng import RngStream
 from .spotting import SpotParams, shrink_depth, spot, spot_cost_cap
 
 BASIC = "basic"
@@ -145,62 +157,10 @@ def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream) -> 
         sets = (order[bounds[d]:bounds[d + 1]] for d in range(cfg.buckets))
         return _spot_survivors(oracle, (np.sort(s) for s in sets), params, spot_rng)
 
-    ranks, bounds = equi_ranks(cfg.m, cfg.buckets, rng.child("hash"))
-    return _spot_survivors(
-        oracle,
-        _preconditioned_survivors(oracle, ranks, bounds, cfg, rng),
-        params,
-        spot_rng,
+    nonzero = oracle.nonzero_indices()
+    groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
+    survivors = sign_filter(
+        oracle, nonzero, groups, np.diff(bounds), cfg.precond_size, rng.child("precond"),
+        lambda: np.setdiff1d(np.arange(cfg.m), nonzero, assume_unique=True),
     )
-
-
-def _preconditioned_survivors(oracle, ranks, bounds, cfg, rng):
-    """Per-bucket survivor sets of the sign filter, in ascending bucket order.
-
-    Statistically identical to calling :func:`adasketch.precondition.precond`
-    on each bucket: sign columns are drawn only for candidates with nonzero
-    hidden entries (they alone determine the measured signs) and in one
-    block per pass, while the retention of zero candidates is the usual
-    independent Binomial tail event, sampled in one vectorized draw across
-    buckets.
-    """
-    k = cfg.precond_size
-    d_count = cfg.buckets
-    sign_gen = rng.child("precond").generator
-    tail_gen = rng.child("precond-tails").generator
-
-    nz = oracle.nonzero_indices()
-    nz_bucket = np.searchsorted(bounds[1:], ranks[nz], side="right")
-    by_bucket = np.argsort(nz_bucket, kind="stable")
-    nz_sorted, nz_bucket = nz[by_bucket], nz_bucket[by_bucket]
-    starts = np.searchsorted(nz_bucket, np.arange(d_count + 1))
-
-    sizes = np.diff(bounds)
-    live_counts = np.diff(starts)
-    zero_counts = sizes - live_counts
-    tail_counts = tail_gen.binomial(zero_counts, sign_tail_probability(k))
-
-    # buckets whose k measurements are all exactly 0.0 are charged in bulk
-    idle = int(np.count_nonzero(live_counts == 0))
-    if idle:
-        oracle.charge(k * idle, stage="precond")
-
-    # one block draw covering every live column, in bucket order
-    all_signs = rademacher(sign_gen, (k, nz_sorted.size)) if nz_sorted.size else None
-
-    survivors = []
-    for d in np.nonzero((live_counts > 0) | (tail_counts > 0))[0]:
-        live = nz_sorted[starts[d]:starts[d + 1]]
-        kept = None
-        if live.size:
-            matrix = all_signs[:, starts[d]:starts[d + 1]]
-            y = oracle.measure_rows(live, matrix, stage="precond")
-            kept = live[sign_filter_mask(signs_of(y) @ matrix, k)]
-        if tail_counts[d]:
-            members = np.flatnonzero((ranks >= bounds[d]) & (ranks < bounds[d + 1]))
-            zeros = np.setdiff1d(members, live)
-            extras = tail_gen.choice(zeros, size=int(tail_counts[d]), replace=False)
-            kept = extras if kept is None else np.concatenate([kept, extras])
-        if kept is not None and kept.size:
-            survivors.append(np.sort(kept))
-    return survivors
+    return _spot_survivors(oracle, survivors, params, spot_rng)

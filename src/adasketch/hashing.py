@@ -5,6 +5,8 @@ Hash vectors are plain int64 arrays with values in [1, D]. Two families:
 * ``equi_hash`` ranks the coordinates by a uniform permutation and cuts the
   ranks into D near-equal slabs, so every value occurs floor(m/D) or
   ceil(m/D) times and buckets are never larger than ceil(m/D).
+  ``equi_buckets_of`` draws the same hash on a few designated coordinates
+  only (the nonzero ones, in the preconditioned detection pass) in O(count).
 * ``pairwise_hash`` uses the affine family ((a*i + b) mod P) folded onto
   [1, D]; marginals are near-uniform and any two distinct coordinates
   collide with probability at most 1/D up to O(D/P) rounding slack.
@@ -72,8 +74,28 @@ def equi_ranks(m: int, buckets: int, rng: RngStream):
     """
     _check_bucket_args(m, buckets, require_le_m=True)
     ranks = rng.generator.permutation(m)
-    bounds = (np.arange(buckets + 1, dtype=np.int64) * m) // buckets
-    return ranks, bounds
+    return ranks, _equi_bounds(m, buckets)
+
+
+def _equi_bounds(m: int, buckets: int) -> np.ndarray:
+    return (np.arange(buckets + 1, dtype=np.int64) * m) // buckets
+
+
+def equi_buckets_of(m: int, buckets: int, count: int, rng: RngStream):
+    """Buckets of ``count`` designated coordinates under one equi-hash draw.
+
+    Their ranks under a uniform permutation are an ordered uniform sample
+    of [0, m), which ``Generator.choice`` draws in O(count) (Floyd's
+    sampling, Bentley & Floyd, CACM 1987) instead of O(m). Returns
+    ``(groups, bounds)``: ``groups[i]`` is the 0-based bucket of the i-th
+    designated coordinate and ``bounds`` are those of :func:`equi_ranks`.
+    """
+    _check_bucket_args(m, buckets, require_le_m=True)
+    if not 0 <= count <= m:
+        raise ParameterError("designated coordinate count must lie in [0, m]")
+    bounds = _equi_bounds(m, buckets)
+    ranks = rng.generator.choice(m, size=count, replace=False)
+    return np.searchsorted(bounds[1:], ranks, side="right"), bounds
 
 
 def equi_partition(m: int, buckets: int, rng: RngStream):

@@ -3,10 +3,10 @@
 Algorithms never touch the hidden vector directly: they submit linear
 functionals to a :class:`MeasurementOracle` and get back exact inner
 products, each evaluation incrementing the information-cost counter by
-exactly one. Batch entry points (`measure_rows`, `measure_partition`,
-`read_entries`) evaluate several functionals per call and charge one unit
-apiece, which keeps Monte Carlo experiments fast without changing the cost
-model.
+exactly one. Batch entry points (`measure_rows`, `measure_segments`,
+`measure_partition`, `read_entries`) evaluate several functionals per call
+and charge one unit apiece, which keeps Monte Carlo experiments fast
+without changing the cost model.
 
 An oracle instance is single-writer (its counter mutates per call); use one
 oracle per concurrent unit. The pure helpers (`lp_norm`, `restrict`) are
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DimensionError, ParameterError
 
@@ -164,6 +165,32 @@ class MeasurementOracle:
         self._ledger.add(rows.shape[0], stage)
         return rows @ self._hidden[sup]
 
+    def measure_segments(self, support, rows, starts, stage=None) -> np.ndarray:
+        """Evaluate every row of ``rows`` on each segment of ``support`` separately.
+
+        Segment s is ``support[starts[s]:starts[s+1]]`` together with the
+        matching columns of ``rows``; ``starts`` runs from 0 to
+        len(support). Returns a (#rows, #segments) array;
+        cost += #rows * #segments. Several segments take one sparse
+        block-diagonal product; pass ``rows`` as the transpose of a
+        C-contiguous (len(support), #rows) array to avoid a copy.
+        """
+        sup = _as_index_array(support, self.dimension)
+        rows = np.asarray(rows, dtype=np.float64)
+        starts = np.asarray(starts, dtype=np.intp)
+        if rows.ndim != 2 or rows.shape[1] != sup.size:
+            raise DimensionError("rows must be (count, len(support))")
+        if (starts.ndim != 1 or starts.size < 2 or starts[0] != 0
+                or starts[-1] != sup.size or np.any(np.diff(starts) < 0)):
+            raise DimensionError("segment starts must rise from 0 to len(support)")
+        segments = starts.size - 1
+        self._ledger.add(rows.shape[0] * segments, stage)
+        if segments == 1:
+            return (rows @ self._hidden[sup])[:, None]
+        blocks = csr_array((self._hidden[sup], np.arange(sup.size), starts),
+                           shape=(segments, sup.size))
+        return (blocks @ rows.T).T
+
     def measure_partition(self, groups, weights, group_count, stage=None) -> np.ndarray:
         """Evaluate ``group_count`` disjoint-support functionals in one pass.
 
@@ -218,8 +245,3 @@ class MeasurementOracle:
             self._nonzero = np.flatnonzero(self._hidden)
             self._nonzero.setflags(write=False)
         return self._nonzero
-
-    def nonzero_mask(self, indices) -> np.ndarray:
-        """Boolean mask of nonzero hidden entries on ``indices`` (same caveats)."""
-        idx = _as_index_array(indices, self.dimension)
-        return self._hidden[idx] != 0.0

@@ -1,4 +1,4 @@
-"""Sign-measurement filtering of a candidate set.
+"""Sign-measurement filtering of candidate sets.
 
 ``precond`` takes k Rademacher measurements of the hidden vector restricted
 to the candidate set, keeps only the measurement signs s, and retains a
@@ -8,11 +8,26 @@ dominance of one coordinate this both keeps that coordinate and strips the
 bucket down until the survivor set satisfies a much stronger dominance, at
 a fixed price of k measurements.
 
-Candidates where the hidden entry is zero cannot influence the measured
-signs, so their retention is an independent Binomial(k, 1/2) tail event;
-by default that event is sampled from its exact law instead of
-materializing k sign bits per zero candidate. Pass ``materialize=True``
-for the direct construction (required for ``return_draw``).
+``sign_filter`` runs that filter on many disjoint candidate sets
+(segments) at once, as a detection pass does on its buckets; ``precond``
+is its one-segment case. Two distribution-exact devices keep it fast:
+
+* Sign columns are drawn only for live candidates, those whose hidden
+  entry is nonzero, since zero entries cannot influence a measured sign.
+  The live columns of all segments form one (live x k) block, measured by
+  one ``measure_segments`` call; the correlations <a_j, s> are exact
+  integer popcounts of packed sign bits.
+* A zero candidate's retention is then an independent Binomial(k, 1/2)
+  tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
+  k = 701). Their total over all segments is one Binomial draw. When it is
+  positive, that many zero candidates are drawn without replacement from
+  the zero pool and placed in uniformly drawn zero slots of the segments,
+  which is their exact conditional law.
+
+``precond(..., materialize=True)`` is the direct construction: k sign bits
+for every candidate, zero or not. ``tests/test_discover.py`` checks the
+fast path against it at the level of whole detection passes, and
+``tests/test_precondition.py`` on single candidate sets.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from scipy.stats import binom
 
 from .errors import ParameterError
 from .oracle import MeasurementOracle
-from .rng import RngStream, rademacher
+from .rng import RngStream, rademacher, sign_rows
 
 _EMPTY = np.empty(0, dtype=np.intp)
 
@@ -84,6 +99,57 @@ def signs_of(values: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1.0, -1.0)
 
 
+def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
+                rng: RngStream, zero_pool, stage="precond") -> list:
+    """Survivor sets of the k-measurement sign filter on disjoint segments.
+
+    Segment d holds the live candidates ``live[segment_of == d]`` (nonzero
+    hidden entries) and ``sizes[d]`` candidates in all; the rest are zero
+    candidates. ``zero_pool()`` returns every zero candidate of every
+    segment (their segment does not matter: it is drawn here); it is called
+    only when the Binomial tail keeps one. Each segment costs exactly k
+    measurements; segments without live candidates are charged in bulk,
+    since their measured values are all exactly 0.0. Returns the non-empty
+    survivor sets, each sorted, in ascending segment order.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    segment_of = np.asarray(segment_of, dtype=np.intp)
+    gen = rng.generator
+    by_segment = np.argsort(segment_of, kind="stable")
+    live, segment_of = np.asarray(live, dtype=np.intp)[by_segment], segment_of[by_segment]
+    live_segments, starts, member = np.unique(segment_of, return_index=True,
+                                              return_inverse=True)
+    idle = sizes.size - live_segments.size
+    if idle:
+        oracle.charge(k * idle, stage=stage)
+
+    kept = np.empty(0, dtype=bool)
+    if live.size:
+        signs, a_bits = sign_rows(gen, live.size, k)  # row j is the column a_j
+        starts = np.append(starts, live.size)
+        y = oracle.measure_segments(live, signs.T, starts, stage=stage)
+        s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
+        distance = np.bitwise_count(a_bits ^ s_bits[member]).sum(axis=1, dtype=np.int64)
+        kept = sign_filter_mask(k - 2 * distance, k)
+    coords, where = [live[kept]], [segment_of[kept]]
+
+    n_zero = int(sizes.sum()) - live.size
+    extra = int(gen.binomial(n_zero, sign_tail_probability(k))) if n_zero else 0
+    if extra:
+        zero_slots = np.cumsum(sizes - np.bincount(segment_of, minlength=sizes.size))
+        slots = gen.choice(n_zero, size=extra, replace=False)
+        where.append(np.searchsorted(zero_slots, slots, side="right"))
+        coords.append(gen.choice(zero_pool(), size=extra, replace=False))
+
+    coords, where = np.concatenate(coords), np.concatenate(where)
+    order = np.lexsort((coords, where))
+    coords, cuts = coords[order], np.flatnonzero(np.diff(where[order])) + 1
+    if not coords.size:
+        return []
+    cuts = [0, *cuts.tolist(), coords.size]
+    return [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
             stage="precond", materialize=False, return_draw=False):
     """Filter ``candidates`` with k sign measurements; cost is exactly k.
@@ -98,10 +164,9 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
     k = int(k)
     if k < 1:
         raise ParameterError("k must be >= 1")
-    gen = rng.generator
 
     if materialize or return_draw:
-        matrix = rademacher(gen, (k, idx.size))
+        matrix = rademacher(rng.generator, (k, idx.size))
         y = oracle.measure_rows(idx, matrix, stage=stage)
         s = signs_of(y)
         survivors = idx[sign_filter_mask(s @ matrix, k)]
@@ -109,19 +174,8 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
             return survivors, PrecondDraw(matrix, s)
         return survivors
 
-    live_mask = oracle.nonzero_mask(idx)
+    live_mask = np.isin(idx, oracle.nonzero_indices())
     live = idx[live_mask]
-    if live.size:
-        matrix = rademacher(gen, (k, live.size))
-        y = oracle.measure_rows(live, matrix, stage=stage)
-        kept = live[sign_filter_mask(signs_of(y) @ matrix, k)]
-    else:
-        oracle.charge(k, stage=stage)  # all measured values are exactly 0.0
-        kept = _EMPTY
-    n_zero = idx.size - live.size
-    if n_zero:
-        count = int(gen.binomial(n_zero, sign_tail_probability(k)))
-        if count:
-            extras = gen.choice(idx[~live_mask], size=count, replace=False)
-            kept = np.concatenate([kept, extras])
-    return np.sort(kept)
+    kept = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
+                       lambda: idx[~live_mask], stage=stage)
+    return kept[0] if kept else _EMPTY

@@ -64,10 +64,24 @@ class RngStream:
         return f"RngStream(seed={self.seed}, label={self.label!r})"
 
 
+def sign_rows(generator: np.random.Generator, rows: int, k: int):
+    """A (rows, k) float64 block of uniform ±1 and the same signs packed per row.
+
+    Each row takes its own ceil(k/8) random bytes, which are returned as the
+    packed form (bit 1 stands for +1, padding bits are 0), ready for
+    XOR/popcount comparisons.
+    """
+    rows, k = int(rows), int(k)
+    packed = generator.integers(0, 256, size=(rows, (k + 7) // 8), dtype=np.uint8)
+    if k % 8:
+        packed[:, -1] &= np.uint8((0xFF << (8 - k % 8)) & 0xFF)
+    signs = np.unpackbits(packed, axis=1, count=k) * 2.0
+    signs -= 1.0  # in place: one float64 block, however large
+    return signs, packed
+
+
 def rademacher(generator: np.random.Generator, shape) -> np.ndarray:
     """Uniform ±1 float64 array; one raw random bit per entry."""
     shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
     n = int(np.prod(shape)) if shape else 1
-    raw = generator.integers(0, 256, size=(n + 7) // 8, dtype=np.uint8)
-    bits = np.unpackbits(raw)[:n].reshape(shape)
-    return 2.0 * bits - 1.0
+    return sign_rows(generator, 1, n)[0].reshape(shape)

@@ -181,12 +181,12 @@ def test_criterion_06_discover_sensitivity():
         gen = stream("dsc-x").generator
         rng = stream("dsc")
         detected = 0
-        for _ in range(trials):
+        for t in range(trials):
             where = gen.choice(m, size=4, replace=False)
             x = np.zeros(m)
             x[where] = 0.25
             oracle = MeasurementOracle(x)
-            found = discover(oracle, cfg, rng)
+            found = discover(oracle, cfg, rng.child_at("trial", t))
             assert oracle.cost <= cap
             detected += int(np.isin(where, found).sum())
         assert detected / (4 * trials) >= 0.5 - 0.02

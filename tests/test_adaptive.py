@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adasketch.adaptive import (
     AdaptivePlan,
@@ -16,6 +18,7 @@ from adasketch.adaptive import (
 )
 from adasketch.discover import BASIC, PRECONDITIONED
 from adasketch.errors import ParameterError
+from adasketch.families import VectorFamily, gen_vector
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.rng import RngStream
 
@@ -180,6 +183,30 @@ def test_cost_cap_on_random_instances():
             oracle = MeasurementOracle(x)
             approximate(oracle, plan, rng)
             assert oracle.cost <= cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 2**10),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    q_gap=st.sampled_from([0.5, 1.0, 2.0]),
+    levels=st.integers(0, 3),
+    variant=st.sampled_from([BASIC, PRECONDITIONED]),
+    family=st.sampled_from(["zero", "spikes:1", "spikes:4", "geometric",
+                            "spike_plus_tail:1", "uniform_ball"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cost_within_cap_and_filter_cost_exact(m, p, q_gap, levels, variant, family, seed):
+    fam = VectorFamily.parse(family, p)
+    assume(m > fam.count if fam.kind == "spike_plus_tail" else m >= fam.count)
+    q = p + q_gap
+    plan = AdaptivePlan(m=m, p=p, q=q, levels=levels, reps=repetitions(p, q),
+                        variant=variant)
+    oracle = MeasurementOracle(gen_vector(fam, m, RngStream(seed).child("x")))
+    approximate(oracle, plan, RngStream(seed).child("run"))
+    assert oracle.cost <= plan_cost_cap(plan)
+    filter_cost = sum(plan.reps * cfg.precond_size * cfg.buckets for cfg in plan.configs)
+    assert oracle.stage_costs().get("precond", 0) == filter_cost
 
 
 def _qmoment(plan, family_vectors, label):

@@ -1,7 +1,10 @@
+import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from adasketch.discover import (
     BASIC,
@@ -13,9 +16,14 @@ from adasketch.discover import (
     discover_cost_cap,
 )
 from adasketch.errors import ParameterError
+from adasketch.hashing import equi_partition
 from adasketch.oracle import MeasurementOracle
+from adasketch.precondition import precond, sign_tail_probability
 from adasketch.rng import RngStream
-from adasketch.spotting import shrink_depth
+from adasketch.spotting import shrink_depth, spot
+
+# the package re-exports the function ``discover`` under the module's name
+discover_module = importlib.import_module("adasketch.discover")
 
 
 def stream(label, seed=99):
@@ -137,12 +145,12 @@ def test_quarter_mass_spikes_detection_rate():
     gen = stream("q-x").generator
     rng = stream("q")
     found_count = 0
-    for _ in range(trials):
+    for t in range(trials):
         where = gen.choice(m, size=4, replace=False)
         x = np.zeros(m)
         x[where] = 0.25
         oracle = MeasurementOracle(x)
-        found = discover(oracle, cfg, rng)
+        found = discover(oracle, cfg, rng.child_at("trial", t))
         assert oracle.cost <= cap
         found_count += np.isin(where, found).sum()
     rate = found_count / (4 * trials)
@@ -173,3 +181,162 @@ def test_discover_is_deterministic_given_the_stream():
     a = discover(MeasurementOracle(x), cfg, stream("det"))
     b = discover(MeasurementOracle(x), cfg, stream("det"))
     assert np.array_equal(a, b)
+
+
+def test_one_stream_replays_one_pass():
+    # discover takes its hash, filter and spot streams from ``rng`` by label,
+    # so independent passes need independent child streams
+    m = 2**10
+    cfg = DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED)
+    gen = stream("replay-x").generator
+    x = gen.standard_normal(m) * (gen.random(m) < 0.05)
+    rng = stream("replay")
+    same = [discover(MeasurementOracle(x), cfg, rng) for _ in range(3)]
+    assert all(np.array_equal(same[0], other) for other in same[1:])
+    fresh = [discover(MeasurementOracle(x), cfg, rng.child_at("trial", t))
+             for t in range(20)]
+    assert any(not np.array_equal(fresh[0], other) for other in fresh[1:])
+
+
+# -- the preconditioned pass against its materialized reference ---------------
+#
+# Each comparison is a chi-square homogeneity test at level ALPHA on
+# per-pass records from independent passes, fast path against reference:
+# detection of each nonzero coordinate, survivor count, survivor-set count,
+# zero survivors and total cost. Trial counts and ALPHA are fixed here.
+
+ALPHA = 1e-3
+
+
+def reference_pass(oracle, cfg, rng):
+    """One preconditioned pass built directly: the full equi-hash
+    permutation, ``precond(..., materialize=True)`` on every bucket, then
+    ``spot`` on every non-empty survivor set. Returns (found, survivor sets)."""
+    order, bounds = equi_partition(cfg.m, cfg.buckets, rng.child("hash"))
+    precond_rng, spot_rng = rng.child("precond"), rng.child("spot")
+    survivor_sets, hits = [], []
+    for d in range(cfg.buckets):
+        bucket = order[bounds[d]:bounds[d + 1]]
+        kept = precond(oracle, bucket, cfg.precond_size, precond_rng, materialize=True)
+        if kept.size:
+            survivor_sets.append(kept)
+            hits.append(spot(oracle, kept, cfg.spot_params, spot_rng))
+    found = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.intp)
+    return found, survivor_sets
+
+
+@pytest.fixture
+def spot_inputs(monkeypatch):
+    """Record every candidate set that ``discover`` hands to ``spot``."""
+    seen = []
+    real_spot = discover_module.spot
+
+    def recording_spot(oracle, candidates, params, rng, **kwargs):
+        seen.append(np.array(candidates, copy=True))
+        return real_spot(oracle, candidates, params, rng, **kwargs)
+
+    monkeypatch.setattr(discover_module, "spot", recording_spot)
+    return seen
+
+
+def _pass_records(x, cfg, trials, label, seen=None):
+    """Per-pass records of independent passes: the fast ``discover`` path
+    when ``seen`` (its recorded spot inputs) is given, else the reference."""
+    root = stream(label)
+    live = np.flatnonzero(x)
+    detected = np.zeros((trials, live.size), dtype=bool)
+    columns = ("survivors", "sets", "zero_survivors", "zero_found", "cost")
+    records = {name: np.zeros(trials, dtype=np.int64) for name in columns}
+    for t in range(trials):
+        oracle = MeasurementOracle(x)
+        rng = root.child_at("trial", t)
+        if seen is None:
+            found, sets = reference_pass(oracle, cfg, rng)
+        else:
+            seen.clear()
+            found = discover(oracle, cfg, rng)
+            sets = list(seen)
+        assert oracle.stage_costs()["precond"] == cfg.precond_size * cfg.buckets
+        assert oracle.cost <= discover_cost_cap(cfg)
+        pooled = np.concatenate(sets) if sets else np.empty(0, dtype=np.intp)
+        assert np.unique(pooled).size == pooled.size  # disjoint buckets
+        assert all(np.all(np.diff(s) > 0) for s in sets)
+        detected[t] = np.isin(live, found)
+        records["survivors"][t] = pooled.size
+        records["sets"][t] = len(sets)
+        records["zero_survivors"][t] = np.count_nonzero(x[pooled] == 0.0)
+        records["zero_found"][t] = np.count_nonzero(x[found] == 0.0)
+        records["cost"][t] = oracle.cost
+    return detected, records
+
+
+def _homogeneity_pvalue(a, b, min_pooled=20):
+    """Chi-square p-value that two integer samples share one law; adjacent
+    values are merged until each bin holds ``min_pooled`` observations."""
+    values, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    edges, run = [], 0
+    for value, count in zip(values, counts):
+        run += count
+        if run >= min_pooled:
+            edges.append(value)
+            run = 0
+    if len(edges) < 2:
+        return 1.0
+    bins = len(edges)
+    table = [np.bincount(np.minimum(np.searchsorted(edges, sample), bins - 1),
+                         minlength=bins) for sample in (a, b)]
+    return chi2_contingency(table).pvalue
+
+
+def _assert_same_law(x, cfg, trials, label, seen):
+    fast_detected, fast = _pass_records(x, cfg, trials, f"{label}-fast", seen)
+    ref_detected, ref = _pass_records(x, cfg, trials, f"{label}-ref")
+    for j, coordinate in enumerate(np.flatnonzero(x)):
+        p_value = _homogeneity_pvalue(fast_detected[:, j], ref_detected[:, j])
+        assert p_value >= ALPHA, (label, "detection", coordinate, p_value)
+    for name in fast:
+        p_value = _homogeneity_pvalue(fast[name], ref[name])
+        assert p_value >= ALPHA, (label, name, p_value)
+    return fast_detected, fast
+
+
+def test_fast_pass_matches_reference_on_sparse_spikes(spot_inputs):
+    m = 2**10
+    cfg = DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED)
+    x = np.zeros(m)
+    x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
+    detected, records = _assert_same_law(x, cfg, 600, "eq-spikes", spot_inputs)
+    assert detected[:, 0].mean() >= 0.5  # the spike above eps
+    assert records["zero_survivors"].sum() == 0  # tail ~3.7e-76 per bucket
+
+
+def test_fast_pass_matches_reference_with_exact_cancellation(spot_inputs):
+    # two buckets of 16; when +-0.5 share one, every row with equal signs
+    # measures exactly 0.0 and takes sign +1. k = 12 keeps the survivor
+    # counts non-degenerate and lets zero candidates through the tail.
+    m = 32
+    cfg = dataclasses.replace(
+        DiscoverConfig.with_buckets(1.0, 0.25, m, 2, PRECONDITIONED), precond_size=12)
+    x = np.zeros(m)
+    x[3], x[11] = 0.5, -0.5
+    detected, records = _assert_same_law(x, cfg, 2000, "eq-cancel", spot_inputs)
+    assert 0.3 <= detected[:, 0].mean() <= 0.9
+    assert records["zero_survivors"].sum() > 0
+
+
+def test_fast_pass_matches_reference_when_the_zero_tail_fires(spot_inputs):
+    m, trials = 2**10, 400
+    cfg = dataclasses.replace(
+        DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
+    tail = sign_tail_probability(6)
+    assert tail == pytest.approx(0.21875)
+    x = np.zeros(m)
+    x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
+    _, records = _assert_same_law(x, cfg, trials, "eq-tail", spot_inputs)
+    # extras are distinct zero coordinates (checked per pass above), and the
+    # branch fires in nearly every pass at rate tail per zero coordinate
+    zero_kept = records["zero_survivors"]
+    assert np.mean(zero_kept > 0) >= 0.9
+    n = trials * np.count_nonzero(x == 0.0)
+    rate = zero_kept.sum() / n
+    assert abs(rate - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / n)

@@ -7,6 +7,7 @@ from adasketch.errors import DimensionError, ParameterError
 from adasketch.hashing import (
     bucket_of,
     bucket_sizes,
+    equi_buckets_of,
     equi_hash,
     equi_partition,
     hash_size_for,
@@ -66,6 +67,31 @@ def test_equi_partition_matches_law_and_covers():
     assert np.array_equal(np.sort(order), np.arange(m))
     sizes = np.diff(bounds)
     assert set(sizes) <= {m // d, -(-m // d)}
+
+
+def test_equi_buckets_of_follows_the_restricted_law():
+    # the buckets of 3 designated coordinates of [0, 10) cut into 3 buckets
+    # (sizes 3, 3, 4) must match the restricted full-permutation law:
+    # marginals proportional to bucket sizes, pair collisions
+    # sum_d s_d (s_d - 1) / (m (m - 1)) = 24/90, and with every coordinate
+    # designated, exactly s_d members in bucket d
+    m, d, draws = 10, 3, 20_000
+    root = stream("sparse-law")
+    groups = np.empty((draws, 3), dtype=np.int64)
+    for t in range(draws):
+        groups[t], bounds = equi_buckets_of(m, d, 3, root.child_at("t", t))
+    sizes = np.diff(bounds)
+    assert list(sizes) == [3, 3, 4]
+    for column in groups.T:
+        freq = np.bincount(column, minlength=d) / draws
+        assert np.allclose(freq, sizes / m, atol=4 * math.sqrt(0.25 / draws))
+    collide = np.mean(groups[:, 0] == groups[:, 1])
+    assert abs(collide - 24 / 90) <= 4 * math.sqrt(0.25 / draws)
+    full, _ = equi_buckets_of(m, d, m, stream("sparse-full"))
+    assert list(np.bincount(full, minlength=d)) == [3, 3, 4]
+    assert equi_buckets_of(m, d, 0, stream("sparse-none"))[0].size == 0
+    with pytest.raises(ParameterError):
+        equi_buckets_of(m, d, m + 1, stream("sparse-bad"))
 
 
 def test_pairwise_hash_degenerate_cases():

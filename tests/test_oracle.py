@@ -83,6 +83,29 @@ def test_measure_partition_matches_explicit_functionals():
         assert sums[g] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+def test_measure_segments_matches_per_segment_rows():
+    rng = RngStream(6).child("x").generator
+    hidden = rng.standard_normal(40)
+    support = np.array([2, 3, 7, 11, 12, 30, 31, 39])
+    starts = [0, 3, 3, 4, 8]  # segment 1 is empty: its functionals are 0
+    rows = rng.standard_normal((5, support.size))
+    oracle = MeasurementOracle(hidden)
+    values = oracle.measure_segments(support, rows, starts, stage="seg")
+    assert values.shape == (5, 4)
+    assert oracle.stage_costs() == {"seg": 20}
+    reference = MeasurementOracle(hidden)
+    for s, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        expected = reference.measure_rows(support[a:b], rows[:, a:b])
+        assert np.allclose(values[:, s], expected, rtol=1e-12, atol=1e-15)
+    with pytest.raises(DimensionError):
+        oracle.measure_segments(support, rows, [0, 3, 7])
+    with pytest.raises(DimensionError):
+        oracle.measure_segments(support, rows, [1, 8])
+    with pytest.raises(DimensionError):
+        oracle.measure_segments(support, rows, [0, 5, 4, 8])
+    assert oracle.cost == 20
+
+
 def test_charge_and_stage_accounting():
     oracle = MeasurementOracle([1.0, 2.0])
     oracle.measure(LinearFunctional.unit(0), stage="a")

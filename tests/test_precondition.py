@@ -10,10 +10,12 @@ from adasketch.precondition import (
     hamming,
     precond,
     precond_measurements,
+    sign_filter,
     sign_filter_mask,
     sign_tail_probability,
+    signs_of,
 )
-from adasketch.rng import RngStream
+from adasketch.rng import RngStream, sign_rows
 
 
 def stream(label, seed=4242):
@@ -82,6 +84,43 @@ def test_cost_is_exactly_k():
             precond(oracle, np.arange(64), k, stream(f"ck-{k}-{materialize}"),
                     materialize=materialize)
             assert oracle.cost == k
+
+
+def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
+    # with no zero candidates the segmented filter is a function of its one
+    # sign block (row j = column a_j): replaying that block per segment with
+    # measure_rows and float correlations must give the same survivors.
+    # Segment 0 cancels exactly on rows where its two signs agree, so
+    # sign(0) = +1 is exercised; segment 1 is empty and charged k all the same.
+    k = 24
+    gen = stream("replay-x").generator
+    hidden = np.zeros(40)
+    hidden[[1, 2]] = [0.5, -0.5]
+    hidden[[10, 11, 12]] = [1.0, 0.01, -0.02]
+    hidden[20:25] = gen.standard_normal(5)
+    live = np.array([20, 1, 10, 21, 22, 2, 11, 12, 23, 24])
+    segment_of = np.array([3, 0, 2, 3, 3, 0, 2, 2, 3, 3])
+    sizes = np.bincount(segment_of, minlength=4)
+    oracle = MeasurementOracle(hidden)
+    got = sign_filter(oracle, live, segment_of, sizes, k, stream("replay"), None)
+    assert oracle.cost == 4 * k
+
+    grouped = live[np.argsort(segment_of, kind="stable")]
+    block, _ = sign_rows(stream("replay").generator, live.size, k)
+    expected, zero_rows = [], 0
+    for d in range(4):
+        rows = np.flatnonzero(np.isin(grouped, live[segment_of == d]))
+        if not rows.size:
+            continue
+        matrix = block[rows].T
+        y = MeasurementOracle(hidden).measure_rows(grouped[rows], matrix)
+        zero_rows += np.count_nonzero(y == 0.0)
+        kept = grouped[rows][sign_filter_mask(signs_of(y) @ matrix, k)]
+        if kept.size:
+            expected.append(np.sort(kept))
+    assert zero_rows > 0
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_zero_vector_retention_rate_both_paths():
