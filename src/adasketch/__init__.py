@@ -5,7 +5,6 @@ information-cost accounting and a Monte Carlo benchmark harness."""
 from .adaptive import (
     AdaptivePlan,
     approximate,
-    level_bucket_count,
     level_sensitivity,
     levels_for_accuracy,
     levels_for_budget,
@@ -64,7 +63,7 @@ __all__ = [
     "compare_methods", "cost_audit", "countsketch", "countsketch_params",
     "denoise", "denoised_countsketch", "denoised_linsketch", "discover",
     "discover_cost_cap", "equi_hash", "estimate_error", "gen_vector",
-    "hamming", "hash_size_for", "level_bucket_count", "level_sensitivity",
+    "hamming", "hash_size_for", "level_sensitivity",
     "levels_for_accuracy", "levels_for_budget", "linsketch", "lp_norm",
     "make_method", "pairwise_hash", "param_table", "plan_cost_cap", "precond",
     "precond_measurements", "repetitions", "repetitions_for_confidence",

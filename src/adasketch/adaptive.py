@@ -21,11 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .discover import (
-    BASIC,
     PRECONDITIONED,
     VARIANTS,
     DiscoverConfig,
-    GAMMA_BASIC,
     discover,
     discover_cost_cap,
 )
@@ -61,23 +59,6 @@ def level_sensitivity(level: int, p: float) -> float:
     return 2.0 ** (-level / min(2.0, float(p)))
 
 
-def level_bucket_count(level: int, p: float, m: int, variant: str = PRECONDITIONED) -> int:
-    """Buckets used by the detection pass of one sensitivity level (capped at m)."""
-    if level < 1:
-        raise ParameterError("level must be >= 1")
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}")
-    p = float(p)
-    if not (1.0 <= p < math.inf):
-        raise ParameterError("p must lie in [1, inf)")
-    if variant == BASIC:
-        constant = 4.0 * GAMMA_BASIC ** min(p, 2.0)
-    else:
-        constant = 6.0 * 5.0 ** (min(p, 2.0) / 2.0)
-    scale = m ** (1.0 - 2.0 / p) if p > 2.0 else 1.0
-    return min(math.ceil(constant * scale * (1 << level)), m)
-
-
 def levels_for_accuracy(eps: float, p: float, q: float) -> int:
     """Smallest level count whose q-moment error bound is at most eps."""
     _check_pq(p, q)
@@ -110,29 +91,12 @@ class AdaptivePlan:
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}")
 
-    @classmethod
-    def for_accuracy(cls, eps: float, m: int, p: float, q: float,
-                     variant: str = PRECONDITIONED) -> "AdaptivePlan":
-        return cls(m=m, p=p, q=q, levels=levels_for_accuracy(eps, p, q),
-                   reps=repetitions(p, q), variant=variant)
-
-    @classmethod
-    def for_budget(cls, budget: int, m: int, p: float, q: float,
-                   variant: str = PRECONDITIONED) -> "AdaptivePlan":
-        return cls(m=m, p=p, q=q, levels=levels_for_budget(budget, m, p, q, variant),
-                   reps=repetitions(p, q), variant=variant)
-
     @cached_property
     def configs(self) -> tuple:
         """One detection-pass configuration per level 1..levels."""
         return tuple(
-            DiscoverConfig.with_buckets(
-                self.p,
-                level_sensitivity(level, self.p),
-                self.m,
-                level_bucket_count(level, self.p, self.m, self.variant),
-                self.variant,
-            )
+            DiscoverConfig.for_sensitivity(self.p, level_sensitivity(level, self.p),
+                                           self.m, self.variant)
             for level in range(1, self.levels + 1)
         )
 

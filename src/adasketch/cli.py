@@ -10,18 +10,17 @@ violation, 2 on a parameter error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
+from .adaptive import levels_for_accuracy
 from .discover import PRECONDITIONED
 from .errors import CapViolationError, ParameterError
 from .families import VectorFamily
 from .harness import (
-    CSV_COLUMNS,
     ExperimentConfig,
     compare_methods,
     cost_audit,
-    estimate_error,
+    estimate_row,
     make_method,
     param_table,
     write_csv,
@@ -127,55 +126,25 @@ def _single_budget(args):
     return budgets[0]
 
 
-def _emit(rows, columns, out):
-    if out:
-        write_csv(out, rows, columns)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
-
-
 def _family(args) -> VectorFamily:
     return VectorFamily.parse(_require(args.family, "--family"), args.p)
 
 
-def _estimate_row(args, method, family):
-    cfg = ExperimentConfig(method=method, family=family, m=args.m, q=args.q,
-                           trials=args.trials, seed=args.seed)
-    est = estimate_error(cfg)
-    return {
-        "method": method.name, "variant": method.variant,
-        "m": args.m, "p": args.p, "q": args.q,
-        "budget": "" if args.budget is None else _single_budget(args),
-        "L": "" if method.levels is None else method.levels,
-        "R": "" if method.reps is None else method.reps,
-        "family": family.label(), "trials": args.trials,
-        "mean_err": est.mean_err, "qmoment_err": est.qmoment_err, "ci": est.ci,
-        "mean_cost": est.mean_cost, "max_cost": est.max_cost, "seed": args.seed,
-    }
-
-
-def _cmd_adaptive(args) -> int:
-    _require(args.m, "--m")
+def _method(args, name):
     levels = args.levels
-    if levels is None and args.eps is not None:
-        from .adaptive import levels_for_accuracy
+    if name == "adaptive" and levels is None and args.eps is not None:
         levels = levels_for_accuracy(float(args.eps), args.p, args.q)
-    method = make_method("adaptive", args.m, args.p, args.q,
-                         budget=_single_budget(args), levels=levels,
-                         reps=args.reps, variant=args.variant)
-    _emit([_estimate_row(args, method, _family(args))], CSV_COLUMNS, args.out)
-    return 0
+    return make_method(name, args.m, args.p, args.q, budget=_single_budget(args),
+                       levels=levels, reps=args.reps, variant=args.variant)
 
 
-def _cmd_nonadaptive(args) -> int:
+def _cmd_estimate(args) -> int:
+    """``adaptive`` and ``nonadaptive``: one CSV row for one method and family."""
     _require(args.m, "--m")
-    name = _require(args.method, "--method")
-    method = make_method(name, args.m, args.p, args.q,
-                         budget=_single_budget(args), levels=args.levels)
-    _emit([_estimate_row(args, method, _family(args))], CSV_COLUMNS, args.out)
+    name = "adaptive" if args.command == "adaptive" else _require(args.method, "--method")
+    row = estimate_row(_method(args, name), _family(args), args.m, args.p, args.q,
+                       _single_budget(args), args.trials, args.seed)
+    write_csv(args.out or sys.stdout, [row])
     return 0
 
 
@@ -186,7 +155,7 @@ def _cmd_compare(args) -> int:
                 for text in _split_values(_require(args.family, "--family"), str)]
     rows = compare_methods(args.m, args.p, args.q, budgets, families,
                            args.trials, args.seed)
-    _emit(rows, CSV_COLUMNS, args.out)
+    write_csv(args.out or sys.stdout, rows)
     return 0
 
 
@@ -198,16 +167,13 @@ def _cmd_params(args) -> int:
                        budgets=budgets, variant=args.variant)
     columns = ["mode", "value", "L", "R", "variant", "cost_cap", "error_bound",
                "buckets_per_level"]
-    _emit(rows, columns, args.out)
+    write_csv(args.out or sys.stdout, rows, columns)
     return 0
 
 
 def _cmd_audit(args) -> int:
     _require(args.m, "--m")
-    name = args.method or "adaptive"
-    method = make_method(name, args.m, args.p, args.q,
-                         budget=_single_budget(args), levels=args.levels,
-                         reps=args.reps, variant=args.variant)
+    method = _method(args, args.method or "adaptive")
     cfg = ExperimentConfig(method=method, family=_family(args), m=args.m,
                            q=args.q, trials=args.trials, seed=args.seed)
     report = cost_audit(cfg)
@@ -217,8 +183,8 @@ def _cmd_audit(args) -> int:
 
 
 _COMMANDS = {
-    "adaptive": _cmd_adaptive,
-    "nonadaptive": _cmd_nonadaptive,
+    "adaptive": _cmd_estimate,
+    "nonadaptive": _cmd_estimate,
     "compare": _cmd_compare,
     "params": _cmd_params,
     "audit": _cmd_audit,

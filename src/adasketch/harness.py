@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,8 @@ def make_method(name: str, m: int, p: float, q: float, budget: int | None = None
         raise ParameterError(f"unknown method {name!r}")
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
+    if budget is not None and budget < 0:
+        raise ParameterError("budget must be >= 0")
 
     if name == "zero":
         return Method("zero", 0, lambda oracle, rng: np.zeros(oracle.dimension))
@@ -93,7 +96,9 @@ def make_method(name: str, m: int, p: float, q: float, budget: int | None = None
         )
 
     if name in ("linsketch", "linsketch_denoised"):
-        if budget is None or budget < 1:
+        if budget is None:
+            raise ParameterError(f"{name} needs --budget")
+        if budget == 0:
             return Method(name, 0, lambda oracle, rng: np.zeros(oracle.dimension))
         if name == "linsketch":
             runner = lambda oracle, rng: nonadaptive.linsketch(oracle, budget, rng)
@@ -151,25 +156,29 @@ def _trial_streams(seed: int, family: VectorFamily, method_name: str, t: int):
             trial.child(f"method-{method_name}"))
 
 
-def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
-    """Monte Carlo l_q error and cost of one method on one family."""
-    errors = np.empty(cfg.trials)
-    costs = np.empty(cfg.trials, dtype=np.int64)
-    stage_totals: dict = {}
+def _trials(cfg: ExperimentConfig):
+    """Run the trials of ``cfg`` in order, yielding each one's l_q error and oracle."""
     for t in range(cfg.trials):
         vec_rng, method_rng = _trial_streams(cfg.seed, cfg.family,
                                              cfg.method.name, t)
         x = gen_vector(cfg.family, cfg.m, vec_rng)
         oracle = MeasurementOracle(x)
         out = cfg.method.run(oracle, method_rng)
+        yield lp_norm(x - out, cfg.q), oracle
+
+
+def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
+    """Monte Carlo l_q error and cost of one method on one family."""
+    errors, costs, stage_totals = [], [], Counter()
+    for error, oracle in _trials(cfg):
         if oracle.cost > cfg.method.cap:
             raise CapViolationError(
                 f"{cfg.method.name}: cost {oracle.cost} exceeds cap {cfg.method.cap}"
             )
-        errors[t] = lp_norm(x - out, cfg.q)
-        costs[t] = oracle.cost
-        for stage, amount in oracle.stage_costs().items():
-            stage_totals[stage] = stage_totals.get(stage, 0) + amount
+        errors.append(error)
+        costs.append(oracle.cost)
+        stage_totals.update(oracle.stage_costs())
+    errors, costs = np.array(errors), np.array(costs, dtype=np.int64)
     qmoment = float(np.mean(errors ** cfg.q) ** (1.0 / cfg.q))
     spread = float(np.std(errors, ddof=1)) if cfg.trials > 1 else 0.0
     return ErrorEstimate(
@@ -178,7 +187,7 @@ def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
         ci=1.96 * spread / math.sqrt(cfg.trials),
         mean_cost=float(costs.mean()),
         max_cost=int(costs.max()),
-        stage_costs=stage_totals,
+        stage_costs=dict(stage_totals),
     )
 
 
@@ -206,20 +215,15 @@ def cost_audit(cfg: ExperimentConfig) -> AuditReport:
     report carries the verdict so callers can surface it (the CLI exits
     nonzero).
     """
-    costs = np.empty(cfg.trials, dtype=np.int64)
-    stage_totals: dict = {}
-    for t in range(cfg.trials):
-        vec_rng, method_rng = _trial_streams(cfg.seed, cfg.family,
-                                             cfg.method.name, t)
-        oracle = MeasurementOracle(gen_vector(cfg.family, cfg.m, vec_rng))
-        cfg.method.run(oracle, method_rng)
-        costs[t] = oracle.cost
-        for stage, amount in oracle.stage_costs().items():
-            stage_totals[stage] = stage_totals.get(stage, 0) + amount
+    costs, stage_totals = [], Counter()
+    for _, oracle in _trials(cfg):
+        costs.append(oracle.cost)
+        stage_totals.update(oracle.stage_costs())
+    costs = np.array(costs, dtype=np.int64)
     max_cost = int(costs.max())
     return AuditReport(cfg.method.name, cfg.method.cap, max_cost,
                        float(costs.mean()), max_cost <= cfg.method.cap,
-                       stage_totals)
+                       dict(stage_totals))
 
 
 def param_table(p: float, q: float, m: int, eps_values=None, budgets=None,
@@ -260,42 +264,45 @@ _COMPARE_METHODS = (
 )
 
 
+def estimate_row(method: Method, family: VectorFamily, m: int, p: float, q: float,
+                 budget, trials: int, seed: int) -> dict:
+    """One CSV row (see ``CSV_COLUMNS``) of the Monte Carlo estimate; ``budget`` may be None."""
+    est = estimate_error(ExperimentConfig(method=method, family=family, m=m, q=q,
+                                          trials=trials, seed=seed))
+    return {
+        "method": method.name, "variant": method.variant,
+        "m": m, "p": p, "q": q, "budget": "" if budget is None else budget,
+        "L": "" if method.levels is None else method.levels,
+        "R": "" if method.reps is None else method.reps,
+        "family": family.label(), "trials": trials,
+        "mean_err": est.mean_err, "qmoment_err": est.qmoment_err, "ci": est.ci,
+        "mean_cost": est.mean_cost, "max_cost": est.max_cost, "seed": seed,
+    }
+
+
 def compare_methods(m: int, p: float, q: float, budgets, families, trials: int,
                     seed: int) -> list[dict]:
     """Error/cost rows for every (method, budget, family) combination."""
     rows = []
     for name, variant in _COMPARE_METHODS:
-        for budget in budgets:
-            budget = int(budget)
+        for budget in map(int, budgets):
             method = make_method(name, m, p, q, budget=budget,
                                  variant=variant or PRECONDITIONED)
-            for family in families:
-                cfg = ExperimentConfig(method=method, family=family, m=m, q=q,
-                                       trials=trials, seed=seed)
-                est = estimate_error(cfg)
-                rows.append({
-                    "method": name,
-                    "variant": variant,
-                    "m": m, "p": p, "q": q, "budget": budget,
-                    "L": "" if method.levels is None else method.levels,
-                    "R": "" if method.reps is None else method.reps,
-                    "family": family.label(),
-                    "trials": trials,
-                    "mean_err": est.mean_err,
-                    "qmoment_err": est.qmoment_err,
-                    "ci": est.ci,
-                    "mean_cost": est.mean_cost,
-                    "max_cost": est.max_cost,
-                    "seed": seed,
-                })
+            rows.extend(estimate_row(method, family, m, p, q, budget, trials, seed)
+                        for family in families)
     return rows
 
 
-def write_csv(path, rows, columns=None):
-    """UTF-8 CSV with a header row and '.' decimal separator."""
+def write_csv(target, rows, columns=None):
+    """UTF-8 CSV with a header row and '.' decimal separator.
+
+    ``target`` is a path, or an open text stream such as ``sys.stdout``.
+    """
+    if not hasattr(target, "write"):
+        with open(target, "w", newline="", encoding="utf-8") as handle:
+            return write_csv(handle, rows, columns)
     columns = list(columns) if columns is not None else CSV_COLUMNS
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: row.get(key, "") for key in columns})
+    writer = csv.DictWriter(target, fieldnames=columns)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({key: row.get(key, "") for key in columns})

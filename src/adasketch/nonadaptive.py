@@ -2,10 +2,9 @@
 top-k denoising.
 
 Non-adaptive means every measurement functional is fixed before the first
-evaluation. Both sketches here expose an explicit plan step (the random
-functionals, constructible from the stream and the parameters alone) and
-an execution step against the oracle, so the contract is visible in the
-code and replayable in tests.
+evaluation. Both sketches draw their functionals from the stream and the
+parameters alone, so they replay without an oracle: the count sketch as a
+``CountSketchPlan``, the Gaussian sketch as ``linsketch_matrix``.
 """
 
 from __future__ import annotations
@@ -24,14 +23,16 @@ _LINSKETCH_BLOCK_ROWS = 128  # fixed so blocked and one-shot draws agree
 
 # -- Gaussian linear sketch ---------------------------------------------------
 
-def linsketch_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
+def _linsketch_blocks(m: int, n: int, rng: RngStream):
     """The n x m Gaussian measurement matrix, drawn row-block by row-block."""
     gen = rng.generator
-    blocks = [
-        gen.standard_normal((min(_LINSKETCH_BLOCK_ROWS, n - start), m))
-        for start in range(0, n, _LINSKETCH_BLOCK_ROWS)
-    ]
-    return np.vstack(blocks) if blocks else np.empty((0, m))
+    for start in range(0, n, _LINSKETCH_BLOCK_ROWS):
+        yield gen.standard_normal((min(_LINSKETCH_BLOCK_ROWS, n - start), m))
+
+
+def linsketch_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
+    """The whole n x m Gaussian measurement matrix that ``linsketch`` applies."""
+    return np.vstack([np.empty((0, m)), *_linsketch_blocks(m, n, rng)])
 
 
 def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream,
@@ -40,15 +41,11 @@ def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream,
     if n < 1:
         raise ParameterError("n must be >= 1")
     m = oracle.dimension
-    gen = rng.generator
     support = np.arange(m)
     acc = np.zeros(m)
-    done = 0
-    while done < n:  # stream the matrix in blocks: same draws, bounded memory
-        rows = gen.standard_normal((min(_LINSKETCH_BLOCK_ROWS, n - done), m))
+    for rows in _linsketch_blocks(m, n, rng):  # streamed: bounded memory
         y = oracle.measure_rows(support, rows, stage=stage)
         acc += y @ rows
-        done += rows.shape[0]
     return acc / n
 
 

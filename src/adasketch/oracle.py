@@ -144,9 +144,6 @@ class MeasurementOracle:
     def stage_costs(self) -> dict:
         return dict(self._ledger.by_stage)
 
-    def reset_cost(self):
-        self._ledger = _CostLedger()
-
     # -- measurement entry points -------------------------------------------
 
     def measure(self, functional: LinearFunctional, stage=None) -> float:

@@ -33,7 +33,6 @@ fast path against it at the level of whole detection passes, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,14 +43,6 @@ from .oracle import MeasurementOracle
 from .rng import RngStream, rademacher, sign_rows
 
 _EMPTY = np.empty(0, dtype=np.intp)
-
-
-@dataclass(frozen=True, eq=False)
-class PrecondDraw:
-    """The realized sign-measurement pattern: matrix of ±1 columns and sign vector."""
-
-    matrix: np.ndarray  # (k, #candidates), entries ±1
-    signs: np.ndarray   # (k,), entries ±1 with sign(0) := +1
 
 
 def precond_measurements(gamma: float, delta1: float) -> int:
@@ -151,28 +142,24 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
 
 
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
-            stage="precond", materialize=False, return_draw=False):
+            stage="precond", materialize=False):
     """Filter ``candidates`` with k sign measurements; cost is exactly k.
 
-    Returns the sorted surviving indices, or ``(survivors, PrecondDraw)``
-    when ``return_draw`` is set (which forces ``materialize=True``). An
-    empty candidate set returns empty at zero cost.
+    Returns the sorted surviving indices; an empty candidate set returns
+    empty at zero cost.
     """
     idx = np.sort(np.asarray(candidates, dtype=np.intp))
     if idx.size == 0:
-        return (_EMPTY, None) if return_draw else _EMPTY
+        return _EMPTY
     k = int(k)
     if k < 1:
         raise ParameterError("k must be >= 1")
 
-    if materialize or return_draw:
+    if materialize:
         matrix = rademacher(rng.generator, (k, idx.size))
         y = oracle.measure_rows(idx, matrix, stage=stage)
         s = signs_of(y)
-        survivors = idx[sign_filter_mask(s @ matrix, k)]
-        if return_draw:
-            return survivors, PrecondDraw(matrix, s)
-        return survivors
+        return idx[sign_filter_mask(s @ matrix, k)]
 
     live_mask = np.isin(idx, oracle.nonzero_indices())
     live = idx[live_mask]

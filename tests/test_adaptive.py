@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from adasketch.adaptive import (
     AdaptivePlan,
     approximate,
-    level_bucket_count,
     level_sensitivity,
     levels_for_accuracy,
     levels_for_budget,
@@ -27,14 +26,18 @@ def stream(label, seed=31337):
     return RngStream(seed).child(label)
 
 
-def test_level_bucket_count_examples():
-    assert level_bucket_count(3, 1.0, 10**7, PRECONDITIONED) == 108
-    assert level_bucket_count(3, 1.0, 10**7, BASIC) == 273800
-    assert level_bucket_count(1, 2.0, 10**7, PRECONDITIONED) == 60
+def test_bucket_counts_per_level():
+    def buckets(level, p, m, variant=PRECONDITIONED):
+        plan = AdaptivePlan(m=m, p=p, q=p + 1, levels=level, reps=2, variant=variant)
+        return plan.configs[level - 1].buckets
+
+    assert buckets(3, 1.0, 10**7) == 108
+    assert buckets(3, 1.0, 10**7, BASIC) == 273800
+    assert buckets(1, 2.0, 10**7) == 60
     # caps at m
-    assert level_bucket_count(3, 1.0, 50, PRECONDITIONED) == 50
+    assert buckets(3, 1.0, 50) == 50
     with pytest.raises(ParameterError):
-        level_bucket_count(0, 1.0, 100)
+        level_sensitivity(0, 1.0)
 
 
 def test_level_sensitivity():
@@ -76,14 +79,6 @@ def test_levels_for_accuracy_meets_the_bound():
             assert smaller.error_bound() > eps
 
 
-def test_plan_constructors():
-    plan = AdaptivePlan.for_accuracy(0.1, 2**16, 1, 2)
-    assert plan.levels == 9 and plan.reps == 2
-    assert plan.error_bound() <= 0.1
-    plan = AdaptivePlan.for_budget(0, 2**16, 1, 2)
-    assert plan.levels == 0
-
-
 def test_levels_for_budget_zero_and_boundary():
     assert levels_for_budget(0, 2**16, 1, 2) == 0
     cap1 = plan_cost_cap(AdaptivePlan(m=2**16, p=1, q=2, levels=1, reps=2))
@@ -102,11 +97,11 @@ def test_budgeted_plan_never_exceeds_the_budget():
     assert plan_cost_cap(plan) <= budget
     gen = stream("bud-x").generator
     rng = stream("bud")
-    for _ in range(5):
+    for t in range(5):
         x = np.zeros(m)
         x[gen.choice(m, size=8, replace=False)] = 1 / 8
         oracle = MeasurementOracle(x)
-        approximate(oracle, plan, rng)
+        approximate(oracle, plan, rng.child_at("trial", t))
         assert oracle.cost <= budget
 
 
@@ -132,12 +127,12 @@ def test_single_spike_recovered_every_time():
     plan = AdaptivePlan(m=m, p=1, q=2, levels=1, reps=2)
     gen = stream("e1-pos").generator
     rng = stream("e1")
-    for _ in range(trials):
+    for t in range(trials):
         j = int(gen.integers(0, m))
         x = np.zeros(m)
         x[j] = 1.0
         oracle = MeasurementOracle(x)
-        out = approximate(oracle, plan, rng)
+        out = approximate(oracle, plan, rng.child_at("trial", t))
         assert out[j] == 1.0
         assert lp_norm(x - out, 2) == 0.0
 
@@ -149,11 +144,11 @@ def test_support_correctness():
     plan = AdaptivePlan(m=m, p=1, q=2, levels=3, reps=2)
     gen = stream("sup-x").generator
     rng = stream("sup")
-    for _ in range(20):
+    for t in range(20):
         x = gen.standard_normal(m) * (gen.random(m) < 0.03)
         x /= max(1.0, lp_norm(x, 1))
         oracle = MeasurementOracle(x)
-        out = approximate(oracle, plan, rng)
+        out = approximate(oracle, plan, rng.child_at("trial", t))
         mismatch = (out != 0.0) & (out != x)
         assert not mismatch.any()
 
@@ -178,10 +173,10 @@ def test_cost_cap_on_random_instances():
         cap = plan_cost_cap(plan)
         gen = stream(f"cap-x-{variant}").generator
         rng = stream(f"cap-{variant}")
-        for _ in range(10):
+        for t in range(10):
             x = gen.standard_normal(m) * (gen.random(m) < 0.02)
             oracle = MeasurementOracle(x)
-            approximate(oracle, plan, rng)
+            approximate(oracle, plan, rng.child_at("trial", t))
             assert oracle.cost <= cap
 
 
@@ -212,9 +207,9 @@ def test_cost_within_cap_and_filter_cost_exact(m, p, q_gap, levels, variant, fam
 def _qmoment(plan, family_vectors, label):
     rng = stream(label)
     errs = []
-    for x in family_vectors:
+    for t, x in enumerate(family_vectors):
         oracle = MeasurementOracle(x)
-        out = approximate(oracle, plan, rng)
+        out = approximate(oracle, plan, rng.child_at("trial", t))
         errs.append(lp_norm(x - out, plan.q) ** plan.q)
     return float(np.mean(errs) ** (1 / plan.q))
 

@@ -74,7 +74,7 @@ def test_audit_subcommand_exit_codes(capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_compare_subcommand_and_reproducibility(tmp_path):
+def test_compare_subcommand_and_reproducibility(tmp_path, capsys):
     args = [
         "compare", "--m", "128", "--p", "1", "--q", "2", "--budget", "0,600",
         "--family", "spikes:4,geometric", "--trials", "8", "--seed", "21",
@@ -84,6 +84,10 @@ def test_compare_subcommand_and_reproducibility(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert len(read_rows(out1)) == 5 * 2 * 2
+    # without --out the same text goes to stdout
+    capsys.readouterr()
+    assert run(args) == 0
+    assert capsys.readouterr().out == out1.read_bytes().decode("utf-8")
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -133,6 +137,11 @@ def test_parameter_errors_exit_2(tmp_path):
     assert run(["adaptive", "--family", "spikes:4"]) == 2  # missing --m
     assert run(["adaptive", "--m", "64", "--family", "wat"]) == 2
     assert run(["params", "--m", "64"]) == 2  # neither eps nor budget
+    assert run(["nonadaptive", "--method", "linsketch_denoised", "--m", "100",
+                "--family", "spikes:1"]) == 2  # linsketch without --budget
+    for method in ("linsketch", "countsketch_denoised"):
+        assert run(["nonadaptive", "--method", method, "--m", "100", "--budget", "-5",
+                    "--family", "spikes:1"]) == 2
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("variant = turbo\n", encoding="utf-8")
     assert run(["adaptive", "--config", str(cfg), "--m", "64", "--L", "1",

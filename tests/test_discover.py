@@ -89,12 +89,12 @@ def test_one_sparse_detection_is_certain(variant):
     cfg = DiscoverConfig.for_sensitivity(1.0, 0.25, m, variant)
     rng = stream(f"1s-{variant}")
     pos = stream(f"1s-pos-{variant}").generator
-    for _ in range(300):
+    for t in range(300):
         j = int(pos.integers(0, m))
         x = np.zeros(m)
         x[j] = 1.0
         oracle = MeasurementOracle(x)
-        found = discover(oracle, cfg, rng)
+        found = discover(oracle, cfg, rng.child_at("trial", t))
         assert j in found
         assert found.size <= cfg.buckets
         assert oracle.cost <= discover_cost_cap(cfg)
@@ -128,10 +128,10 @@ def test_basic_variant_cost_cap_with_nontrivial_depth():
     assert cfg.depth == 3
     gen = stream("basic-x").generator
     rng = stream("basic")
-    for _ in range(20):
+    for t in range(20):
         x = gen.standard_normal(m) * (gen.random(m) < 0.001)
         oracle = MeasurementOracle(x)
-        found = discover(oracle, cfg, rng)
+        found = discover(oracle, cfg, rng.child_at("trial", t))
         assert found.size <= 32
         assert oracle.cost <= discover_cost_cap(cfg) == 32 * 8
 

@@ -182,3 +182,11 @@ def test_make_method_validation():
     # tiny budgets collapse the sketches to the zero method
     method = make_method("countsketch_denoised", 64, 1.0, 2.0, budget=10)
     assert method.cap == 0
+    assert make_method("linsketch_denoised", 64, 1.0, 2.0, budget=0).cap == 0
+    # a linsketch without a budget is an error, not a silent zero method
+    for name in ("linsketch", "linsketch_denoised"):
+        with pytest.raises(ParameterError):
+            make_method(name, 64, 1.0, 2.0)
+    for name in ("linsketch", "linsketch_denoised", "countsketch", "countsketch_denoised"):
+        with pytest.raises(ParameterError):
+            make_method(name, 64, 1.0, 2.0, budget=-5)

@@ -48,8 +48,6 @@ def test_cost_counts_each_evaluation_exactly_once():
     oracle.measure(LinearFunctional.dense([0.0, 1.0, 0.0]))
     oracle.read_entry(2)
     assert oracle.cost == 5
-    oracle.reset_cost()
-    assert oracle.cost == 0
 
 
 def test_batch_entry_points_match_single_calls():

@@ -15,7 +15,7 @@ from adasketch.precondition import (
     sign_tail_probability,
     signs_of,
 )
-from adasketch.rng import RngStream, sign_rows
+from adasketch.rng import RngStream, rademacher, sign_rows
 
 
 def stream(label, seed=4242):
@@ -207,20 +207,18 @@ def test_residual_norm_event_rate():
         assert bad / trials <= bound + 3 * math.sqrt(max(bound, 1e-4) / trials)
 
 
-def test_return_draw_exposes_the_sign_pattern():
+def test_materialized_filter_replays_from_its_sign_draw():
     gen = stream("draw-x").generator
     x = gen.standard_normal(32)
     oracle = MeasurementOracle(x)
-    got, draw = precond(oracle, np.arange(32), 24, stream("draw"), return_draw=True)
-    assert draw.matrix.shape == (24, 32)
-    assert set(np.unique(draw.matrix)) <= {-1.0, 1.0}
-    # signs replay exactly from the matrix and the hidden vector
-    expected_signs = np.where(draw.matrix @ x >= 0, 1.0, -1.0)
-    assert np.array_equal(draw.signs, expected_signs)
-    # survivors replay from the draw via the k/6 rule on both s and -s
+    got = precond(oracle, np.arange(32), 24, stream("draw"), materialize=True)
+    assert oracle.cost == 24
+    # the filter's (k x candidates) sign matrix is the stream's first draw
+    matrix = rademacher(stream("draw").generator, (24, 32))
+    signs = np.where(matrix @ x >= 0, 1.0, -1.0)
+    # survivors replay via the k/6 rule on both s and -s
     survivors = [
         j for j in range(32)
-        if hamming(draw.matrix[:, j], draw.signs) <= 4
-        or hamming(draw.matrix[:, j], -draw.signs) <= 4
+        if hamming(matrix[:, j], signs) <= 4 or hamming(matrix[:, j], -signs) <= 4
     ]
     assert list(got) == survivors
