@@ -119,20 +119,31 @@ def levels_for_budget(budget: int, m: int, p: float, q: float,
                       variant: str = PRECONDITIONED) -> int:
     """Largest level count whose worst-case cost cap fits the budget.
 
-    Exact search: level counts are enumerated upward while the closed-form
-    cap stays within ``budget``. Zero means the zero algorithm (no
-    measurements, output 0).
+    Exact search: level counts are tried upward while the closed-form cap
+    stays within ``budget``. Once a level's buckets saturate at m, every
+    deeper level does too and adds the same detection cost (the reads are
+    already capped at m), so the rest of the count is one division. Zero
+    means the zero algorithm (no measurements, output 0).
     """
     _check_pq(p, q)
     if budget < 0:
         raise ParameterError("budget must be >= 0")
+    reps = repetitions(p, q)
     levels = 0
     while True:
-        candidate = AdaptivePlan(m=m, p=p, q=q, levels=levels + 1,
-                                 reps=repetitions(p, q), variant=variant)
-        if plan_cost_cap(candidate) > budget:
+        plan = AdaptivePlan(m=m, p=p, q=q, levels=levels + 1, reps=reps, variant=variant)
+        cap = plan_cost_cap(plan)
+        if cap > budget:
             return levels
         levels += 1
+        deepest = plan.configs[-1]
+        if deepest.buckets == m:
+            levels += (budget - cap) // (reps * discover_cost_cap(deepest))
+            if level_sensitivity(levels, p) == 0.0:
+                raise ParameterError(
+                    f"budget {budget} affords {levels} levels, beyond the smallest "
+                    "positive sensitivity a float can hold")
+            return levels
 
 
 def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -> np.ndarray:

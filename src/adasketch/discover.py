@@ -18,11 +18,18 @@ filter's Binomial tail, where the filter draws it from its exact law.
 reference built from ``equi_partition``, ``precond(..., materialize=True)``
 per bucket and ``spot``.
 
+Both variants hold their candidate sets in one flat form: the sorted sets
+one after another in ``coords``, with boundaries ``cuts``. ``spot`` returns
+a set of at most one element unchanged, at no cost and without a draw, so
+those sets join the result in one slice and only larger ones go to
+``spot``; every stream is consumed as by a per-set loop. At desk scale all
+basic-variant buckets are singletons, and its pass calls ``spot`` never.
+
 The three random components (hashing, filtering, spotting) draw from
 children of ``rng`` with fixed labels, so they are independent of each
 other, but two calls with the same ``rng`` replay the same draws: every
 independent pass needs its own child stream (``rng.child_at("trial", t)``).
-Per-bucket draws are consumed in ascending bucket order.
+Per-set draws are consumed in ascending set order.
 """
 
 from __future__ import annotations
@@ -65,23 +72,21 @@ def bucket_count(p: float, eps: float, m: int, variant: str = PRECONDITIONED) ->
     Basic variant: ceil(4 * (3075*sqrt(2 log 48))^p / eps^p) for p <= 2 and
     ceil(4 * (3075*sqrt(2 log 48))^2 * m^(1-2/p) / eps^2) for p > 2.
     Preconditioned variant: ceil(6 * 5^(p/2) / eps^p), resp.
-    ceil(30 * m^(1-2/p) / eps^2). Capped at m (singleton buckets).
+    ceil(30 * m^(1-2/p) / eps^2). Capped at m (singleton buckets); a count
+    far above m is recognised from its logarithm, so no power overflows.
     """
     _validate_peps(p, eps, m)
     p = float(p)
+    r, s = min(p, 2.0), max(0.0, 1.0 - 2.0 / p)  # d = scale * m^s / eps^r
     if variant == BASIC:
-        if p <= 2.0:
-            d = math.ceil(4.0 * GAMMA_BASIC**p * eps**-p)
-        else:
-            d = math.ceil(4.0 * GAMMA_BASIC**2 * m ** (1.0 - 2.0 / p) * eps**-2)
+        scale = 4.0 * GAMMA_BASIC**r
     elif variant == PRECONDITIONED:
-        if p <= 2.0:
-            d = math.ceil(6.0 * 5.0 ** (p / 2.0) * eps**-p)
-        else:
-            d = math.ceil(30.0 * m ** (1.0 - 2.0 / p) * eps**-2)
+        scale = 6.0 * 5.0 ** (r / 2.0)
     else:
         raise ParameterError(f"unknown variant {variant!r}")
-    return min(d, m)
+    if math.log(scale) + (s - 1.0) * math.log(m) - r * math.log(eps) > 1.0:
+        return m
+    return min(math.ceil(scale * m**s * eps**-r), m)
 
 
 @dataclass(frozen=True)
@@ -134,14 +139,13 @@ def discover_cost_cap(cfg: DiscoverConfig) -> int:
     return cfg.buckets * per_bucket
 
 
-def _spot_survivors(oracle, survivor_sets, params, spot_rng):
-    hits = []
-    for sub in survivor_sets:
-        found = spot(oracle, sub, params, spot_rng)
-        if found.size:
-            hits.append(found)
-    if not hits:
-        return np.empty(0, dtype=np.intp)
+def _spot_survivors(oracle, coords, cuts, params, spot_rng):
+    """Union of ``spot`` over the sets ``coords[cuts[d]:cuts[d+1]]``, calling
+    it only on sets of two or more elements, in ascending set order."""
+    sizes = np.diff(cuts)
+    hits = [coords[cuts[:-1][sizes == 1]]]
+    for d in np.flatnonzero(sizes > 1):
+        hits.append(spot(oracle, coords[cuts[d]:cuts[d + 1]], params, spot_rng))
     return np.unique(np.concatenate(hits))
 
 
@@ -154,13 +158,14 @@ def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream) -> 
 
     if cfg.variant == BASIC:
         order, bounds = equi_partition(cfg.m, cfg.buckets, rng.child("hash"))
-        sets = (order[bounds[d]:bounds[d + 1]] for d in range(cfg.buckets))
-        return _spot_survivors(oracle, (np.sort(s) for s in sets), params, spot_rng)
+        bucket = np.repeat(np.arange(cfg.buckets), np.diff(bounds))
+        coords = order[np.lexsort((order, bucket))]  # ascending inside each bucket
+        return _spot_survivors(oracle, coords, bounds, params, spot_rng)
 
     nonzero = oracle.nonzero_indices()
     groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
-    survivors = sign_filter(
+    coords, cuts = sign_filter(
         oracle, nonzero, groups, np.diff(bounds), cfg.precond_size, rng.child("precond"),
         lambda: np.setdiff1d(np.arange(cfg.m), nonzero, assume_unique=True),
     )
-    return _spot_survivors(oracle, survivors, params, spot_rng)
+    return _spot_survivors(oracle, coords, cuts, params, spot_rng)

@@ -91,7 +91,7 @@ def signs_of(values: np.ndarray) -> np.ndarray:
 
 
 def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
-                rng: RngStream, zero_pool, stage="precond") -> list:
+                rng: RngStream, zero_pool, stage="precond") -> tuple:
     """Survivor sets of the k-measurement sign filter on disjoint segments.
 
     Segment d holds the live candidates ``live[segment_of == d]`` (nonzero
@@ -100,8 +100,10 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     segment (their segment does not matter: it is drawn here); it is called
     only when the Binomial tail keeps one. Each segment costs exactly k
     measurements; segments without live candidates are charged in bulk,
-    since their measured values are all exactly 0.0. Returns the non-empty
-    survivor sets, each sorted, in ascending segment order.
+    since their measured values are all exactly 0.0. Returns
+    ``(coords, cuts)``: the non-empty survivor sets in ascending segment
+    order, set i being ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts``
+    starts at 0 and ends at ``coords.size``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     segment_of = np.asarray(segment_of, dtype=np.intp)
@@ -134,11 +136,8 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
 
     coords, where = np.concatenate(coords), np.concatenate(where)
     order = np.lexsort((coords, where))
-    coords, cuts = coords[order], np.flatnonzero(np.diff(where[order])) + 1
-    if not coords.size:
-        return []
-    cuts = [0, *cuts.tolist(), coords.size]
-    return [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    cuts = np.append(np.flatnonzero(np.diff(where[order], prepend=-1)), order.size)
+    return coords[order], cuts
 
 
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
@@ -163,6 +162,6 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
 
     live_mask = np.isin(idx, oracle.nonzero_indices())
     live = idx[live_mask]
-    kept = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
-                       lambda: idx[~live_mask], stage=stage)
-    return kept[0] if kept else _EMPTY
+    kept, _ = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
+                          lambda: idx[~live_mask], stage=stage)
+    return kept

@@ -89,6 +89,35 @@ def test_levels_for_budget_zero_and_boundary():
     assert levels_for_budget(cap2, 2**16, 1, 2) == 2
 
 
+def test_levels_for_budget_past_saturation():
+    # basic variant at desk scale: every level's buckets saturate at m = 4096,
+    # so each level adds R * m * 2 = 16,384 to the cap and the reads stay at m.
+    # The count follows in closed form, far past level 1,024, where eps^-2
+    # leaves the float range.
+    m, p, q = 4096, 3.0, 4.0
+    levels = levels_for_budget(30_000_000, m, p, q, BASIC)
+    assert levels == (30_000_000 - m) // 16_384 == 1830
+    plan = AdaptivePlan(m=m, p=p, q=q, levels=levels, reps=2, variant=BASIC)
+    deeper = AdaptivePlan(m=m, p=p, q=q, levels=levels + 1, reps=2, variant=BASIC)
+    assert plan_cost_cap(plan) == levels * 16_384 + m
+    assert plan_cost_cap(deeper) > 30_000_000
+    assert {cfg.buckets for cfg in deeper.configs} == {m}
+    for budget in (plan_cost_cap(plan), plan_cost_cap(deeper) - 1):
+        assert levels_for_budget(budget, m, p, q, BASIC) == levels
+    # both variants, saturating after a few levels: still the largest fitting count
+    for variant in (BASIC, PRECONDITIONED):
+        for budget in (10**4, 10**5, 4 * 10**5):
+            levels = levels_for_budget(budget, 64, 1.5, 2.5, variant)
+            caps = [plan_cost_cap(AdaptivePlan(m=64, p=1.5, q=2.5, levels=n, reps=2,
+                                               variant=variant))
+                    for n in (levels, levels + 1)]
+            assert caps[0] <= budget < caps[1]
+    # 6,103 affordable levels would need eps = 2^-3051.5, which is 0.0 as a float
+    assert level_sensitivity(6103, p) == 0.0
+    with pytest.raises(ParameterError, match="sensitivity"):
+        levels_for_budget(100_000_000, m, p, q, BASIC)
+
+
 def test_budgeted_plan_never_exceeds_the_budget():
     m, budget = 2**20, 100_000
     levels = levels_for_budget(budget, m, 1, 2, PRECONDITIONED)

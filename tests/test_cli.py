@@ -151,6 +151,15 @@ def test_parameter_errors_exit_2(tmp_path):
                 "--family", "spikes:4"]) == 2
 
 
+def test_params_budget_beyond_float_sensitivities_exits_2(capsys):
+    # about 6,100 basic levels fit this budget; the deepest sensitivity
+    # underflows to 0.0, which is a parameter error, not a traceback
+    assert run(["params", "--m", "4096", "--p", "3", "--q", "4", "--variant", "basic",
+                "--budget", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run(["adaptive", "--config", str(tmp_path / "nope.cfg"),
                 "--m", "64", "--family", "spikes:4"]) == 2

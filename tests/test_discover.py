@@ -16,9 +16,9 @@ from adasketch.discover import (
     discover_cost_cap,
 )
 from adasketch.errors import ParameterError
-from adasketch.hashing import equi_partition
+from adasketch.hashing import equi_buckets_of, equi_partition
 from adasketch.oracle import MeasurementOracle
-from adasketch.precondition import precond, sign_tail_probability
+from adasketch.precondition import precond, sign_filter, sign_tail_probability
 from adasketch.rng import RngStream
 from adasketch.spotting import shrink_depth, spot
 
@@ -198,6 +198,57 @@ def test_one_stream_replays_one_pass():
     assert any(not np.array_equal(fresh[0], other) for other in fresh[1:])
 
 
+def per_set_pass(oracle, cfg, rng):
+    """``discover`` with its candidate sets handed to ``spot`` one by one, in
+    ascending set order, singletons included. Returns (found, set sizes)."""
+    if cfg.variant == BASIC:
+        order, bounds = equi_partition(cfg.m, cfg.buckets, rng.child("hash"))
+        sets = [np.sort(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    else:
+        nonzero = oracle.nonzero_indices()
+        groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size,
+                                         rng.child("hash"))
+        coords, cuts = sign_filter(
+            oracle, nonzero, groups, np.diff(bounds), cfg.precond_size,
+            rng.child("precond"), lambda: np.setdiff1d(np.arange(cfg.m), nonzero))
+        sets = [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    spot_rng = rng.child("spot")
+    hits = [spot(oracle, s, cfg.spot_params, spot_rng) for s in sets]
+    found = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.intp)
+    return found, [s.size for s in sets]
+
+
+@pytest.mark.parametrize("buckets", [50, 25, 17, None])
+def test_bulk_spot_replays_the_per_set_loop(buckets):
+    # discover resolves sets of at most one element without calling spot;
+    # spot draws nothing on them, so one stream must give the per-set loop's
+    # output and stage costs exactly. None: the preconditioned pass with a
+    # weak filter (k = 6), whose survivor sets often hold several elements.
+    if buckets is None:
+        m, density = 2**10, 0.05
+        cfg = dataclasses.replace(
+            DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
+    else:
+        m, density = 50, 0.6
+        cfg = DiscoverConfig.with_buckets(1.0, 0.25, m, buckets, BASIC)
+    gen = stream(f"bulk-x-{buckets}").generator
+    rng = stream(f"bulk-{buckets}")
+    sizes = []
+    for t in range(30):
+        x = gen.standard_normal(m) * (gen.random(m) < density)
+        fast, loop = MeasurementOracle(x), MeasurementOracle(x)
+        found = discover(fast, cfg, rng.child_at("trial", t))
+        expected, set_sizes = per_set_pass(loop, cfg, rng.child_at("trial", t))
+        assert np.array_equal(found, expected)
+        assert found.dtype == expected.dtype
+        assert fast.stage_costs() == loop.stage_costs()
+        sizes += set_sizes
+    if buckets == 50:
+        assert max(sizes) == 1
+    else:
+        assert sum(size >= 2 for size in sizes) >= 30
+
+
 # -- the preconditioned pass against its materialized reference ---------------
 #
 # Each comparison is a chi-square homogeneity test at level ALPHA on
@@ -226,22 +277,23 @@ def reference_pass(oracle, cfg, rng):
 
 
 @pytest.fixture
-def spot_inputs(monkeypatch):
-    """Record every candidate set that ``discover`` hands to ``spot``."""
+def filter_survivors(monkeypatch):
+    """Record every survivor set that ``sign_filter`` returns to ``discover``."""
     seen = []
-    real_spot = discover_module.spot
+    real_filter = discover_module.sign_filter
 
-    def recording_spot(oracle, candidates, params, rng, **kwargs):
-        seen.append(np.array(candidates, copy=True))
-        return real_spot(oracle, candidates, params, rng, **kwargs)
+    def recording_filter(*args, **kwargs):
+        coords, cuts = real_filter(*args, **kwargs)
+        seen.extend(coords[a:b].copy() for a, b in zip(cuts[:-1], cuts[1:]))
+        return coords, cuts
 
-    monkeypatch.setattr(discover_module, "spot", recording_spot)
+    monkeypatch.setattr(discover_module, "sign_filter", recording_filter)
     return seen
 
 
 def _pass_records(x, cfg, trials, label, seen=None):
     """Per-pass records of independent passes: the fast ``discover`` path
-    when ``seen`` (its recorded spot inputs) is given, else the reference."""
+    when ``seen`` (its recorded survivor sets) is given, else the reference."""
     root = stream(label)
     live = np.flatnonzero(x)
     detected = np.zeros((trials, live.size), dtype=bool)
@@ -300,17 +352,17 @@ def _assert_same_law(x, cfg, trials, label, seen):
     return fast_detected, fast
 
 
-def test_fast_pass_matches_reference_on_sparse_spikes(spot_inputs):
+def test_fast_pass_matches_reference_on_sparse_spikes(filter_survivors):
     m = 2**10
     cfg = DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED)
     x = np.zeros(m)
     x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
-    detected, records = _assert_same_law(x, cfg, 600, "eq-spikes", spot_inputs)
+    detected, records = _assert_same_law(x, cfg, 600, "eq-spikes", filter_survivors)
     assert detected[:, 0].mean() >= 0.5  # the spike above eps
     assert records["zero_survivors"].sum() == 0  # tail ~3.7e-76 per bucket
 
 
-def test_fast_pass_matches_reference_with_exact_cancellation(spot_inputs):
+def test_fast_pass_matches_reference_with_exact_cancellation(filter_survivors):
     # two buckets of 16; when +-0.5 share one, every row with equal signs
     # measures exactly 0.0 and takes sign +1. k = 12 keeps the survivor
     # counts non-degenerate and lets zero candidates through the tail.
@@ -319,12 +371,12 @@ def test_fast_pass_matches_reference_with_exact_cancellation(spot_inputs):
         DiscoverConfig.with_buckets(1.0, 0.25, m, 2, PRECONDITIONED), precond_size=12)
     x = np.zeros(m)
     x[3], x[11] = 0.5, -0.5
-    detected, records = _assert_same_law(x, cfg, 2000, "eq-cancel", spot_inputs)
+    detected, records = _assert_same_law(x, cfg, 2000, "eq-cancel", filter_survivors)
     assert 0.3 <= detected[:, 0].mean() <= 0.9
     assert records["zero_survivors"].sum() > 0
 
 
-def test_fast_pass_matches_reference_when_the_zero_tail_fires(spot_inputs):
+def test_fast_pass_matches_reference_when_the_zero_tail_fires(filter_survivors):
     m, trials = 2**10, 400
     cfg = dataclasses.replace(
         DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
@@ -332,7 +384,7 @@ def test_fast_pass_matches_reference_when_the_zero_tail_fires(spot_inputs):
     assert tail == pytest.approx(0.21875)
     x = np.zeros(m)
     x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
-    _, records = _assert_same_law(x, cfg, trials, "eq-tail", spot_inputs)
+    _, records = _assert_same_law(x, cfg, trials, "eq-tail", filter_survivors)
     # extras are distinct zero coordinates (checked per pass above), and the
     # branch fires in nearly every pass at rate tail per zero coordinate
     zero_kept = records["zero_survivors"]

@@ -102,8 +102,10 @@ def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
     segment_of = np.array([3, 0, 2, 3, 3, 0, 2, 2, 3, 3])
     sizes = np.bincount(segment_of, minlength=4)
     oracle = MeasurementOracle(hidden)
-    got = sign_filter(oracle, live, segment_of, sizes, k, stream("replay"), None)
+    coords, cuts = sign_filter(oracle, live, segment_of, sizes, k, stream("replay"), None)
     assert oracle.cost == 4 * k
+    assert cuts[0] == 0 and cuts[-1] == coords.size
+    got = [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
     grouped = live[np.argsort(segment_of, kind="stable")]
     block, _ = sign_rows(stream("replay").generator, live.size, k)
