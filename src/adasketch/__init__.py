@@ -10,7 +10,6 @@ from .adaptive import (
     levels_for_budget,
     plan_cost_cap,
     repetitions,
-    repetitions_for_confidence,
 )
 from .discover import (
     BASIC,
@@ -32,17 +31,16 @@ from .harness import (
     param_table,
     write_csv,
 )
-from .hashing import bucket_of, equi_hash, hash_size_for, pairwise_hash
+from .hashing import equi_hash, hash_size_for, pairwise_hash
 from .nonadaptive import (
     countsketch,
     countsketch_params,
-    denoise,
     denoised_countsketch,
     denoised_linsketch,
     linsketch,
 )
-from .oracle import LinearFunctional, MeasurementOracle, lp_norm, restrict
-from .precondition import hamming, precond, precond_measurements
+from .oracle import MeasurementOracle, lp_norm
+from .precondition import precond, precond_measurements
 from .rng import RngStream
 from .spotting import (
     SpotParams,
@@ -57,16 +55,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptivePlan", "BASIC", "CapViolationError", "DimensionError",
-    "DiscoverConfig", "ErrorEstimate", "ExperimentConfig", "LinearFunctional",
+    "DiscoverConfig", "ErrorEstimate", "ExperimentConfig",
     "MeasurementOracle", "PRECONDITIONED", "ParameterError", "RngStream",
-    "SpotParams", "VectorFamily", "approximate", "bucket_count", "bucket_of",
+    "SpotParams", "VectorFamily", "approximate", "bucket_count",
     "compare_methods", "cost_audit", "countsketch", "countsketch_params",
-    "denoise", "denoised_countsketch", "denoised_linsketch", "discover",
+    "denoised_countsketch", "denoised_linsketch", "discover",
     "discover_cost_cap", "equi_hash", "estimate_error", "gen_vector",
-    "hamming", "hash_size_for", "level_sensitivity",
+    "hash_size_for", "level_sensitivity",
     "levels_for_accuracy", "levels_for_budget", "linsketch", "lp_norm",
     "make_method", "pairwise_hash", "param_table", "plan_cost_cap", "precond",
-    "precond_measurements", "repetitions", "repetitions_for_confidence",
-    "restrict", "shrink", "shrink_depth", "shrink_schedule", "spot",
+    "precond_measurements", "repetitions",
+    "shrink", "shrink_depth", "shrink_schedule", "spot",
     "spot_heavy_hitter_constant", "write_csv",
 ]

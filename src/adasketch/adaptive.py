@@ -43,15 +43,6 @@ def repetitions(p: float, q: float) -> int:
     return math.ceil(q / min(2.0, p))
 
 
-def repetitions_for_confidence(base_reps: int, delta: float) -> int:
-    """Scale the per-level passes to push the failure probability below delta."""
-    if base_reps < 1:
-        raise ParameterError("base_reps must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
-    return base_reps * max(1, math.ceil(math.log2(1.0 / delta)))
-
-
 def level_sensitivity(level: int, p: float) -> float:
     """Magnitude threshold targeted by level ``level``: 2^(-level / min(2, p))."""
     if level < 1:

@@ -90,6 +90,11 @@ def _resolved(args: argparse.Namespace, argv) -> argparse.Namespace:
     if args.config:
         file_values = read_config(args.config)
         aliases = {"L": "levels", "R": "reps"}
+        flags = (set(vars(args)) - {"command", "config", *aliases.values()}) | set(aliases)
+        unknown = sorted(set(file_values) - flags)
+        if unknown:
+            raise ParameterError(f"{args.config}: no flag of {args.command} that a config "
+                                 f"file can set is named {', '.join(map(repr, unknown))}")
         given = {flag.lstrip("-").split("=", 1)[0].replace("-", "_")
                  for flag in argv if flag.startswith("--")}
         given = {aliases.get(name, name) for name in given}

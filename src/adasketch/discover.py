@@ -42,19 +42,25 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .hashing import equi_buckets_of, equi_partition
 from .oracle import MeasurementOracle
-from .precondition import sign_filter
+from .precondition import precond_measurements, sign_filter
 from .rng import RngStream
-from .spotting import SpotParams, shrink_depth, spot, spot_cost_cap
+from .spotting import (
+    SpotParams,
+    shrink_depth,
+    spot,
+    spot_cost_cap,
+    spot_heavy_hitter_constant,
+)
 
 BASIC = "basic"
 PRECONDITIONED = "preconditioned"
 VARIANTS = (BASIC, PRECONDITIONED)
 
-# dominance constants required by spot at the two operating points
-GAMMA_BASIC = 3075.0 * math.sqrt(2.0 * math.log(48.0))            # delta2 = 1/3
-GAMMA_PRECONDITIONED = 4100.0 * math.sqrt(2.0 * math.log(64.0))   # delta2 = 1/4
-
-PRECOND_MEASUREMENTS = 701  # precond_measurements(GAMMA_PRECONDITIONED, 1/5)
+# dominance constants required by spot at the two operating points, and the
+# sign measurements that lift sqrt(5)-dominance to the preconditioned one
+GAMMA_BASIC = spot_heavy_hitter_constant(1.0 / 3.0)
+GAMMA_PRECONDITIONED = spot_heavy_hitter_constant(1.0 / 4.0)
+PRECOND_MEASUREMENTS = precond_measurements(GAMMA_PRECONDITIONED, 1.0 / 5.0)  # 701
 
 
 def _validate_peps(p: float, eps: float, m: int):

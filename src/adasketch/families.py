@@ -20,6 +20,7 @@ from .rng import RngStream, rademacher
 
 KINDS = ("spikes", "geometric", "spike_plus_tail", "uniform_ball", "zero",
          "denoise_adversarial")
+_COUNTED_KINDS = ("spikes", "spike_plus_tail", "denoise_adversarial")  # take ``kind:count``
 
 # geometric tails are cut once entries drop below this relative size; the
 # discarded mass is far below float visibility in any norm comparison
@@ -48,16 +49,22 @@ class VectorFamily:
     @classmethod
     def parse(cls, text: str, p: float) -> "VectorFamily":
         """Parse CLI notation like ``spikes:4`` or ``geometric``."""
-        name, _, arg = text.partition(":")
+        name, colon, arg = text.partition(":")
         name = name.strip()
         if name not in KINDS:
             raise ParameterError(f"unknown family {text!r}")
-        if arg:
-            return cls(kind=name, p=p, count=int(arg))
-        return cls(kind=name, p=p)
+        if not colon:
+            return cls(kind=name, p=p)
+        if name not in _COUNTED_KINDS:
+            raise ParameterError(f"family {name!r} takes no count, got {text!r}")
+        try:
+            count = int(arg)
+        except ValueError:
+            raise ParameterError(f"family {text!r} needs an integer count") from None
+        return cls(kind=name, p=p, count=count)
 
     def label(self) -> str:
-        if self.kind in ("spikes", "spike_plus_tail", "denoise_adversarial"):
+        if self.kind in _COUNTED_KINDS:
             return f"{self.kind}:{self.count}"
         return self.kind
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .rng import RngStream
 
 
@@ -149,30 +149,13 @@ def pairwise_hash(m: int, buckets: int, rng: RngStream, draws: int | None = None
     return np.minimum(residues * buckets // prime + 1, buckets)
 
 
-def bucket_of(values: np.ndarray, j: int) -> np.ndarray:
-    """All coordinates sharing coordinate j's hash value (always contains j)."""
-    values = np.asarray(values)
-    j = int(j)
-    if not 0 <= j < values.size:
-        raise DimensionError(f"index {j} out of range [0, {values.size})")
-    return np.flatnonzero(values == values[j])
-
-
-def bucket_sizes(values: np.ndarray, buckets: int) -> np.ndarray:
-    """Occurrence count of each hash value 1..buckets."""
-    return np.bincount(np.asarray(values).ravel(), minlength=buckets + 1)[1:]
-
-
-def hash_size_for(p: float, eps: float, delta0: float, gamma: float, m: int,
-                  pairwise: bool = False) -> int:
+def hash_size_for(p: float, eps: float, delta0: float, gamma: float, m: int) -> int:
     """Bucket count isolating an eps-large coordinate at dominance gamma.
 
     With this many buckets, a coordinate of magnitude >= eps in a unit
     l_p-ball vector dominates the rest of its bucket by a factor gamma
-    (in l_2) with probability at least 1 - delta0. ``pairwise=True``
-    selects the variant sized for pairwise-independent hashing, which
-    additionally controls the bucket cardinality (defined for p <= 2).
-    Capped at m, where buckets are singletons anyway.
+    (in l_2) with probability at least 1 - delta0. Capped at m, where
+    buckets are singletons anyway.
     """
     p = float(p)
     if not (1.0 <= p < math.inf):
@@ -185,11 +168,7 @@ def hash_size_for(p: float, eps: float, delta0: float, gamma: float, m: int,
         raise ParameterError("gamma must exceed 1")
     if m < 1:
         raise ParameterError("m must be >= 1")
-    if pairwise:
-        if p > 2.0:
-            raise ParameterError("the pairwise-sized variant is defined for p <= 2")
-        d = math.ceil((gamma / eps) ** p * 2.0 / delta0)
-    elif p <= 2.0:
+    if p <= 2.0:
         d = math.ceil((gamma / eps) ** p / delta0)
     else:
         d = math.ceil(m ** (1.0 - 2.0 / p) * (gamma / eps) ** 2 / delta0)

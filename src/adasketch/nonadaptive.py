@@ -35,8 +35,7 @@ def linsketch_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
     return np.vstack([np.empty((0, m)), *_linsketch_blocks(m, n, rng)])
 
 
-def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream,
-              stage="linsketch") -> np.ndarray:
+def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream) -> np.ndarray:
     """Output (1/n) N^T N x from n Gaussian measurements (a linear method)."""
     if n < 1:
         raise ParameterError("n must be >= 1")
@@ -44,7 +43,7 @@ def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream,
     support = np.arange(m)
     acc = np.zeros(m)
     for rows in _linsketch_blocks(m, n, rng):  # streamed: bounded memory
-        y = oracle.measure_rows(support, rows, stage=stage)
+        y = oracle.measure_rows(support, rows, stage="linsketch")
         acc += y @ rows
     return acc / n
 
@@ -98,22 +97,21 @@ def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> Cou
     return CountSketchPlan(groups, signs, group_count)
 
 
-def countsketch_estimates(oracle: MeasurementOracle, plan: CountSketchPlan,
-                          stage="countsketch") -> np.ndarray:
+def countsketch_estimates(oracle: MeasurementOracle, plan: CountSketchPlan) -> np.ndarray:
     """Per-round unbiased estimates sign * Y[group] of every coordinate, shape (reps, m)."""
     est = np.empty_like(plan.signs)
     for r in range(plan.reps):
         y = oracle.measure_partition(plan.groups[r], plan.signs[r],
-                                     plan.group_count, stage=stage)
+                                     plan.group_count, stage="countsketch")
         est[r] = plan.signs[r] * y[plan.groups[r]]
     return est
 
 
 def countsketch(oracle: MeasurementOracle, reps: int, group_count: int,
-                rng: RngStream, stage="countsketch") -> np.ndarray:
+                rng: RngStream) -> np.ndarray:
     """Componentwise median of the per-round estimates; cost reps * group_count."""
     plan = countsketch_plan(oracle.dimension, reps, group_count, rng)
-    return np.median(countsketch_estimates(oracle, plan, stage=stage), axis=0)
+    return np.median(countsketch_estimates(oracle, plan), axis=0)
 
 
 # -- denoising ----------------------------------------------------------------
@@ -133,33 +131,19 @@ def keep_largest(z, k: int) -> np.ndarray:
     return out
 
 
-def denoise(z, eps: float, p: float) -> np.ndarray:
-    """Keep the k = min(floor(eps^-p), m) largest-magnitude entries of ``z``.
-
-    Converts a uniform (l_inf) guarantee of size ~eps into an l_q guarantee
-    of order eps^(1 - p/q) for unit l_p-ball inputs.
-    """
-    if not eps > 0.0:
-        raise ParameterError("eps must be positive")
-    if not p >= 1.0:
-        raise ParameterError("p must be >= 1")
-    z = np.asarray(z, dtype=np.float64)
-    return keep_largest(z, min(math.floor(eps ** -p), z.size))
-
-
 def denoised_countsketch(oracle: MeasurementOracle, level: int, p: float, q: float,
-                         rng: RngStream, stage="countsketch") -> np.ndarray:
+                         rng: RngStream) -> np.ndarray:
     """Count sketch at accuracy level ``level`` followed by top-2^level denoising."""
     if not (1.0 <= p < q < math.inf):
         raise ParameterError("need 1 <= p < q < inf")
     reps, group_count = countsketch_params(level, oracle.dimension)
-    z = countsketch(oracle, reps, group_count, rng, stage=stage)
+    z = countsketch(oracle, reps, group_count, rng)
     # sensitivity eps = 2^(-level/p), hence exactly k = 2^level kept entries
     return keep_largest(z, min(2 ** level, oracle.dimension))
 
 
 def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float, q: float,
-                       rng: RngStream, stage="linsketch") -> np.ndarray:
+                       rng: RngStream) -> np.ndarray:
     """Gaussian sketch with n measurements, then keep the top
     k = floor((n / (m^(1-2/p) log m))^(p/2)) entries.
 
@@ -175,5 +159,5 @@ def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float, q: float,
     k = math.floor(noise ** (-p / 2.0)) if noise > 0 else m
     if k == 0:
         return np.zeros(m)
-    z = linsketch(oracle, n, rng, stage=stage)
+    z = linsketch(oracle, n, rng)
     return keep_largest(z, min(k, m))

@@ -3,14 +3,15 @@
 Algorithms never touch the hidden vector directly: they submit linear
 functionals to a :class:`MeasurementOracle` and get back exact inner
 products, each evaluation incrementing the information-cost counter by
-exactly one. Batch entry points (`measure_rows`, `measure_segments`,
-`measure_partition`, `read_entries`) evaluate several functionals per call
-and charge one unit apiece, which keeps Monte Carlo experiments fast
-without changing the cost model.
+exactly one. A functional is a support plus one coefficient row; the entry
+points (`measure_rows`, `measure_segments`, `measure_partition`,
+`read_entries`, `charge`) take several functionals per call and charge one
+unit apiece, which keeps Monte Carlo experiments fast without changing the
+cost model.
 
 An oracle instance is single-writer (its counter mutates per call); use one
-oracle per concurrent unit. The pure helpers (`lp_norm`, `restrict`) are
-safe from any thread.
+oracle per concurrent unit. The pure helper `lp_norm` is safe from any
+thread.
 """
 
 from __future__ import annotations
@@ -57,57 +58,6 @@ def _as_index_array(indices, m: int) -> np.ndarray:
     return idx
 
 
-def restrict(v, indices) -> np.ndarray:
-    """Copy of ``v`` keeping only the entries on ``indices``, zero elsewhere."""
-    v = np.asarray(v, dtype=np.float64)
-    idx = _as_index_array(indices, v.size)
-    out = np.zeros_like(v)
-    out[idx] = v[idx]
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class LinearFunctional:
-    """A sparse linear functional: strictly increasing support + coefficients."""
-
-    support: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        sup = np.asarray(self.support, dtype=np.intp).ravel()
-        coef = np.asarray(self.coefficients, dtype=np.float64).ravel()
-        if sup.size != coef.size:
-            raise DimensionError("support and coefficients must have equal length")
-        if sup.size:
-            if sup.min() < 0:
-                raise DimensionError("support indices must be non-negative")
-            if np.any(np.diff(sup) <= 0):
-                raise DimensionError("support indices must be strictly increasing")
-        if not np.all(np.isfinite(coef)):
-            raise ParameterError("coefficients must be finite")
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "coefficients", coef)
-
-    @classmethod
-    def unit(cls, j: int) -> "LinearFunctional":
-        return cls(np.array([j]), np.array([1.0]))
-
-    @classmethod
-    def dense(cls, coefficients) -> "LinearFunctional":
-        coefficients = np.asarray(coefficients, dtype=np.float64)
-        return cls(np.arange(coefficients.size), coefficients)
-
-    def scaled(self, t: float) -> "LinearFunctional":
-        return LinearFunctional(self.support, t * self.coefficients)
-
-    def plus(self, other: "LinearFunctional") -> "LinearFunctional":
-        sup = np.union1d(self.support, other.support)
-        coef = np.zeros(sup.size)
-        coef[np.searchsorted(sup, self.support)] += self.coefficients
-        coef[np.searchsorted(sup, other.support)] += other.coefficients
-        return LinearFunctional(sup, coef)
-
-
 @dataclass
 class _CostLedger:
     total: int = 0
@@ -145,13 +95,6 @@ class MeasurementOracle:
         return dict(self._ledger.by_stage)
 
     # -- measurement entry points -------------------------------------------
-
-    def measure(self, functional: LinearFunctional, stage=None) -> float:
-        sup = functional.support
-        if sup.size and sup[-1] >= self.dimension:
-            raise DimensionError("functional support exceeds the oracle dimension")
-        self._ledger.add(1, stage)
-        return float(np.dot(functional.coefficients, self._hidden[sup]))
 
     def measure_rows(self, support, rows, stage=None) -> np.ndarray:
         """Evaluate each row of ``rows`` as a functional on ``support``; cost += #rows."""
@@ -204,13 +147,6 @@ class MeasurementOracle:
             raise ParameterError("group ids must lie in [0, group_count)")
         self._ledger.add(group_count, stage)
         return np.bincount(groups, weights=weights * self._hidden, minlength=group_count)
-
-    def read_entry(self, j: int, stage=None) -> float:
-        j = int(j)
-        if not 0 <= j < self.dimension:
-            raise DimensionError(f"entry index {j} out of range [0, {self.dimension})")
-        self._ledger.add(1, stage)
-        return float(self._hidden[j])
 
     def read_entries(self, indices, stage=None) -> np.ndarray:
         idx = _as_index_array(indices, self.dimension)

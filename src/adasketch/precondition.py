@@ -54,15 +54,6 @@ def precond_measurements(gamma: float, delta1: float) -> int:
     return math.ceil(36.0 * math.log((1.0 + 0.4 * gamma * gamma) / delta1))
 
 
-def hamming(a, b) -> int:
-    """Number of differing positions between two sign vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ParameterError("sign vectors must have equal length")
-    return int(np.count_nonzero(a != b))
-
-
 @lru_cache(maxsize=None)
 def sign_tail_probability(k: int) -> float:
     """P(a fresh ±1 column passes the k/6 filter against any fixed sign vector).
@@ -91,7 +82,7 @@ def signs_of(values: np.ndarray) -> np.ndarray:
 
 
 def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
-                rng: RngStream, zero_pool, stage="precond") -> tuple:
+                rng: RngStream, zero_pool) -> tuple:
     """Survivor sets of the k-measurement sign filter on disjoint segments.
 
     Segment d holds the live candidates ``live[segment_of == d]`` (nonzero
@@ -114,13 +105,13 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
                                               return_inverse=True)
     idle = sizes.size - live_segments.size
     if idle:
-        oracle.charge(k * idle, stage=stage)
+        oracle.charge(k * idle, stage="precond")
 
     kept = np.empty(0, dtype=bool)
     if live.size:
         signs, a_bits = sign_rows(gen, live.size, k)  # row j is the column a_j
         starts = np.append(starts, live.size)
-        y = oracle.measure_segments(live, signs.T, starts, stage=stage)
+        y = oracle.measure_segments(live, signs.T, starts, stage="precond")
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
         distance = np.bitwise_count(a_bits ^ s_bits[member]).sum(axis=1, dtype=np.int64)
         kept = sign_filter_mask(k - 2 * distance, k)
@@ -141,7 +132,7 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
 
 
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
-            stage="precond", materialize=False):
+            materialize=False):
     """Filter ``candidates`` with k sign measurements; cost is exactly k.
 
     Returns the sorted surviving indices; an empty candidate set returns
@@ -156,12 +147,12 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
 
     if materialize:
         matrix = rademacher(rng.generator, (k, idx.size))
-        y = oracle.measure_rows(idx, matrix, stage=stage)
+        y = oracle.measure_rows(idx, matrix, stage="precond")
         s = signs_of(y)
         return idx[sign_filter_mask(s @ matrix, k)]
 
     live_mask = np.isin(idx, oracle.nonzero_indices())
     live = idx[live_mask]
     kept, _ = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
-                          lambda: idx[~live_mask], stage=stage)
+                          lambda: idx[~live_mask])
     return kept

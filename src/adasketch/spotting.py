@@ -78,7 +78,7 @@ def _round_half_away(x: float) -> int:
 
 
 def shrink(oracle: MeasurementOracle, indices, labels, label_count: int,
-           rng: RngStream, stage="spot") -> np.ndarray:
+           rng: RngStream) -> np.ndarray:
     """One shrinking step: two measurements, then keep the indicated sub-bucket.
 
     ``labels`` assigns each candidate a value in [1, label_count]. Returns
@@ -91,7 +91,7 @@ def shrink(oracle: MeasurementOracle, indices, labels, label_count: int,
         return _EMPTY
     labels = np.asarray(labels, dtype=np.float64)
     g = rng.generator.standard_normal(idx.size)
-    y = oracle.measure_rows(idx, np.vstack([g, g * labels]), stage=stage)
+    y = oracle.measure_rows(idx, np.vstack([g, g * labels]), stage="spot")
     if y[0] == 0.0:
         return _EMPTY
     ratio = y[1] / y[0]
@@ -104,7 +104,7 @@ def shrink(oracle: MeasurementOracle, indices, labels, label_count: int,
 
 
 def spot(oracle: MeasurementOracle, candidates, params: SpotParams,
-         rng: RngStream, stage="spot", trace=None) -> np.ndarray:
+         rng: RngStream) -> np.ndarray:
     """Return at most one candidate from ``candidates`` (empty set on failure).
 
     Sets of size <= 1 are returned immediately at zero cost. Otherwise each
@@ -115,8 +115,6 @@ def spot(oracle: MeasurementOracle, candidates, params: SpotParams,
     depth's design size), the attempt counts as a failure.
     """
     current = np.asarray(candidates, dtype=np.intp)
-    if trace is not None:
-        trace.append(current.copy())
     if current.size <= 1:
         return current.copy()
     gen = rng.generator
@@ -126,18 +124,12 @@ def spot(oracle: MeasurementOracle, candidates, params: SpotParams,
         prime = next_prime(max(domain, label_count))
         a, b = draw_affine(gen, prime)
         labels = affine_values(current, a, b, prime, label_count)
-        current = shrink(oracle, current, labels, label_count, rng, stage=stage)
-        if trace is not None:
-            trace.append(current.copy())
+        current = shrink(oracle, current, labels, label_count, rng)
         if current.size <= 1:
             return current
     if current.size > shrink_schedule(params.depth, params.delta2):
         return _EMPTY
-    final = shrink(oracle, current, np.arange(1, current.size + 1), current.size,
-                   rng, stage=stage)
-    if trace is not None:
-        trace.append(final.copy())
-    return final
+    return shrink(oracle, current, np.arange(1, current.size + 1), current.size, rng)
 
 
 def spot_cost_cap(params: SpotParams) -> int:

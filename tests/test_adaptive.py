@@ -13,7 +13,6 @@ from adasketch.adaptive import (
     levels_for_budget,
     plan_cost_cap,
     repetitions,
-    repetitions_for_confidence,
 )
 from adasketch.discover import BASIC, PRECONDITIONED
 from adasketch.errors import ParameterError
@@ -54,12 +53,6 @@ def test_repetitions_examples():
     assert repetitions(1, 5) == 5
     with pytest.raises(ParameterError):
         repetitions(2, 2)
-
-
-def test_repetitions_for_confidence():
-    assert repetitions_for_confidence(2, 0.5) == 2
-    assert repetitions_for_confidence(2, 0.25) == 4
-    assert repetitions_for_confidence(3, 0.1) == 12
 
 
 def test_levels_for_accuracy_examples():

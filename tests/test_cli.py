@@ -149,6 +149,13 @@ def test_parameter_errors_exit_2(tmp_path):
     cfg.write_text("trials = soon\n", encoding="utf-8")
     assert run(["adaptive", "--config", str(cfg), "--m", "64", "--L", "1",
                 "--family", "spikes:4"]) == 2
+    # config keys must name flags; misspelt ones are not ignored
+    cfg.write_text("trails = 3\nfamilee = spikes:2\n", encoding="utf-8")
+    assert run(["adaptive", "--config", str(cfg), "--m", "64", "--L", "1",
+                "--family", "spikes:4"]) == 2
+    # a count on a family that takes none, or an empty count
+    for family in ("geometric:7", "uniform_ball:3", "zero:2", "spikes:"):
+        assert run(["adaptive", "--m", "64", "--L", "1", "--family", family]) == 2
 
 
 def test_params_budget_beyond_float_sensitivities_exits_2(capsys):

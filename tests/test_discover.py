@@ -9,6 +9,8 @@ from scipy.stats import chi2_contingency
 from adasketch.discover import (
     BASIC,
     GAMMA_BASIC,
+    GAMMA_PRECONDITIONED,
+    PRECOND_MEASUREMENTS,
     PRECONDITIONED,
     DiscoverConfig,
     bucket_count,
@@ -18,9 +20,14 @@ from adasketch.discover import (
 from adasketch.errors import ParameterError
 from adasketch.hashing import equi_buckets_of, equi_partition
 from adasketch.oracle import MeasurementOracle
-from adasketch.precondition import precond, sign_filter, sign_tail_probability
+from adasketch.precondition import (
+    precond,
+    precond_measurements,
+    sign_filter,
+    sign_tail_probability,
+)
 from adasketch.rng import RngStream
-from adasketch.spotting import shrink_depth, spot
+from adasketch.spotting import shrink_depth, spot, spot_heavy_hitter_constant
 
 # the package re-exports the function ``discover`` under the module's name
 discover_module = importlib.import_module("adasketch.discover")
@@ -28,6 +35,15 @@ discover_module = importlib.import_module("adasketch.discover")
 
 def stream(label, seed=99):
     return RngStream(seed).child(label)
+
+
+def test_constants_are_their_lemma_values():
+    # spot's dominance factor at delta2 = 1/3 (basic) and 1/4 (preconditioned),
+    # and precond's measurement count lifting sqrt(5)- to that dominance at 1/5
+    assert GAMMA_BASIC == spot_heavy_hitter_constant(1 / 3) == 8556.24041957283
+    assert GAMMA_PRECONDITIONED == spot_heavy_hitter_constant(1 / 4) == 11824.62047012724
+    assert PRECOND_MEASUREMENTS == precond_measurements(GAMMA_PRECONDITIONED, 1 / 5) == 701
+    assert DiscoverConfig.for_sensitivity(1, 0.5, 64).precond_size == PRECOND_MEASUREMENTS
 
 
 def test_bucket_count_basic_examples():

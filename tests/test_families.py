@@ -78,6 +78,9 @@ def test_parse_notation():
     assert VectorFamily.parse("geometric", p=2.0).p == 2.0
     with pytest.raises(ParameterError):
         VectorFamily.parse("nonsense", p=1.0)
+    for text in ("geometric:7", "uniform_ball:3", "zero:2", "spikes:", "spikes:x"):
+        with pytest.raises(ParameterError):
+            VectorFamily.parse(text, p=1.0)
 
 
 def test_generation_is_deterministic():

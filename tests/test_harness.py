@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from adasketch.discover import PRECONDITIONED, DiscoverConfig, discover
+from adasketch.discover import BASIC, PRECONDITIONED, DiscoverConfig, discover
 from adasketch.errors import CapViolationError, ParameterError
 from adasketch.families import VectorFamily
 from adasketch.harness import (
     CSV_COLUMNS,
+    METHOD_NAMES,
     ExperimentConfig,
     Method,
     compare_methods,
@@ -39,6 +40,30 @@ def test_read_all_method_is_exact():
     est = estimate_error(config(method))
     assert est.mean_err == 0.0
     assert est.mean_cost == 256 and est.max_cost == 256
+
+
+# the oracle stage labels each method's measurements may carry
+METHOD_STAGES = {
+    ("zero", PRECONDITIONED): set(),
+    ("read_all", PRECONDITIONED): {"reads"},
+    ("adaptive", BASIC): {"spot", "reads"},
+    ("adaptive", PRECONDITIONED): {"precond", "spot", "reads"},
+    ("linsketch", PRECONDITIONED): {"linsketch"},
+    ("linsketch_denoised", PRECONDITIONED): {"linsketch"},
+    ("countsketch", PRECONDITIONED): {"countsketch"},
+    ("countsketch_denoised", PRECONDITIONED): {"countsketch"},
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(METHOD_STAGES))
+def test_every_measurement_carries_its_stage_label(name, variant):
+    assert {n for n, _ in METHOD_STAGES} == set(METHOD_NAMES)
+    knobs = {"levels": 2} if name == "adaptive" else {"budget": 2000}
+    method = make_method(name, 256, 1.0, 2.0, variant=variant, **knobs)
+    est = estimate_error(config(method, family="geometric", trials=10))
+    assert set(est.stage_costs) <= METHOD_STAGES[name, variant]
+    assert sum(est.stage_costs.values()) / 10 == est.mean_cost
+    assert bool(est.stage_costs) == (name != "zero")
 
 
 def test_adaptive_method_on_zero_family():
@@ -85,6 +110,8 @@ def test_cost_audit_spot_cap():
     method = Method("spot", 14, run_spot)
     report = cost_audit(config(method, family="uniform_ball", m=200, trials=200))
     assert report.ok and report.max_cost <= 14
+    assert list(report.stage_totals) == ["spot"]  # every shrink step is labelled
+    assert report.stage_totals["spot"] / 200 == report.mean_cost
 
 
 def test_cost_audit_preconditioned_discover_cap():

@@ -6,47 +6,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasketch.errors import DimensionError, ParameterError
-from adasketch.oracle import (
-    LinearFunctional,
-    MeasurementOracle,
-    lp_norm,
-    restrict,
-)
+from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.rng import RngStream
 
 
 def test_measure_coordinate_functional():
     oracle = MeasurementOracle([1.0, 2.0, 3.0])
-    assert oracle.measure(LinearFunctional.unit(1)) == 2.0
+    assert np.array_equal(oracle.measure_rows([1], [[1.0]]), [2.0])
     assert oracle.cost == 1
 
 
 def test_measure_sum_functional():
     oracle = MeasurementOracle([1.0, 2.0, 3.0])
-    assert oracle.measure(LinearFunctional.dense([1.0, 1.0, 1.0])) == 6.0
+    assert np.array_equal(oracle.measure_rows([0, 1, 2], [[1.0, 1.0, 1.0]]), [6.0])
 
 
 def test_measure_sign_pattern():
     oracle = MeasurementOracle([0.5, -0.5])
-    assert oracle.measure(LinearFunctional.dense([1.0, -1.0])) == 1.0
+    assert np.array_equal(oracle.measure_rows([0, 1], [[1.0, -1.0]]), [1.0])
 
 
 def test_read_entry_values_and_cost():
     oracle = MeasurementOracle([7.0, 0.0])
-    assert oracle.read_entry(0) == 7.0
-    assert oracle.read_entry(1) == 0.0
+    assert np.array_equal(oracle.read_entries([0]), [7.0])
+    assert np.array_equal(oracle.read_entries([1]), [0.0])
     assert oracle.cost == 2
-    assert MeasurementOracle([-3.5]).read_entry(0) == -3.5
+    assert np.array_equal(MeasurementOracle([-3.5]).read_entries([0]), [-3.5])
 
 
 def test_cost_counts_each_evaluation_exactly_once():
     oracle = MeasurementOracle([1.0, 2.0, 3.0])
     assert oracle.cost == 0
     for _ in range(3):
-        oracle.measure(LinearFunctional.unit(0))
+        oracle.measure_rows([0], [[1.0]])
     assert oracle.cost == 3
-    oracle.measure(LinearFunctional.dense([0.0, 1.0, 0.0]))
-    oracle.read_entry(2)
+    oracle.measure_rows([0, 1, 2], [[0.0, 1.0, 0.0]])
+    oracle.read_entries([2])
     assert oracle.cost == 5
 
 
@@ -58,7 +53,7 @@ def test_batch_entry_points_match_single_calls():
     rows = rng.standard_normal((4, 5))
     batch = oracle.measure_rows(support, rows)
     assert oracle.cost == 4
-    singles = [oracle.measure(LinearFunctional(support, row)) for row in rows]
+    singles = [oracle.measure_rows(support, row[None])[0] for row in rows]
     assert np.allclose(batch, singles, rtol=1e-12)
     assert oracle.cost == 8
 
@@ -77,7 +72,7 @@ def test_measure_partition_matches_explicit_functionals():
     assert oracle.cost == 4
     for g in range(4):
         members = np.flatnonzero(groups == g)
-        expected = oracle.measure(LinearFunctional(members, weights[members]))
+        expected = np.dot(weights[members], hidden[members])
         assert sums[g] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
@@ -106,9 +101,9 @@ def test_measure_segments_matches_per_segment_rows():
 
 def test_charge_and_stage_accounting():
     oracle = MeasurementOracle([1.0, 2.0])
-    oracle.measure(LinearFunctional.unit(0), stage="a")
+    oracle.measure_rows([0], [[1.0]], stage="a")
     oracle.charge(10, stage="b")
-    oracle.read_entry(1, stage="a")
+    oracle.read_entries([1], stage="a")
     assert oracle.cost == 12
     assert oracle.stage_costs() == {"a": 2, "b": 10}
 
@@ -116,9 +111,9 @@ def test_charge_and_stage_accounting():
 def test_dimension_errors():
     oracle = MeasurementOracle([1.0, 2.0])
     with pytest.raises(DimensionError):
-        oracle.measure(LinearFunctional.unit(2))
+        oracle.measure_rows([2], [[1.0]])
     with pytest.raises(DimensionError):
-        oracle.read_entry(-1)
+        oracle.read_entries([-1])
     with pytest.raises(DimensionError):
         oracle.read_entries([0, 5])
     with pytest.raises(DimensionError):
@@ -134,30 +129,12 @@ def test_vector_validation():
         MeasurementOracle([])
 
 
-def test_functional_validation():
-    with pytest.raises(DimensionError):
-        LinearFunctional([2, 1], [1.0, 1.0])
-    with pytest.raises(DimensionError):
-        LinearFunctional([0, 0], [1.0, 1.0])
-    with pytest.raises(ParameterError):
-        LinearFunctional([0], [np.nan])
-
-
 def test_lp_norm_examples():
     assert lp_norm([3.0, 4.0], 2) == 5.0
     assert lp_norm([1.0, -1.0, 1.0], 1) == 3.0
     assert lp_norm([1.0, -2.0], math.inf) == 2.0
     with pytest.raises(ParameterError):
         lp_norm([1.0], 0.5)
-
-
-def test_restrict_examples():
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(restrict(v, [1]), [0.0, 2.0, 0.0])
-    assert np.array_equal(restrict(v, []), [0.0, 0.0, 0.0])
-    assert np.array_equal(restrict(v, [0, 1, 2]), v)
-    with pytest.raises(DimensionError):
-        restrict(v, [3])
 
 
 @settings(max_examples=50, deadline=None)
@@ -168,14 +145,14 @@ def test_measure_is_linear(seed, t):
     oracle = MeasurementOracle(hidden)
     sup_f = np.sort(gen.choice(20, size=7, replace=False))
     sup_g = np.sort(gen.choice(20, size=5, replace=False))
-    f = LinearFunctional(sup_f, gen.standard_normal(7))
-    g = LinearFunctional(sup_g, gen.standard_normal(5))
-    lhs = oracle.measure(f.plus(g))
-    rhs = oracle.measure(f) + oracle.measure(g)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-    assert oracle.measure(f.scaled(t)) == pytest.approx(
-        t * oracle.measure(f), rel=1e-12, abs=1e-12
-    )
+    f, g = np.zeros(20), np.zeros(20)  # the two functionals as dense rows
+    f[sup_f] = gen.standard_normal(7)
+    g[sup_g] = gen.standard_normal(5)
+    support = np.arange(20)
+    lhs, ft = oracle.measure_rows(support, np.vstack([f + g, t * f]))
+    rhs_f, rhs_g = oracle.measure_rows(support, np.vstack([f, g]))
+    assert lhs == pytest.approx(rhs_f + rhs_g, rel=1e-12, abs=1e-12)
+    assert ft == pytest.approx(t * rhs_f, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

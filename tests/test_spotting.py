@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adasketch import spotting
 from adasketch.errors import ParameterError
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.rng import RngStream
@@ -141,32 +142,58 @@ def test_spot_cost_cap_random_runs():
         assert oracle.cost <= 2 * (depth + 1) == spot_cost_cap(params)
 
 
-def test_spot_cost_is_two_per_performed_shrink():
+@pytest.fixture
+def shrink_trace(monkeypatch):
+    """Record spot's candidate sets: its input, then each shrink step's output.
+
+    Wraps ``spotting.shrink``; each call appends its input (the first time)
+    and its output to the returned list. Clear the list between spot calls.
+    """
+    trace = []
+    real = spotting.shrink
+
+    def recording(oracle, indices, *args):
+        out = real(oracle, indices, *args)
+        if not trace:
+            trace.append(np.array(indices, copy=True))
+        assert np.array_equal(trace[-1], indices)  # each step shrinks the last set
+        trace.append(out.copy())
+        return out
+
+    monkeypatch.setattr(spotting, "shrink", recording)
+    return trace
+
+
+def test_spot_cost_is_two_per_performed_shrink(shrink_trace):
     # each recorded shrink step costs exactly 2; with no early exit that is
     # exactly 2 * (depth + 1) in total
     rng = stream("sp-two")
     gen = stream("sp-two-x").generator
+    trace = shrink_trace
     for trial in range(300):
         m = int(gen.integers(2, 200))
         depth = trial % 5
         x = gen.standard_normal(m) * (gen.random(m) < 0.3)
         oracle = MeasurementOracle(x)
-        trace = []
-        spot(oracle, np.arange(m), SpotParams(1 / 4, depth), rng, trace=trace)
+        trace.clear()
+        spot(oracle, np.arange(m), SpotParams(1 / 4, depth), rng)
+        assert np.array_equal(trace[0], np.arange(m))
         assert oracle.cost == 2 * (len(trace) - 1)
         if all(s.size > 1 for s in trace[:-1]) and len(trace) == depth + 2:
             assert oracle.cost == 2 * (depth + 1)
 
 
-def test_spot_nesting_of_traced_sets():
+def test_spot_nesting_of_traced_sets(shrink_trace):
     rng = stream("sp-trace")
     gen = stream("sp-trace-x").generator
+    trace = shrink_trace
     for _ in range(50):
         m = 400
         x = gen.standard_normal(m)
         oracle = MeasurementOracle(x)
-        trace = []
-        spot(oracle, np.arange(m), SpotParams(1 / 4, shrink_depth(m)), rng, trace=trace)
+        trace.clear()
+        spot(oracle, np.arange(m), SpotParams(1 / 4, shrink_depth(m)), rng)
+        assert np.array_equal(trace[0], np.arange(m))
         for prev, nxt in zip(trace, trace[1:]):
             assert np.all(np.isin(nxt, prev))
 
