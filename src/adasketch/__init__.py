@@ -31,7 +31,7 @@ from .harness import (
     param_table,
     write_csv,
 )
-from .hashing import equi_hash, hash_size_for, pairwise_hash
+from .hashing import equi_hash, pairwise_hash
 from .nonadaptive import (
     countsketch,
     countsketch_params,
@@ -61,8 +61,8 @@ __all__ = [
     "compare_methods", "cost_audit", "countsketch", "countsketch_params",
     "denoised_countsketch", "denoised_linsketch", "discover",
     "discover_cost_cap", "equi_hash", "estimate_error", "gen_vector",
-    "hash_size_for", "level_sensitivity",
-    "levels_for_accuracy", "levels_for_budget", "linsketch", "lp_norm",
+    "level_sensitivity", "levels_for_accuracy",
+    "levels_for_budget", "linsketch", "lp_norm",
     "make_method", "pairwise_hash", "param_table", "plan_cost_cap", "precond",
     "precond_measurements", "repetitions",
     "shrink", "shrink_depth", "shrink_schedule", "spot",

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: ``adaptive``, ``nonadaptive``, ``compare``, ``params``,
-``audit``. Flags may also come from a flat key=value config file via
-``--config`` (explicit flags override the file). Results are written as
+``audit``; each takes only the flags it reads. Flags may also come from a
+flat key=value config file via ``--config`` (explicit flags override the
+file). Results are written as
 UTF-8 CSV with a header row; the exit code is 0 on success, 1 on a cost-cap
 violation, 2 on a parameter error.
 """
@@ -51,22 +52,34 @@ def read_config(path: str) -> dict:
     return values
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="flat key = value file with defaults for the flags")
-    sub.add_argument("--m", type=int, help="ambient dimension")
-    sub.add_argument("--p", type=float, help="norm of the input ball (default 1)")
-    sub.add_argument("--q", type=float, help="norm of the error (default 2)")
-    sub.add_argument("--eps", help="target accuracy (or comma list for params)")
-    sub.add_argument("--budget", help="measurement budget (or comma list)")
-    sub.add_argument("--L", type=int, dest="levels", help="sensitivity levels")
-    sub.add_argument("--R", type=int, dest="reps", help="passes per level")
-    sub.add_argument("--variant", choices=sorted(_VARIANT_FLAGS),
-                     help="adaptive variant (default precond)")
-    sub.add_argument("--family", help="vector family, e.g. spikes:4 (comma list for compare)")
-    sub.add_argument("--trials", type=int, help="Monte Carlo trials")
-    sub.add_argument("--seed", type=int, help="root seed")
-    sub.add_argument("--out", help="CSV output path (default stdout)")
-    sub.add_argument("--method", help="method name (nonadaptive/audit)")
+# add_argument keywords of each flag; its dest is the flag name unless given
+_FLAGS = {
+    "m": dict(type=int, help="ambient dimension"),
+    "p": dict(type=float, help="norm of the input ball (default 1)"),
+    "q": dict(type=float, help="norm of the error (default 2)"),
+    "eps": dict(help="target accuracy (or comma list for params)"),
+    "budget": dict(help="measurement budget (or comma list)"),
+    "L": dict(type=int, dest="levels", help="sensitivity levels"),
+    "R": dict(type=int, dest="reps", help="passes per level"),
+    "variant": dict(choices=sorted(_VARIANT_FLAGS), help="adaptive variant (default precond)"),
+    "family": dict(help="vector family, e.g. spikes:4 (comma list for compare)"),
+    "trials": dict(type=int, help="Monte Carlo trials"),
+    "seed": dict(type=int, help="root seed"),
+    "out": dict(help="CSV output path (default stdout)"),
+    "method": dict(help="method name"),
+}
+
+# the flags each subcommand reads; any other is rejected
+_COMMAND_FLAGS = {
+    "adaptive": ("m", "p", "q", "eps", "budget", "L", "R", "variant", "family", "trials",
+                 "seed", "out"),
+    "nonadaptive": ("m", "p", "q", "budget", "L", "family", "trials", "seed", "out",
+                    "method"),
+    "compare": ("m", "p", "q", "budget", "family", "trials", "seed", "out"),
+    "params": ("m", "p", "q", "eps", "budget", "variant", "out"),
+    "audit": ("m", "p", "q", "eps", "budget", "L", "R", "variant", "family", "trials",
+              "seed", "method"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,27 +95,29 @@ def build_parser() -> argparse.ArgumentParser:
         ("params", "derived parameter table for accuracies or budgets"),
         ("audit", "verify measured costs against the closed-form cap"),
     ):
-        _add_common_flags(commands.add_parser(name, help=text))
+        sub = commands.add_parser(name, help=text)
+        sub.add_argument("--config", help="flat key = value file with defaults for the flags")
+        for flag in _COMMAND_FLAGS[name]:
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def _resolved(args: argparse.Namespace, argv) -> argparse.Namespace:
     if args.config:
         file_values = read_config(args.config)
-        aliases = {"L": "levels", "R": "reps"}
-        flags = (set(vars(args)) - {"command", "config", *aliases.values()}) | set(aliases)
-        unknown = sorted(set(file_values) - flags)
+        unknown = sorted(set(file_values) - set(_COMMAND_FLAGS[args.command]))
         if unknown:
             raise ParameterError(f"{args.config}: no flag of {args.command} that a config "
                                  f"file can set is named {', '.join(map(repr, unknown))}")
         given = {flag.lstrip("-").split("=", 1)[0].replace("-", "_")
                  for flag in argv if flag.startswith("--")}
-        given = {aliases.get(name, name) for name in given}
         for key, value in file_values.items():
-            dest = aliases.get(key, key)
-            if dest in given or getattr(args, dest, None) not in (None, ()):
+            dest = _FLAGS[key].get("dest", key)
+            if key in given or getattr(args, dest) is not None:
                 continue  # explicit flags win
             setattr(args, dest, value)
+    for name, spec in _FLAGS.items():  # a flag the subcommand does not take reads as unset
+        vars(args).setdefault(spec.get("dest", name), None)
     if args.variant and args.variant not in _VARIANT_FLAGS:
         raise ParameterError(f"unknown variant {args.variant!r} (use basic or precond)")
     args.variant = _VARIANT_FLAGS[args.variant] if args.variant else PRECONDITIONED

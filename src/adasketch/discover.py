@@ -8,15 +8,17 @@ unit l_p-ball vector lands in the result with probability at least 1/2,
 at a deterministic cost cap of D * 2(depth+1) measurements for the basic
 variant and D * (703 + 2*depth) for the preconditioned one.
 
-The basic variant draws the full equi-hash permutation, because ``spot``
-sees the labels of every member of a bucket, zero or not. The
-preconditioned variant draws only the buckets of the nonzero coordinates
-(``equi_buckets_of``) and filters all buckets in one segmented pass
-(``sign_filter``); a zero coordinate reaches ``spot`` only through the
-filter's Binomial tail, where the filter draws it from its exact law.
-``tests/test_discover.py`` checks this pass statistically against a
-reference built from ``equi_partition``, ``precond(..., materialize=True)``
-per bucket and ``spot``.
+Each random layer has one direct construction and one fast path:
+hashing is ``equi_hash`` and its fast path ``equi_buckets_of``, filtering
+is ``precond`` and its fast path ``sign_filter``. The basic variant runs
+the direct ``equi_hash``, because ``spot`` sees the labels of every member
+of a bucket, zero or not. The preconditioned variant runs both fast paths:
+it draws only the buckets of the nonzero coordinates and filters all
+buckets in one segmented pass; a zero coordinate reaches ``spot`` only
+through the filter's Binomial tail, where the filter draws it from its
+exact law. ``tests/test_discover.py`` checks this pass statistically
+against a reference built from ``equi_hash``, ``precond`` per bucket and
+``spot``.
 
 Both variants hold their candidate sets in one flat form: the sorted sets
 one after another in ``coords``, with boundaries ``cuts``. ``spot`` returns
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .hashing import equi_buckets_of, equi_partition
+from .hashing import _equi_bounds, equi_buckets_of, equi_hash
 from .oracle import MeasurementOracle
 from .precondition import precond_measurements, sign_filter
 from .rng import RngStream
@@ -100,12 +102,9 @@ class DiscoverConfig:
     """Fully determined parameters of one detection pass."""
 
     variant: str
-    p: float
     eps: float
     m: int
     buckets: int
-    delta2: float
-    depth: int
     precond_size: int
 
     def __post_init__(self):
@@ -120,17 +119,24 @@ class DiscoverConfig:
     def for_sensitivity(cls, p: float, eps: float, m: int,
                         variant: str = PRECONDITIONED) -> "DiscoverConfig":
         """Standard parameterization for sensitivity ``eps``."""
-        buckets = bucket_count(p, eps, m, variant)
-        return cls.with_buckets(p, eps, m, buckets, variant)
+        return cls.with_buckets(eps, m, bucket_count(p, eps, m, variant), variant)
 
     @classmethod
-    def with_buckets(cls, p: float, eps: float, m: int, buckets: int,
+    def with_buckets(cls, eps: float, m: int, buckets: int,
                      variant: str = PRECONDITIONED) -> "DiscoverConfig":
-        delta2 = 1.0 / 4.0 if variant == PRECONDITIONED else 1.0 / 3.0
         size = PRECOND_MEASUREMENTS if variant == PRECONDITIONED else 0
-        return cls(variant=variant, p=float(p), eps=float(eps), m=int(m),
-                   buckets=int(buckets), delta2=delta2,
-                   depth=shrink_depth(m / buckets), precond_size=size)
+        return cls(variant=variant, eps=float(eps), m=int(m), buckets=int(buckets),
+                   precond_size=size)
+
+    @property
+    def delta2(self) -> float:
+        """Failure probability that ``spot`` is run at."""
+        return 1.0 / 4.0 if self.variant == PRECONDITIONED else 1.0 / 3.0
+
+    @property
+    def depth(self) -> int:
+        """``spot``'s shrink depth for buckets of size ceil(m / buckets)."""
+        return shrink_depth(self.m / self.buckets)
 
     @property
     def spot_params(self) -> SpotParams:
@@ -163,10 +169,10 @@ def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream) -> 
     spot_rng = rng.child("spot")
 
     if cfg.variant == BASIC:
-        order, bounds = equi_partition(cfg.m, cfg.buckets, rng.child("hash"))
-        bucket = np.repeat(np.arange(cfg.buckets), np.diff(bounds))
-        coords = order[np.lexsort((order, bucket))]  # ascending inside each bucket
-        return _spot_survivors(oracle, coords, bounds, params, spot_rng)
+        hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
+        coords = np.argsort(hashed, kind="stable")  # ascending inside each bucket
+        return _spot_survivors(oracle, coords, _equi_bounds(cfg.m, cfg.buckets),
+                               params, spot_rng)
 
     nonzero = oracle.nonzero_indices()
     groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))

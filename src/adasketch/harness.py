@@ -52,15 +52,14 @@ class Method:
 
 
 def _countsketch_level_for_budget(budget: int, m: int) -> int | None:
-    """Largest level with reps * groups <= budget, or None if even level 0 misses."""
-    level = None
-    probe = 0
-    while True:
-        reps, groups = nonadaptive.countsketch_params(probe, m)
-        if reps * groups > budget:
-            return level
-        level = probe
-        probe += 1
+    """Largest level with reps * groups <= budget, or None if even level 0 misses.
+
+    The rounds do not depend on the level and groups = 2^(4+level), so the
+    level is floor(log2(budget // reps)) - 4.
+    """
+    reps, _ = nonadaptive.countsketch_params(0, m)
+    level = (budget // reps).bit_length() - 5
+    return level if level >= 0 else None
 
 
 def make_method(name: str, m: int, p: float, q: float, budget: int | None = None,

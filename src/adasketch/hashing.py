@@ -4,9 +4,11 @@ Hash vectors are plain int64 arrays with values in [1, D]. Two families:
 
 * ``equi_hash`` ranks the coordinates by a uniform permutation and cuts the
   ranks into D near-equal slabs, so every value occurs floor(m/D) or
-  ceil(m/D) times and buckets are never larger than ceil(m/D).
-  ``equi_buckets_of`` draws the same hash on a few designated coordinates
-  only (the nonzero ones, in the preconditioned detection pass) in O(count).
+  ceil(m/D) times and buckets are never larger than ceil(m/D). It is the
+  direct construction: the basic detection pass and the tests use it.
+  ``equi_buckets_of`` is its fast path, the one the preconditioned detection
+  pass runs: it draws the same hash on a few designated coordinates only
+  (the nonzero ones) in O(count).
 * ``pairwise_hash`` uses the affine family ((a*i + b) mod P) folded onto
   [1, D]; marginals are near-uniform and any two distinct coordinates
   collide with probability at most 1/D up to O(D/P) rounding slack.
@@ -53,7 +55,10 @@ def equi_hash(m: int, buckets: int, rng: RngStream, draws: int | None = None) ->
     """Hash values ceil(rank * D / m) for a uniform random ranking of [0, m).
 
     Returns shape (m,) for a single draw, or (draws, m) when ``draws`` is
-    given (independent draws, e.g. for Monte Carlo verification).
+    given (independent draws, e.g. for Monte Carlo verification). Hash value
+    d + 1 holds the coordinates of 0-based rank r in [bounds[d], bounds[d+1])
+    for ``bounds = _equi_bounds(m, D)``: ceil((r+1) D / m) = d + 1 exactly
+    when floor(d m / D) <= r < floor((d+1) m / D).
     """
     _check_bucket_args(m, buckets, require_le_m=True)
     gen = rng.generator
@@ -64,20 +69,8 @@ def equi_hash(m: int, buckets: int, rng: RngStream, draws: int | None = None) ->
     return (ranks * buckets + m - 1) // m
 
 
-def equi_ranks(m: int, buckets: int, rng: RngStream):
-    """One equi-hash draw in rank form.
-
-    Returns ``(ranks, bounds)`` where ``ranks[i]`` is the 0-based rank of
-    coordinate i under the permutation; coordinate i belongs to the bucket d
-    with bounds[d] <= ranks[i] < bounds[d+1] (hash value d + 1). Sizes are
-    floor(m/D) or ceil(m/D) by construction.
-    """
-    _check_bucket_args(m, buckets, require_le_m=True)
-    ranks = rng.generator.permutation(m)
-    return ranks, _equi_bounds(m, buckets)
-
-
 def _equi_bounds(m: int, buckets: int) -> np.ndarray:
+    """Equi-hash bucket d (hash value d + 1) holds the ranks [bounds[d], bounds[d+1])."""
     return (np.arange(buckets + 1, dtype=np.int64) * m) // buckets
 
 
@@ -88,7 +81,8 @@ def equi_buckets_of(m: int, buckets: int, count: int, rng: RngStream):
     of [0, m), which ``Generator.choice`` draws in O(count) (Floyd's
     sampling, Bentley & Floyd, CACM 1987) instead of O(m). Returns
     ``(groups, bounds)``: ``groups[i]`` is the 0-based bucket of the i-th
-    designated coordinate and ``bounds`` are those of :func:`equi_ranks`.
+    designated coordinate and ``bounds`` are the rank bounds of the buckets,
+    as in :func:`equi_hash`.
     """
     _check_bucket_args(m, buckets, require_le_m=True)
     if not 0 <= count <= m:
@@ -96,18 +90,6 @@ def equi_buckets_of(m: int, buckets: int, count: int, rng: RngStream):
     bounds = _equi_bounds(m, buckets)
     ranks = rng.generator.choice(m, size=count, replace=False)
     return np.searchsorted(bounds[1:], ranks, side="right"), bounds
-
-
-def equi_partition(m: int, buckets: int, rng: RngStream):
-    """One equi-hash draw as contiguous buckets.
-
-    Returns ``(order, bounds)``: bucket d (0-based) is
-    ``order[bounds[d]:bounds[d+1]]``.
-    """
-    ranks, bounds = equi_ranks(m, buckets, rng)
-    order = np.empty(m, dtype=np.intp)
-    order[ranks] = np.arange(m, dtype=np.intp)
-    return order, bounds
 
 
 def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarray:
@@ -147,29 +129,3 @@ def pairwise_hash(m: int, buckets: int, rng: RngStream, draws: int | None = None
         return np.vstack(rows)
     residues = (a[:, None] * idx[None, :] + b[:, None]) % prime
     return np.minimum(residues * buckets // prime + 1, buckets)
-
-
-def hash_size_for(p: float, eps: float, delta0: float, gamma: float, m: int) -> int:
-    """Bucket count isolating an eps-large coordinate at dominance gamma.
-
-    With this many buckets, a coordinate of magnitude >= eps in a unit
-    l_p-ball vector dominates the rest of its bucket by a factor gamma
-    (in l_2) with probability at least 1 - delta0. Capped at m, where
-    buckets are singletons anyway.
-    """
-    p = float(p)
-    if not (1.0 <= p < math.inf):
-        raise ParameterError("p must lie in [1, inf)")
-    if not 0.0 < eps < 1.0:
-        raise ParameterError("eps must lie in (0, 1)")
-    if not 0.0 < delta0 <= 1.0:  # delta0 = 1 is the degenerate no-guarantee size
-        raise ParameterError("delta0 must lie in (0, 1]")
-    if not gamma > 1.0:
-        raise ParameterError("gamma must exceed 1")
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if p <= 2.0:
-        d = math.ceil((gamma / eps) ** p / delta0)
-    else:
-        d = math.ceil(m ** (1.0 - 2.0 / p) * (gamma / eps) ** 2 / delta0)
-    return min(d, m)

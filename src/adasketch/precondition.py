@@ -8,9 +8,12 @@ dominance of one coordinate this both keeps that coordinate and strips the
 bucket down until the survivor set satisfies a much stronger dominance, at
 a fixed price of k measurements.
 
-``sign_filter`` runs that filter on many disjoint candidate sets
-(segments) at once, as a detection pass does on its buckets; ``precond``
-is its one-segment case. Two distribution-exact devices keep it fast:
+``precond`` is the direct construction, the filter as the paper defines it
+on one candidate set: k sign bits for every candidate, zero or not. The
+tests use it as the reference. ``sign_filter`` is its fast path, the one a
+detection pass runs: the same filter on many disjoint candidate sets
+(segments, the buckets) at once. Two distribution-exact devices keep it
+fast:
 
 * Sign columns are drawn only for live candidates, those whose hidden
   entry is nonzero, since zero entries cannot influence a measured sign.
@@ -24,10 +27,9 @@ is its one-segment case. Two distribution-exact devices keep it fast:
   the zero pool and placed in uniformly drawn zero slots of the segments,
   which is their exact conditional law.
 
-``precond(..., materialize=True)`` is the direct construction: k sign bits
-for every candidate, zero or not. ``tests/test_discover.py`` checks the
-fast path against it at the level of whole detection passes, and
-``tests/test_precondition.py`` on single candidate sets.
+``tests/test_discover.py`` checks the fast path against ``precond`` at the
+level of whole detection passes, and ``tests/test_precondition.py`` on
+single candidate sets (``sign_filter`` with one segment).
 """
 
 from __future__ import annotations
@@ -131,10 +133,10 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     return coords[order], cuts
 
 
-def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
-            materialize=False):
+def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream):
     """Filter ``candidates`` with k sign measurements; cost is exactly k.
 
+    The direct construction: k sign bits for every candidate, zero or not.
     Returns the sorted surviving indices; an empty candidate set returns
     empty at zero cost.
     """
@@ -144,15 +146,6 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream,
     k = int(k)
     if k < 1:
         raise ParameterError("k must be >= 1")
-
-    if materialize:
-        matrix = rademacher(rng.generator, (k, idx.size))
-        y = oracle.measure_rows(idx, matrix, stage="precond")
-        s = signs_of(y)
-        return idx[sign_filter_mask(s @ matrix, k)]
-
-    live_mask = np.isin(idx, oracle.nonzero_indices())
-    live = idx[live_mask]
-    kept, _ = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
-                          lambda: idx[~live_mask])
-    return kept
+    matrix = rademacher(rng.generator, (k, idx.size))
+    y = oracle.measure_rows(idx, matrix, stage="precond")
+    return idx[sign_filter_mask(signs_of(y) @ matrix, k)]

@@ -133,7 +133,7 @@ def test_read_config_rejects_garbage(tmp_path):
         read_config(str(bad))
 
 
-def test_parameter_errors_exit_2(tmp_path):
+def test_parameter_errors_exit_2(tmp_path, capsys):
     assert run(["adaptive", "--family", "spikes:4"]) == 2  # missing --m
     assert run(["adaptive", "--m", "64", "--family", "wat"]) == 2
     assert run(["params", "--m", "64"]) == 2  # neither eps nor budget
@@ -156,6 +156,25 @@ def test_parameter_errors_exit_2(tmp_path):
     # a count on a family that takes none, or an empty count
     for family in ("geometric:7", "uniform_ball:3", "zero:2", "spikes:"):
         assert run(["adaptive", "--m", "64", "--L", "1", "--family", family]) == 2
+    # each subcommand takes only the flags it reads, on the command line and
+    # as config keys; the error names the flag
+    unread = {"compare": ("--eps", "--L", "--R", "--variant", "--method"),
+              "params": ("--L", "--R", "--family", "--trials", "--seed", "--method"),
+              "nonadaptive": ("--R", "--variant", "--eps"),
+              "adaptive": ("--method",),
+              "audit": ("--out",)}
+    capsys.readouterr()
+    for command, flags in unread.items():
+        for flag in flags:
+            value = "basic" if flag == "--variant" else "1"
+            with pytest.raises(SystemExit) as exited:
+                run([command, "--m", "64", flag, value])
+            assert exited.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            key = flag.lstrip("-")
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            assert run([command, "--config", str(cfg), "--m", "64"]) == 2
+            assert repr(key) in capsys.readouterr().err
 
 
 def test_params_budget_beyond_float_sensitivities_exits_2(capsys):

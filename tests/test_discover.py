@@ -18,7 +18,7 @@ from adasketch.discover import (
     discover_cost_cap,
 )
 from adasketch.errors import ParameterError
-from adasketch.hashing import equi_buckets_of, equi_partition
+from adasketch.hashing import equi_buckets_of, equi_hash
 from adasketch.oracle import MeasurementOracle
 from adasketch.precondition import (
     precond,
@@ -93,9 +93,9 @@ def test_config_derivation():
 
 
 def test_cost_caps_formulae():
-    cfg = DiscoverConfig.with_buckets(1.0, 0.5, 2**12, 60, PRECONDITIONED)
+    cfg = DiscoverConfig.with_buckets(0.5, 2**12, 60, PRECONDITIONED)
     assert discover_cost_cap(cfg) == 60 * (703 + 2 * cfg.depth)
-    cfg = DiscoverConfig.with_buckets(1.0, 0.5, 2**12, 60, BASIC)
+    cfg = DiscoverConfig.with_buckets(0.5, 2**12, 60, BASIC)
     assert discover_cost_cap(cfg) == 60 * 2 * (cfg.depth + 1)
 
 
@@ -140,7 +140,7 @@ def test_preconditioned_cost_is_deterministic_in_the_filter_stage():
 
 def test_basic_variant_cost_cap_with_nontrivial_depth():
     m = 2**16
-    cfg = DiscoverConfig.with_buckets(1.0, 0.25, m, 32, BASIC)
+    cfg = DiscoverConfig.with_buckets(0.25, m, 32, BASIC)
     assert cfg.depth == 3
     gen = stream("basic-x").generator
     rng = stream("basic")
@@ -218,8 +218,8 @@ def per_set_pass(oracle, cfg, rng):
     """``discover`` with its candidate sets handed to ``spot`` one by one, in
     ascending set order, singletons included. Returns (found, set sizes)."""
     if cfg.variant == BASIC:
-        order, bounds = equi_partition(cfg.m, cfg.buckets, rng.child("hash"))
-        sets = [np.sort(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
+        sets = [np.flatnonzero(hashed == d) for d in range(1, cfg.buckets + 1)]
     else:
         nonzero = oracle.nonzero_indices()
         groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size,
@@ -246,7 +246,7 @@ def test_bulk_spot_replays_the_per_set_loop(buckets):
             DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
     else:
         m, density = 50, 0.6
-        cfg = DiscoverConfig.with_buckets(1.0, 0.25, m, buckets, BASIC)
+        cfg = DiscoverConfig.with_buckets(0.25, m, buckets, BASIC)
     gen = stream(f"bulk-x-{buckets}").generator
     rng = stream(f"bulk-{buckets}")
     sizes = []
@@ -265,7 +265,7 @@ def test_bulk_spot_replays_the_per_set_loop(buckets):
         assert sum(size >= 2 for size in sizes) >= 30
 
 
-# -- the preconditioned pass against its materialized reference ---------------
+# -- the preconditioned pass against its direct reference --------------------
 #
 # Each comparison is a chi-square homogeneity test at level ALPHA on
 # per-pass records from independent passes, fast path against reference:
@@ -276,15 +276,14 @@ ALPHA = 1e-3
 
 
 def reference_pass(oracle, cfg, rng):
-    """One preconditioned pass built directly: the full equi-hash
-    permutation, ``precond(..., materialize=True)`` on every bucket, then
-    ``spot`` on every non-empty survivor set. Returns (found, survivor sets)."""
-    order, bounds = equi_partition(cfg.m, cfg.buckets, rng.child("hash"))
+    """One preconditioned pass built directly: the full ``equi_hash``,
+    ``precond`` on every bucket, then ``spot`` on every non-empty survivor
+    set. Returns (found, survivor sets)."""
+    hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
     precond_rng, spot_rng = rng.child("precond"), rng.child("spot")
     survivor_sets, hits = [], []
-    for d in range(cfg.buckets):
-        bucket = order[bounds[d]:bounds[d + 1]]
-        kept = precond(oracle, bucket, cfg.precond_size, precond_rng, materialize=True)
+    for d in range(1, cfg.buckets + 1):
+        kept = precond(oracle, np.flatnonzero(hashed == d), cfg.precond_size, precond_rng)
         if kept.size:
             survivor_sets.append(kept)
             hits.append(spot(oracle, kept, cfg.spot_params, spot_rng))
@@ -384,7 +383,7 @@ def test_fast_pass_matches_reference_with_exact_cancellation(filter_survivors):
     # counts non-degenerate and lets zero candidates through the tail.
     m = 32
     cfg = dataclasses.replace(
-        DiscoverConfig.with_buckets(1.0, 0.25, m, 2, PRECONDITIONED), precond_size=12)
+        DiscoverConfig.with_buckets(0.25, m, 2, PRECONDITIONED), precond_size=12)
     x = np.zeros(m)
     x[3], x[11] = 0.5, -0.5
     detected, records = _assert_same_law(x, cfg, 2000, "eq-cancel", filter_survivors)

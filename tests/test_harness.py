@@ -6,6 +6,7 @@ import pytest
 from adasketch.discover import BASIC, PRECONDITIONED, DiscoverConfig, discover
 from adasketch.errors import CapViolationError, ParameterError
 from adasketch.families import VectorFamily
+from adasketch.nonadaptive import countsketch_params
 from adasketch.harness import (
     CSV_COLUMNS,
     METHOD_NAMES,
@@ -117,7 +118,7 @@ def test_cost_audit_spot_cap():
 def test_cost_audit_preconditioned_discover_cap():
     # 60 buckets at depth 4: cap 60 * (703 + 8) = 42660
     m = 60 * 4096
-    cfg = DiscoverConfig.with_buckets(2.0, 1 / math.sqrt(2), m, 60, PRECONDITIONED)
+    cfg = DiscoverConfig.with_buckets(1 / math.sqrt(2), m, 60, PRECONDITIONED)
     assert cfg.depth == 4
 
     def run_discover(oracle, rng):
@@ -217,3 +218,19 @@ def test_make_method_validation():
     for name in ("linsketch", "linsketch_denoised", "countsketch", "countsketch_denoised"):
         with pytest.raises(ParameterError):
             make_method(name, 64, 1.0, 2.0, budget=-5)
+
+
+def test_budgeted_countsketch_takes_the_largest_level_that_fits():
+    # the level's definition, checked level by level: its cost fits the
+    # budget and the next level's does not; below level 0 it is the zero method
+    for m in (1, 3, 64, 4096, 10**9):
+        for budget in [*range(0, 3000, 7), 10**6, 10**12, 10**18, 2**62]:
+            method = make_method("countsketch", m, 1.0, 2.0, budget=budget)
+            level = -1 if method.levels is None else method.levels
+            if level >= 0:
+                reps, groups = countsketch_params(level, m)
+                assert method.cap == reps * groups <= budget
+            else:
+                assert method.cap == 0
+            reps, groups = countsketch_params(level + 1, m)
+            assert reps * groups > budget

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from adasketch.discover import bucket_count
 from adasketch.errors import ParameterError
 from adasketch.hashing import (
     equi_buckets_of,
     equi_hash,
-    equi_partition,
-    hash_size_for,
     next_prime,
     pairwise_hash,
 )
@@ -58,14 +57,6 @@ def test_equi_hash_rejects_bad_bucket_counts():
         equi_hash(5, 6, stream("x"))
     with pytest.raises(ParameterError):
         equi_hash(5, 0, stream("x"))
-
-
-def test_equi_partition_matches_law_and_covers():
-    m, d = 103, 9
-    order, bounds = equi_partition(m, d, stream("part"))
-    assert np.array_equal(np.sort(order), np.arange(m))
-    sizes = np.diff(bounds)
-    assert set(sizes) <= {m // d, -(-m // d)}
 
 
 def test_equi_buckets_of_follows_the_restricted_law():
@@ -145,39 +136,23 @@ def test_subvector_norm_tail_bound(alpha, draw, p=1.5):
     assert exceed <= alpha + 3 * math.sqrt(alpha / trials)
 
 
-def test_hash_size_for_examples():
-    assert hash_size_for(1, 0.5, 0.25, 2, 10**9) == 16
-    assert hash_size_for(2, 0.5, 1.0, 2, 10**9) == 16
-    assert hash_size_for(4, 0.5, 1.0, 2, 256) == 256
-
-
-def test_hash_size_for_domain_checks():
-    with pytest.raises(ParameterError):
-        hash_size_for(0.5, 0.5, 0.25, 2, 100)
-    with pytest.raises(ParameterError):
-        hash_size_for(1, 1.5, 0.25, 2, 100)
-    with pytest.raises(ParameterError):
-        hash_size_for(1, 0.5, 0.25, 0.5, 100)
-
-
-def test_hash_size_for_caps_at_m():
-    assert hash_size_for(1, 0.01, 0.1, 100, 64) == 64
-
-
 def test_heavy_hitter_isolation_event():
-    # with D = hash_size_for(...), an eps-large coordinate is gamma-dominant
-    # in its bucket with probability >= 1 - delta0
-    p, eps, delta0, gamma = 1.0, 0.2, 0.25, 3.0
-    m, trials, j = 512, 10_000, 17
-    d = hash_size_for(p, eps, delta0, gamma, m)
-    gen = stream("hh-vec").generator
-    v = gen.standard_normal(m)
-    v[j] = 0.0
-    v *= (1 - eps) / lp_norm(v, p)
-    v[j] = eps
-    batch = equi_hash(m, d, stream("hh"), draws=trials)
-    same = batch == batch[:, [j]]
-    same[:, j] = False
-    mass = same @ (v * v)
-    good = np.mean(np.sqrt(mass) <= abs(v[j]) / gamma)
-    assert good >= 1 - delta0 - 3 * math.sqrt(delta0 / trials)
+    # at bucket_count's operating point (gamma = sqrt(5), delta0 = 1/6), an
+    # eps-large coordinate is gamma-dominant in its bucket, in l_2, with
+    # probability >= 1 - delta0; one point per regime, p <= 2 and p > 2
+    delta0, gamma = 1 / 6, math.sqrt(5)
+    trials, j = 10_000, 17
+    for p, eps, m in ((1.0, 0.2, 512), (3.0, 0.9, 512)):
+        d = bucket_count(p, eps, m)
+        assert d < m
+        gen = stream("hh-vec").generator
+        v = gen.standard_normal(m)
+        v[j] = 0.0
+        v *= (1 - eps) / lp_norm(v, p)
+        v[j] = eps
+        batch = equi_hash(m, d, stream("hh"), draws=trials)
+        same = batch == batch[:, [j]]
+        same[:, j] = False
+        mass = same @ (v * v)
+        good = np.mean(np.sqrt(mass) <= abs(v[j]) / gamma)
+        assert good >= 1 - delta0 - 3 * math.sqrt(delta0 / trials)

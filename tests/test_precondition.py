@@ -21,6 +21,21 @@ def stream(label, seed=4242):
     return RngStream(seed).child(label)
 
 
+def one_segment_filter(oracle, candidates, k, rng):
+    """The fast path ``sign_filter`` on one candidate set, as a detection pass
+    runs it on one bucket; ``precond`` is its direct construction."""
+    idx = np.asarray(candidates, dtype=np.intp)
+    live_mask = np.isin(idx, oracle.nonzero_indices())
+    live = idx[live_mask]
+    kept, _ = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
+                          lambda: idx[~live_mask])
+    return kept
+
+
+# each path keyed by whether it materializes every sign bit, as its streams are labelled
+PATHS = ((False, one_segment_filter), (True, precond))
+
+
 def test_measurement_count_examples():
     gamma = 4100 * math.sqrt(2 * math.log(64))
     assert precond_measurements(gamma, 1 / 5) == 701
@@ -52,10 +67,9 @@ def test_sign_tail_probability_matches_binomial():
 
 def test_singleton_bucket_always_survives():
     for sign in (3.0, -0.25):
-        for materialize in (False, True):
+        for materialize, run in PATHS:
             oracle = MeasurementOracle([0.0, sign, 0.0])
-            got = precond(oracle, [1], 60, stream(f"s{sign}-{materialize}"),
-                          materialize=materialize)
+            got = run(oracle, [1], 60, stream(f"s{sign}-{materialize}"))
             assert list(got) == [1]
             assert oracle.cost == 60
 
@@ -70,10 +84,9 @@ def test_cost_is_exactly_k():
     gen = stream("ck").generator
     x = gen.standard_normal(64) * (gen.random(64) < 0.3)
     for k in (7, 60, 121):
-        for materialize in (False, True):
+        for materialize, run in PATHS:
             oracle = MeasurementOracle(x)
-            precond(oracle, np.arange(64), k, stream(f"ck-{k}-{materialize}"),
-                    materialize=materialize)
+            run(oracle, np.arange(64), k, stream(f"ck-{k}-{materialize}"))
             assert oracle.cost == k
 
 
@@ -122,13 +135,12 @@ def test_zero_vector_retention_rate_both_paths():
     # the exact tail probability within Monte Carlo noise on both paths
     k, size, trials = 60, 128, 600
     p_exact = sign_tail_probability(k)
-    for materialize in (False, True):
+    for materialize, run in PATHS:
         kept = 0
         rng = stream(f"zero-{materialize}")
         for _ in range(trials):
             oracle = MeasurementOracle(np.zeros(size))
-            kept += precond(oracle, np.arange(size), k, rng,
-                            materialize=materialize).size
+            kept += run(oracle, np.arange(size), k, rng).size
         rate = kept / (trials * size)
         n = trials * size
         assert rate <= 2 * math.exp(-k / 36) + 3 * math.sqrt(2 * math.exp(-k / 36) / n)
@@ -142,7 +154,7 @@ def test_fast_and_materialized_paths_agree_statistically():
     size = 96
     gen = stream("agree-x").generator
     results = {}
-    for materialize in (False, True):
+    for materialize, run in PATHS:
         keep_dom = 0
         extra = 0
         rng = stream(f"agree-{materialize}")
@@ -152,7 +164,7 @@ def test_fast_and_materialized_paths_agree_statistically():
             small = gen.standard_normal(10) * 0.01
             x[20:30] = small
             oracle = MeasurementOracle(x)
-            got = precond(oracle, np.arange(size), k, rng, materialize=materialize)
+            got = run(oracle, np.arange(size), k, rng)
             keep_dom += 7 in got
             extra += got.size - (7 in got)
         results[materialize] = (keep_dom / trials, extra / trials)
@@ -204,7 +216,7 @@ def test_materialized_filter_replays_from_its_sign_draw():
     gen = stream("draw-x").generator
     x = gen.standard_normal(32)
     oracle = MeasurementOracle(x)
-    got = precond(oracle, np.arange(32), 24, stream("draw"), materialize=True)
+    got = precond(oracle, np.arange(32), 24, stream("draw"))
     assert oracle.cost == 24
     # the filter's (k x candidates) sign matrix is the stream's first draw
     matrix = rademacher(stream("draw").generator, (24, 32))
