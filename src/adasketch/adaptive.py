@@ -32,14 +32,15 @@ from .oracle import MeasurementOracle
 from .rng import RngStream
 
 
-def _check_pq(p: float, q: float):
+def check_pq(p: float, q: float):
+    """Reject (p, q) outside the paper's domain 1 <= p < q < inf."""
     if not (1.0 <= p < q < math.inf):
         raise ParameterError("need 1 <= p < q < inf")
 
 
 def repetitions(p: float, q: float) -> int:
     """Default passes per level: ceil(q / min(2, p))."""
-    _check_pq(p, q)
+    check_pq(p, q)
     return math.ceil(q / min(2.0, p))
 
 
@@ -52,7 +53,7 @@ def level_sensitivity(level: int, p: float) -> float:
 
 def levels_for_accuracy(eps: float, p: float, q: float) -> int:
     """Smallest level count whose q-moment error bound is at most eps."""
-    _check_pq(p, q)
+    check_pq(p, q)
     if not 0.0 < eps < 1.0:
         raise ParameterError("eps must lie in (0, 1)")
     pp = min(2.0, p)
@@ -72,7 +73,7 @@ class AdaptivePlan:
     variant: str = PRECONDITIONED
 
     def __post_init__(self):
-        _check_pq(self.p, self.q)
+        check_pq(self.p, self.q)
         if self.m < 1:
             raise ParameterError("m must be >= 1")
         if self.levels < 0:
@@ -116,7 +117,7 @@ def levels_for_budget(budget: int, m: int, p: float, q: float,
     already capped at m), so the rest of the count is one division. Zero
     means the zero algorithm (no measurements, output 0).
     """
-    _check_pq(p, q)
+    check_pq(p, q)
     if budget < 0:
         raise ParameterError("budget must be >= 0")
     reps = repetitions(p, q)

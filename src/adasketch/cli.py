@@ -2,8 +2,8 @@
 
 Subcommands: ``adaptive``, ``nonadaptive``, ``compare``, ``params``,
 ``audit``; each takes only the flags it reads. Flags may also come from a
-flat key=value config file via ``--config`` (explicit flags override the
-file). Results are written as
+flat key=value config file via ``--config``, whose values are parsed exactly
+like flags (explicit flags override the file). Results are written as
 UTF-8 CSV with a header row; the exit code is 0 on success, 1 on a cost-cap
 violation, 2 on a parameter error.
 """
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .adaptive import levels_for_accuracy
-from .discover import PRECONDITIONED
+from .discover import BASIC, PRECONDITIONED
 from .errors import CapViolationError, ParameterError
 from .families import VectorFamily
 from .harness import (
@@ -27,14 +27,19 @@ from .harness import (
     write_csv,
 )
 
-_VARIANT_FLAGS = {"basic": "basic", "precond": PRECONDITIONED}
-
-DEFAULT_SEED = 20250801
-DEFAULT_TRIALS = 200
+_VARIANT_FLAGS = {"basic": BASIC, "precond": PRECONDITIONED}
 
 
 def _split_values(text, cast):
     return [cast(part) for part in str(text).split(",") if part != ""]
+
+
+def _variant(text):
+    """The adaptive variant a ``--variant`` value names."""
+    if text not in _VARIANT_FLAGS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from 'basic', 'precond')")
+    return _VARIANT_FLAGS[text]
 
 
 def read_config(path: str) -> dict:
@@ -52,19 +57,21 @@ def read_config(path: str) -> dict:
     return values
 
 
-# add_argument keywords of each flag; its dest is the flag name unless given
+# add_argument keywords of each flag; its dest is the flag name unless given.
+# Config-file values are parsed by the same declarations.
 _FLAGS = {
     "m": dict(type=int, help="ambient dimension"),
-    "p": dict(type=float, help="norm of the input ball (default 1)"),
-    "q": dict(type=float, help="norm of the error (default 2)"),
+    "p": dict(type=float, default=1.0, help="norm of the input ball (default 1)"),
+    "q": dict(type=float, default=2.0, help="norm of the error (default 2)"),
     "eps": dict(help="target accuracy (or comma list for params)"),
     "budget": dict(help="measurement budget (or comma list)"),
     "L": dict(type=int, dest="levels", help="sensitivity levels"),
     "R": dict(type=int, dest="reps", help="passes per level"),
-    "variant": dict(choices=sorted(_VARIANT_FLAGS), help="adaptive variant (default precond)"),
+    "variant": dict(type=_variant, default="precond", metavar="{basic,precond}",
+                    help="adaptive variant (default precond)"),
     "family": dict(help="vector family, e.g. spikes:4 (comma list for compare)"),
-    "trials": dict(type=int, help="Monte Carlo trials"),
-    "seed": dict(type=int, help="root seed"),
+    "trials": dict(type=int, default=200, help="Monte Carlo trials"),
+    "seed": dict(type=int, default=20250801, help="root seed"),
     "out": dict(help="CSV output path (default stdout)"),
     "method": dict(help="method name"),
 }
@@ -82,7 +89,8 @@ _COMMAND_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers():
+    """The ``adasketch`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="adasketch",
         description="recover high-dimensional vectors from few linear measurements",
@@ -99,35 +107,30 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="flat key = value file with defaults for the flags")
         for flag in _COMMAND_FLAGS[name]:
             sub.add_argument(f"--{flag}", **_FLAGS[flag])
-    return parser
+    return parser, commands.choices
 
 
-def _resolved(args: argparse.Namespace, argv) -> argparse.Namespace:
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; a ``--config`` file's values become the subcommand's defaults,
+    which argparse parses like given values (and given flags win)."""
+    parser, commands = _parsers()
+    args = parser.parse_args(argv)
     if args.config:
         file_values = read_config(args.config)
         unknown = sorted(set(file_values) - set(_COMMAND_FLAGS[args.command]))
         if unknown:
             raise ParameterError(f"{args.config}: no flag of {args.command} that a config "
                                  f"file can set is named {', '.join(map(repr, unknown))}")
-        given = {flag.lstrip("-").split("=", 1)[0].replace("-", "_")
-                 for flag in argv if flag.startswith("--")}
-        for key, value in file_values.items():
-            dest = _FLAGS[key].get("dest", key)
-            if key in given or getattr(args, dest) is not None:
-                continue  # explicit flags win
-            setattr(args, dest, value)
-    for name, spec in _FLAGS.items():  # a flag the subcommand does not take reads as unset
-        vars(args).setdefault(spec.get("dest", name), None)
-    if args.variant and args.variant not in _VARIANT_FLAGS:
-        raise ParameterError(f"unknown variant {args.variant!r} (use basic or precond)")
-    args.variant = _VARIANT_FLAGS[args.variant] if args.variant else PRECONDITIONED
-    args.m = int(args.m) if args.m is not None else None
-    args.p = float(args.p) if args.p is not None else 1.0
-    args.q = float(args.q) if args.q is not None else 2.0
-    args.levels = int(args.levels) if args.levels is not None else None
-    args.reps = int(args.reps) if args.reps is not None else None
-    args.trials = int(args.trials) if args.trials is not None else DEFAULT_TRIALS
-    args.seed = int(args.seed) if args.seed is not None else DEFAULT_SEED
+        sub = commands[args.command]
+        sub.set_defaults(**{_FLAGS[key].get("dest", key): value
+                            for key, value in file_values.items()})
+        # a file value its flag rejects raises ArgumentError, which main reports
+        parser.exit_on_error = sub.exit_on_error = False
+        args = parser.parse_args(argv)
+    for flag, spec in _FLAGS.items():  # a flag the subcommand does not take reads as its default
+        default = spec.get("default")
+        vars(args).setdefault(spec.get("dest", flag),
+                              spec["type"](default) if isinstance(default, str) else default)
     return args
 
 
@@ -152,7 +155,9 @@ def _family(args) -> VectorFamily:
 
 def _method(args, name):
     levels = args.levels
-    if name == "adaptive" and levels is None and args.eps is not None:
+    if args.eps is not None:
+        if name != "adaptive" or levels is not None:
+            raise ParameterError("--eps sets adaptive's level count and takes no --L")
         levels = levels_for_accuracy(float(args.eps), args.p, args.q)
     return make_method(name, args.m, args.p, args.q, budget=_single_budget(args),
                        levels=levels, reps=args.reps, variant=args.variant)
@@ -160,7 +165,6 @@ def _method(args, name):
 
 def _cmd_estimate(args) -> int:
     """``adaptive`` and ``nonadaptive``: one CSV row for one method and family."""
-    _require(args.m, "--m")
     name = "adaptive" if args.command == "adaptive" else _require(args.method, "--method")
     row = estimate_row(_method(args, name), _family(args), args.m, args.p, args.q,
                        _single_budget(args), args.trials, args.seed)
@@ -169,7 +173,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    _require(args.m, "--m")
     budgets = _split_values(_require(args.budget, "--budget"), int)
     families = [VectorFamily.parse(text, args.p)
                 for text in _split_values(_require(args.family, "--family"), str)]
@@ -180,7 +183,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    _require(args.m, "--m")
     eps_values = _split_values(args.eps, float) if args.eps is not None else None
     budgets = _split_values(args.budget, int) if args.budget is not None else None
     rows = param_table(args.p, args.q, args.m, eps_values=eps_values,
@@ -192,7 +194,6 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _require(args.m, "--m")
     method = _method(args, args.method or "adaptive")
     cfg = ExperimentConfig(method=method, family=_family(args), m=args.m,
                            q=args.q, trials=args.trials, seed=args.seed)
@@ -213,12 +214,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _resolved(args, argv)
+        args = _parse(argv)
+        _require(args.m, "--m")  # every subcommand needs it
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # ParameterError is a ValueError
+    except (ValueError, OSError, argparse.ArgumentError) as exc:  # ParameterError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapViolationError as exc:

@@ -22,9 +22,10 @@ KINDS = ("spikes", "geometric", "spike_plus_tail", "uniform_ball", "zero",
          "denoise_adversarial")
 _COUNTED_KINDS = ("spikes", "spike_plus_tail", "denoise_adversarial")  # take ``kind:count``
 
-# geometric tails are cut once entries drop below this relative size; the
+_GEOMETRIC_RATIO = 0.5  # each geometric entry is this fraction of the previous one
+# geometric tails are cut once entries drop below 1e-18 of the head; the
 # discarded mass is far below float visibility in any norm comparison
-_TAIL_RELATIVE_CUTOFF = 1e-18
+_TAIL_LENGTH = int(math.ceil(math.log(1e-18) / math.log(_GEOMETRIC_RATIO))) + 1
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,7 @@ class VectorFamily:
 
     kind: str
     p: float = 1.0
-    count: int = 1      # spikes / adversarial block size
-    ratio: float = 0.5  # geometric decay ratio
+    count: int = 1  # spikes / adversarial block size
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -43,8 +43,6 @@ class VectorFamily:
             raise ParameterError("family p must lie in [1, inf)")
         if self.count < 1:
             raise ParameterError("family count must be >= 1")
-        if not 0.0 < self.ratio < 1.0:
-            raise ParameterError("family ratio must lie in (0, 1)")
 
     @classmethod
     def parse(cls, text: str, p: float) -> "VectorFamily":
@@ -69,14 +67,10 @@ class VectorFamily:
         return self.kind
 
 
-def _tail_length(ratio: float) -> int:
-    return int(math.ceil(math.log(_TAIL_RELATIVE_CUTOFF) / math.log(ratio))) + 1
-
-
-def _geometric_magnitudes(p: float, ratio: float, mass: float, length: int) -> np.ndarray:
+def _geometric_magnitudes(p: float, mass: float, length: int) -> np.ndarray:
     # mass = sum of |entry|^p over the full infinite tail
-    head = (mass * (1.0 - ratio ** p)) ** (1.0 / p)
-    return head * ratio ** np.arange(length)
+    head = (mass * (1.0 - _GEOMETRIC_RATIO ** p)) ** (1.0 / p)
+    return head * _GEOMETRIC_RATIO ** np.arange(length)
 
 
 def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> np.ndarray:
@@ -107,20 +101,20 @@ def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> np.ndarray:
         return x
 
     if family.kind == "geometric":
-        length = min(m, _tail_length(family.ratio))
+        length = min(m, _TAIL_LENGTH)
         where = gen.choice(m, size=length, replace=False)
-        mags = _geometric_magnitudes(p, family.ratio, 1.0, length)
+        mags = _geometric_magnitudes(p, 1.0, length)
         x[where] = rademacher(gen, length) * mags
         return x
 
     if family.kind == "spike_plus_tail":
         k = family.count
-        length = min(m - k, _tail_length(family.ratio))
+        length = min(m - k, _TAIL_LENGTH)
         if k + length > m or length < 1:
             raise ParameterError(f"spike_plus_tail:{k} does not fit dimension {m}")
         where = gen.choice(m, size=k + length, replace=False)
         x[where[:k]] = rademacher(gen, k) * (0.5 / k) ** (1.0 / p)
-        mags = _geometric_magnitudes(p, family.ratio, 0.5, length)
+        mags = _geometric_magnitudes(p, 0.5, length)
         x[where[k:]] = rademacher(gen, length) * mags
         return x
 

@@ -62,19 +62,38 @@ def _countsketch_level_for_budget(budget: int, m: int) -> int | None:
     return level if level >= 0 else None
 
 
+def _zero(oracle: MeasurementOracle, rng: RngStream) -> np.ndarray:
+    return np.zeros(oracle.dimension)
+
+
 def make_method(name: str, m: int, p: float, q: float, budget: int | None = None,
                 levels: int | None = None, reps: int | None = None,
                 variant: str = PRECONDITIONED) -> Method:
-    """Resolve a method name plus budget/level knobs into a runnable Method."""
+    """Resolve a method name plus budget/level knobs into a runnable Method.
+
+    A given budget bounds the resolved cap; a knob the method does not read is an error.
+    """
     if name not in METHOD_NAMES:
         raise ParameterError(f"unknown method {name!r}")
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
     if budget is not None and budget < 0:
         raise ParameterError("budget must be >= 0")
+    if levels is not None and name not in ("adaptive", "countsketch", "countsketch_denoised"):
+        raise ParameterError(f"{name} does not read levels")
+    if reps is not None and name != "adaptive":
+        raise ParameterError(f"{name} does not read reps")
+    if name.endswith("_denoised"):
+        adaptive.check_pq(p, q)
+    method = _resolve_method(name, m, p, q, budget, levels, reps, variant)
+    if budget is not None and method.cap > budget:
+        raise ParameterError(f"{name}: cost cap {method.cap} exceeds budget {budget}")
+    return method
 
+
+def _resolve_method(name, m, p, q, budget, levels, reps, variant) -> Method:
     if name == "zero":
-        return Method("zero", 0, lambda oracle, rng: np.zeros(oracle.dimension))
+        return Method("zero", 0, _zero)
     if name == "read_all":
         def run_read_all(oracle, rng):
             return oracle.read_entries(np.arange(oracle.dimension), stage="reads")
@@ -98,12 +117,12 @@ def make_method(name: str, m: int, p: float, q: float, budget: int | None = None
         if budget is None:
             raise ParameterError(f"{name} needs --budget")
         if budget == 0:
-            return Method(name, 0, lambda oracle, rng: np.zeros(oracle.dimension))
+            return Method(name, 0, _zero)
         if name == "linsketch":
             runner = lambda oracle, rng: nonadaptive.linsketch(oracle, budget, rng)
         else:
             runner = lambda oracle, rng: nonadaptive.denoised_linsketch(
-                oracle, budget, p, q, rng)
+                oracle, budget, p, rng)
         return Method(name, budget, runner)
 
     # countsketch variants: largest level whose round cost fits the budget
@@ -112,14 +131,14 @@ def make_method(name: str, m: int, p: float, q: float, budget: int | None = None
             raise ParameterError("countsketch needs --L or --budget")
         levels = _countsketch_level_for_budget(budget, m)
         if levels is None:
-            return Method(name, 0, lambda oracle, rng: np.zeros(oracle.dimension))
+            return Method(name, 0, _zero)
     cs_reps, cs_groups = nonadaptive.countsketch_params(levels, m)
     if name == "countsketch":
         runner = lambda oracle, rng: nonadaptive.countsketch(
             oracle, cs_reps, cs_groups, rng)
     else:
         runner = lambda oracle, rng: nonadaptive.denoised_countsketch(
-            oracle, levels, p, q, rng)
+            oracle, levels, rng)
     return Method(name, cs_reps * cs_groups, runner, levels=levels, reps=cs_reps)
 
 
@@ -166,19 +185,16 @@ def _trials(cfg: ExperimentConfig):
         yield lp_norm(x - out, cfg.q), oracle
 
 
-def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
-    """Monte Carlo l_q error and cost of one method on one family."""
+def _estimate(cfg: ExperimentConfig) -> ErrorEstimate:
+    """Fold the trials of ``cfg`` into one estimate; the cap is not checked."""
     errors, costs, stage_totals = [], [], Counter()
     for error, oracle in _trials(cfg):
-        if oracle.cost > cfg.method.cap:
-            raise CapViolationError(
-                f"{cfg.method.name}: cost {oracle.cost} exceeds cap {cfg.method.cap}"
-            )
         errors.append(error)
         costs.append(oracle.cost)
         stage_totals.update(oracle.stage_costs())
     errors, costs = np.array(errors), np.array(costs, dtype=np.int64)
-    qmoment = float(np.mean(errors ** cfg.q) ** (1.0 / cfg.q))
+    qmoment = (float(errors.max()) if cfg.q == math.inf  # the limit of mean(err^q)^(1/q)
+               else float(np.mean(errors ** cfg.q) ** (1.0 / cfg.q)))
     spread = float(np.std(errors, ddof=1)) if cfg.trials > 1 else 0.0
     return ErrorEstimate(
         mean_err=float(errors.mean()),
@@ -190,21 +206,32 @@ def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
     )
 
 
+def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
+    """Monte Carlo l_q error and cost of one method on one family; raises
+    :class:`CapViolationError` if any trial cost more than the method's cap."""
+    est = _estimate(cfg)
+    if est.max_cost > cfg.method.cap:
+        raise CapViolationError(
+            f"{cfg.method.name}: cost {est.max_cost} exceeds cap {cfg.method.cap}")
+    return est
+
+
 @dataclass
 class AuditReport:
-    method: str
-    cap: int
-    max_cost: int
-    mean_cost: float
-    ok: bool
-    stage_totals: dict
+    method: Method
+    estimate: ErrorEstimate
+
+    @property
+    def ok(self) -> bool:
+        return self.estimate.max_cost <= self.method.cap
 
     def lines(self):
-        yield f"method {self.method}: cap {self.cap}, max cost {self.max_cost}, " \
-              f"mean cost {self.mean_cost:.2f} -> {'OK' if self.ok else 'CAP VIOLATION'}"
+        est = self.estimate
+        yield f"method {self.method.name}: cap {self.method.cap}, max cost {est.max_cost}, " \
+              f"mean cost {est.mean_cost:.2f} -> {'OK' if self.ok else 'CAP VIOLATION'}"
         yield "  hashing: 0 (draws no information)"
-        for stage in sorted(self.stage_totals):
-            yield f"  {stage}: {self.stage_totals[stage]}"
+        for stage in sorted(est.stage_costs):
+            yield f"  {stage}: {est.stage_costs[stage]}"
 
 
 def cost_audit(cfg: ExperimentConfig) -> AuditReport:
@@ -214,15 +241,7 @@ def cost_audit(cfg: ExperimentConfig) -> AuditReport:
     report carries the verdict so callers can surface it (the CLI exits
     nonzero).
     """
-    costs, stage_totals = [], Counter()
-    for _, oracle in _trials(cfg):
-        costs.append(oracle.cost)
-        stage_totals.update(oracle.stage_costs())
-    costs = np.array(costs, dtype=np.int64)
-    max_cost = int(costs.max())
-    return AuditReport(cfg.method.name, cfg.method.cap, max_cost,
-                       float(costs.mean()), max_cost <= cfg.method.cap,
-                       dict(stage_totals))
+    return AuditReport(cfg.method, _estimate(cfg))
 
 
 def param_table(p: float, q: float, m: int, eps_values=None, budgets=None,

@@ -62,10 +62,6 @@ class CountSketchPlan:
     def reps(self) -> int:
         return self.groups.shape[0]
 
-    @property
-    def cost(self) -> int:
-        return self.reps * self.group_count
-
 
 def countsketch_params(level: int, m: int) -> tuple[int, int]:
     """Rounds and group count for accuracy level ``level``.
@@ -131,18 +127,15 @@ def keep_largest(z, k: int) -> np.ndarray:
     return out
 
 
-def denoised_countsketch(oracle: MeasurementOracle, level: int, p: float, q: float,
-                         rng: RngStream) -> np.ndarray:
+def denoised_countsketch(oracle: MeasurementOracle, level: int, rng: RngStream) -> np.ndarray:
     """Count sketch at accuracy level ``level`` followed by top-2^level denoising."""
-    if not (1.0 <= p < q < math.inf):
-        raise ParameterError("need 1 <= p < q < inf")
     reps, group_count = countsketch_params(level, oracle.dimension)
     z = countsketch(oracle, reps, group_count, rng)
     # sensitivity eps = 2^(-level/p), hence exactly k = 2^level kept entries
-    return keep_largest(z, min(2 ** level, oracle.dimension))
+    return keep_largest(z, 2 ** level)
 
 
-def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float, q: float,
+def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float,
                        rng: RngStream) -> np.ndarray:
     """Gaussian sketch with n measurements, then keep the top
     k = floor((n / (m^(1-2/p) log m))^(p/2)) entries.
@@ -150,8 +143,6 @@ def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float, q: float,
     When k = 0 the sketch cannot beat the trivial method, so this falls
     back to the zero algorithm (no measurements, output 0).
     """
-    if not (1.0 <= p < q < math.inf):
-        raise ParameterError("need 1 <= p < q < inf")
     if n < 1:
         raise ParameterError("n must be >= 1")
     m = oracle.dimension
@@ -160,4 +151,4 @@ def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float, q: float,
     if k == 0:
         return np.zeros(m)
     z = linsketch(oracle, n, rng)
-    return keep_largest(z, min(k, m))
+    return keep_largest(z, k)

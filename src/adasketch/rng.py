@@ -25,33 +25,26 @@ def _label_key(label: str) -> int:
 class RngStream:
     """A lazily materialized PCG64 generator addressed by (seed, label path)."""
 
-    __slots__ = ("seed", "label", "_path", "_generator")
+    __slots__ = ("seed", "_path", "_generator")
 
-    def __init__(self, seed: int, label: str = "root", _path: tuple = ()):
+    def __init__(self, seed: int, _path: tuple = ()):
         seed = int(seed)
         if seed < 0:
             raise ParameterError("seed must be a non-negative integer")
         self.seed = seed
-        self.label = label
         self._path = _path
         self._generator = None
 
     def child(self, label: str) -> "RngStream":
         """An independent stream for the given sub-label."""
-        return RngStream(
-            self.seed, f"{self.label}/{label}", self._path + (_label_key(label),)
-        )
+        return RngStream(self.seed, self._path + (_label_key(label),))
 
     def child_at(self, label: str, index: int) -> "RngStream":
         """An independent stream for (label, counter), e.g. per trial or per bucket."""
         index = int(index)
         if index < 0:
             raise ParameterError("stream index must be non-negative")
-        return RngStream(
-            self.seed,
-            f"{self.label}/{label}[{index}]",
-            self._path + (_label_key(label), index),
-        )
+        return RngStream(self.seed, self._path + (_label_key(label), index))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -59,9 +52,6 @@ class RngStream:
             ss = np.random.SeedSequence(self.seed, spawn_key=self._path)
             self._generator = np.random.Generator(np.random.PCG64(ss))
         return self._generator
-
-    def __repr__(self):  # pragma: no cover
-        return f"RngStream(seed={self.seed}, label={self.label!r})"
 
 
 def sign_rows(generator: np.random.Generator, rows: int, k: int):

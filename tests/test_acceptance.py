@@ -290,7 +290,7 @@ def test_criterion_11_denoising_sandwich():
             for t in range(trials):
                 from adasketch.families import gen_vector
                 x = gen_vector(family, m, gen_rng.child_at("t", t))
-                out = denoised_countsketch(MeasurementOracle(x), level, 1.0, 2.0, rng)
+                out = denoised_countsketch(MeasurementOracle(x), level, rng)
                 assert np.count_nonzero(out) <= 2**level
                 errs[t] = lp_norm(x - out, 2.0)
             assert errs.mean() <= bound

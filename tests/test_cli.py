@@ -1,8 +1,9 @@
 import csv
+import hashlib
 
 import pytest
 
-from adasketch.cli import main, read_config
+from adasketch.cli import _COMMAND_FLAGS, main, read_config
 
 
 def run(argv):
@@ -189,3 +190,109 @@ def test_params_budget_beyond_float_sensitivities_exits_2(capsys):
 def test_missing_config_file_exits_2(tmp_path):
     assert run(["adaptive", "--config", str(tmp_path / "nope.cfg"),
                 "--m", "64", "--family", "spikes:4"]) == 2
+
+
+def test_over_budget_and_conflicting_sizes_exit_2(capsys):
+    # a given budget bounds the cap of the method that runs; a size flag the
+    # method does not read, or --eps next to --L, is a parameter error
+    spikes = ["--family", "spikes:4", "--trials", "3", "--seed", "3"]
+    for argv, message in (
+        (["adaptive", "--m", "1024", "--L", "3", "--budget", "10", *spikes],
+         "adaptive: cost cap 266112 exceeds budget 10"),
+        (["audit", "--m", "1024", "--L", "3", "--budget", "10", *spikes],
+         "adaptive: cost cap 266112 exceeds budget 10"),
+        (["adaptive", "--m", "65536", "--eps", "0.1", "--budget", "1000", *spikes],
+         "exceeds budget 1000"),
+        (["nonadaptive", "--method", "read_all", "--m", "64", "--budget", "10", *spikes],
+         "read_all: cost cap 64 exceeds budget 10"),
+        (["nonadaptive", "--method", "countsketch", "--m", "64", "--L", "3",
+          "--budget", "100", *spikes], "exceeds budget 100"),
+        (["nonadaptive", "--method", "linsketch", "--m", "64", "--L", "4",
+          "--budget", "100", *spikes], "linsketch does not read levels"),
+        (["audit", "--method", "countsketch", "--m", "64", "--R", "3",
+          "--budget", "5000", *spikes], "countsketch does not read reps"),
+        (["adaptive", "--m", "1024", "--eps", "0.3", "--L", "3", *spikes], "--eps"),
+        (["audit", "--method", "linsketch", "--m", "64", "--eps", "0.3",
+          "--budget", "128", *spikes], "--eps"),
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
+# every flag of each subcommand but --config and --out, by config key; a
+# subcommand listed twice has flags that cannot be given together
+EVERY_FLAG = [
+    ("adaptive", {"m": "128", "p": "1.5", "q": "3", "budget": "1000000", "L": "1",
+                  "R": "3", "variant": "basic", "family": "spikes:2", "trials": "3",
+                  "seed": "4"}),
+    ("adaptive", {"m": "128", "p": "1.5", "q": "3", "eps": "0.6", "R": "1",
+                  "variant": "precond", "family": "geometric", "trials": "3", "seed": "4"}),
+    ("nonadaptive", {"m": "128", "p": "1.5", "q": "3", "budget": "2000", "L": "0",
+                     "family": "spikes:2", "trials": "3", "seed": "4",
+                     "method": "countsketch_denoised"}),
+    ("compare", {"m": "64", "p": "1.5", "q": "3", "budget": "0,600",
+                 "family": "spikes:2,geometric", "trials": "2", "seed": "4"}),
+    ("params", {"m": "4096", "p": "1.5", "q": "3", "eps": "0.5,0.25", "variant": "basic"}),
+    ("params", {"m": "4096", "p": "1.5", "q": "3", "budget": "1000,50000"}),
+    ("audit", {"m": "128", "p": "1.5", "q": "3", "eps": "0.6", "budget": "1000000",
+               "R": "3", "variant": "basic", "family": "spikes:2", "trials": "3",
+               "seed": "4", "method": "adaptive"}),
+    ("audit", {"m": "128", "p": "1.5", "q": "3", "L": "1", "R": "1", "variant": "precond",
+               "family": "geometric", "trials": "3", "seed": "4", "method": "adaptive"}),
+]
+
+
+def test_config_file_and_flags_write_the_same_bytes(tmp_path, capsys):
+    for command, flags in _COMMAND_FLAGS.items():
+        given = set().union(*(values for name, values in EVERY_FLAG if name == command))
+        assert given == set(flags) - {"out"}, command
+    cfg = tmp_path / "run.cfg"
+    for command, values in EVERY_FLAG:
+        argv = [token for key, value in values.items() for token in (f"--{key}", value)]
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()),
+                       encoding="utf-8")
+        assert run([command, "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert run([command, *argv]) == 0
+        assert capsys.readouterr().out == from_file != "", command
+        if "out" in _COMMAND_FLAGS[command]:
+            file_out, flag_out = tmp_path / "file.csv", tmp_path / "flag.csv"
+            with open(cfg, "a", encoding="utf-8") as handle:
+                handle.write(f"out = {file_out}\n")
+            assert run([command, "--config", str(cfg)]) == 0
+            assert run([command, *argv, "--out", str(flag_out)]) == 0
+            assert capsys.readouterr().out == ""
+            assert file_out.read_bytes() == flag_out.read_bytes()
+            assert file_out.read_bytes().decode("utf-8") == from_file
+
+
+def test_bad_config_values_exit_2_naming_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    for command, line, flag in (
+        ("adaptive", "trials = soon", "--trials"),
+        ("adaptive", "variant = turbo", "--variant"),
+        ("adaptive", "m = 1.5", "--m"),
+        ("params", "variant = turbo", "--variant"),
+        ("compare", "q = two", "--q"),
+        ("nonadaptive", "L = x", "--L"),
+        ("audit", "R = 2.5", "--R"),
+    ):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert run([command, "--config", str(cfg)]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1, err
+
+
+def test_compare_csv_digest_is_pinned(capsys):
+    """The stdout bytes of one small ``compare`` run, pinned by their sha256.
+
+    A refactor that consumes every random stream as before leaves them
+    unchanged. A change that declares a stream change updates this digest
+    and says so in CHANGES.md.
+    """
+    assert run(["compare", "--m", "512", "--budget", "0,3000,40000",
+                "--family", "spikes:4,geometric,uniform_ball", "--trials", "2",
+                "--seed", "5"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "786f82bd0f3ecffeb425bb21951257c5e083a8f68e4198963b292c0f4eac4553"

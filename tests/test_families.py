@@ -52,7 +52,7 @@ def test_unit_ball_membership(kind, p):
 
 
 def test_geometric_decay_shape():
-    fam = VectorFamily("geometric", p=1.0, ratio=0.5)
+    fam = VectorFamily("geometric", p=1.0)
     x = gen_vector(fam, 256, stream("g"))
     mags = np.sort(np.abs(x[np.flatnonzero(x)]))[::-1]
     ratios = mags[1:] / mags[:-1]

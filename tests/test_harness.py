@@ -36,6 +36,15 @@ def test_zero_method_error_equals_input_norm():
     assert est.mean_cost == 0 and est.max_cost == 0
 
 
+def test_qmoment_at_q_infinity_is_the_largest_trial_error():
+    # the limit of mean(err^q)^(1/q); spikes:4 at p = 1 has sup norm 1/4
+    est = estimate_error(config(make_method("zero", 256, 1.0, math.inf), q=math.inf))
+    assert est.qmoment_err == est.mean_err == 0.25
+    est = estimate_error(config(make_method("zero", 64, 1.0, math.inf),
+                                family="uniform_ball", m=64, q=math.inf, trials=40))
+    assert 0.0 < est.mean_err < est.qmoment_err < 1.0
+
+
 def test_read_all_method_is_exact():
     method = make_method("read_all", 256, 1.0, 2.0)
     est = estimate_error(config(method))
@@ -110,9 +119,9 @@ def test_cost_audit_spot_cap():
 
     method = Method("spot", 14, run_spot)
     report = cost_audit(config(method, family="uniform_ball", m=200, trials=200))
-    assert report.ok and report.max_cost <= 14
-    assert list(report.stage_totals) == ["spot"]  # every shrink step is labelled
-    assert report.stage_totals["spot"] / 200 == report.mean_cost
+    assert report.ok and report.estimate.max_cost <= 14
+    assert list(report.estimate.stage_costs) == ["spot"]  # every shrink step is labelled
+    assert report.estimate.stage_costs["spot"] / 200 == report.estimate.mean_cost
 
 
 def test_cost_audit_preconditioned_discover_cap():
@@ -128,15 +137,15 @@ def test_cost_audit_preconditioned_discover_cap():
     method = Method("discover", 60 * (703 + 8), run_discover)
     report = cost_audit(config(method, family="spikes:4", m=m, p=2.0, trials=20))
     assert report.ok
-    assert report.max_cost <= 42660
-    assert report.stage_totals["precond"] == 20 * 60 * 701
+    assert report.estimate.max_cost <= 42660
+    assert report.estimate.stage_costs["precond"] == 20 * 60 * 701
 
 
 def test_cost_audit_linsketch_exact_cost():
     method = make_method("linsketch", 64, 1.0, 2.0, budget=128)
     report = cost_audit(config(method, m=64, trials=10))
     assert report.ok
-    assert report.max_cost == 128 and report.mean_cost == 128
+    assert report.estimate.max_cost == 128 and report.estimate.mean_cost == 128
     lines = list(report.lines())
     assert any("hashing: 0" in line for line in lines)
 
@@ -146,7 +155,7 @@ def test_cost_audit_flags_violations():
                    lambda oracle, rng: oracle.read_entries(np.arange(oracle.dimension)))
     report = cost_audit(config(lying, m=64, trials=5))
     assert not report.ok
-    assert report.max_cost == 64
+    assert report.estimate.max_cost == 64
 
 
 def test_param_table_for_accuracies():
@@ -218,6 +227,20 @@ def test_make_method_validation():
     for name in ("linsketch", "linsketch_denoised", "countsketch", "countsketch_denoised"):
         with pytest.raises(ParameterError):
             make_method(name, 64, 1.0, 2.0, budget=-5)
+    # a given budget bounds the resolved cap, whatever chose the size
+    for name, knobs in (("read_all", {}), ("adaptive", {"levels": 3}),
+                        ("countsketch", {"levels": 2})):
+        cap = make_method(name, 1024, 1.0, 2.0, **knobs).cap
+        assert make_method(name, 1024, 1.0, 2.0, budget=cap, **knobs).cap == cap
+        with pytest.raises(ParameterError, match="exceeds budget"):
+            make_method(name, 1024, 1.0, 2.0, budget=cap - 1, **knobs)
+    # a size knob is an error for a method that does not read it
+    for name in ("zero", "read_all", "linsketch", "linsketch_denoised"):
+        with pytest.raises(ParameterError, match="does not read levels"):
+            make_method(name, 64, 1.0, 2.0, budget=100, levels=2)
+    for name in set(METHOD_NAMES) - {"adaptive"}:
+        with pytest.raises(ParameterError, match="does not read reps"):
+            make_method(name, 64, 1.0, 2.0, budget=100, reps=2)
 
 
 def test_budgeted_countsketch_takes_the_largest_level_that_fits():

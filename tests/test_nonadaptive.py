@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adasketch.errors import ParameterError
+from adasketch.harness import make_method
 from adasketch.nonadaptive import (
     countsketch,
     countsketch_estimates,
@@ -233,14 +234,14 @@ def test_every_k_sparse_output_errs_on_the_equal_mass_vector():
 def test_denoised_countsketch_basics():
     m, level = 2**8, 3
     oracle = MeasurementOracle(np.zeros(m))
-    assert np.array_equal(denoised_countsketch(oracle, level, 1, 2, stream("dz")),
+    assert np.array_equal(denoised_countsketch(oracle, level, stream("dz")),
                           np.zeros(m))
     gen = stream("dc-x").generator
     rng = stream("dc")
     for _ in range(10):
         x = gen.standard_normal(m) * (gen.random(m) < 0.05)
         x /= max(1.0, lp_norm(x, 1))
-        out = denoised_countsketch(MeasurementOracle(x), level, 1, 2, rng)
+        out = denoised_countsketch(MeasurementOracle(x), level, rng)
         assert np.count_nonzero(out) <= 2**level
 
 
@@ -257,7 +258,7 @@ def test_denoised_countsketch_error_bound():
     for _ in range(trials):
         x = np.zeros(m)
         x[gen.choice(m, size=2**level + 1, replace=False)] = 1.0 / (2**level + 1)
-        out = denoised_countsketch(MeasurementOracle(x), level, 1, 2, rng)
+        out = denoised_countsketch(MeasurementOracle(x), level, rng)
         errs.append(lp_norm(x - out, 2))
         sup_errs.append(lp_norm(x - out, math.inf))
     assert np.mean(errs) <= bound
@@ -269,7 +270,7 @@ def test_denoised_linsketch_zero_fallback():
     # n below m^(1-2/p) log m means k = 0: zero output, zero measurements
     m, n = 256, 3
     oracle = MeasurementOracle(np.ones(m) / math.sqrt(m))
-    out = denoised_linsketch(oracle, n, 2, 4, stream("dl0"))
+    out = denoised_linsketch(oracle, n, 2, stream("dl0"))
     assert np.array_equal(out, np.zeros(m))
     assert oracle.cost == 0
 
@@ -286,7 +287,7 @@ def test_denoised_linsketch_sparsity_and_error():
         x = np.zeros(m)
         x[gen.choice(m, size=4, replace=False)] = 0.5
         oracle = MeasurementOracle(x)
-        out = denoised_linsketch(oracle, n, 2, 4, rng)
+        out = denoised_linsketch(oracle, n, 2, rng)
         assert oracle.cost == n
         assert np.count_nonzero(out) <= min(k_cap, m)
         errs.append(lp_norm(x - out, 4))
@@ -294,6 +295,10 @@ def test_denoised_linsketch_sparsity_and_error():
 
 
 def test_denoised_linsketch_rejects_bad_pq():
-    oracle = MeasurementOracle(np.ones(8))
-    with pytest.raises(ParameterError):
-        denoised_linsketch(oracle, 4, 2, 2, stream("bad"))
+    # make_method checks the denoised baselines' domain at every budget,
+    # including those that resolve to the zero method
+    for name in ("linsketch_denoised", "countsketch_denoised"):
+        for p, q in ((2, 2), (3, 2), (0.5, 2), (1, math.inf)):
+            for budget in (0, 4, 5000):
+                with pytest.raises(ParameterError):
+                    make_method(name, 8, p, q, budget=budget)
