@@ -18,6 +18,7 @@ from .discover import BASIC, PRECONDITIONED
 from .errors import CapViolationError, ParameterError
 from .families import VectorFamily
 from .harness import (
+    PARAM_COLUMNS,
     ExperimentConfig,
     compare_methods,
     cost_audit,
@@ -30,8 +31,22 @@ from .harness import (
 _VARIANT_FLAGS = {"basic": BASIC, "precond": PRECONDITIONED}
 
 
-def _split_values(text, cast):
-    return [cast(part) for part in str(text).split(",") if part != ""]
+def _split(text, cast=str):
+    """The values of a comma list; a list without one is a parameter error."""
+    values = [cast(part) for part in str(text).split(",") if part != ""]
+    if not values:
+        raise ParameterError(f"expected at least one value in the list {text!r}")
+    return values
+
+
+def _comma_list(cast):
+    """argparse type of a comma list of ``cast`` values; argparse reports a bad
+    or empty list as ``argument --flag: invalid int list value: ...``."""
+    def parse(text):
+        return _split(text, cast)
+
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
 def _variant(text):
@@ -63,8 +78,8 @@ _FLAGS = {
     "m": dict(type=int, help="ambient dimension"),
     "p": dict(type=float, default=1.0, help="norm of the input ball (default 1)"),
     "q": dict(type=float, default=2.0, help="norm of the error (default 2)"),
-    "eps": dict(help="target accuracy (or comma list for params)"),
-    "budget": dict(help="measurement budget (or comma list)"),
+    "eps": dict(type=_comma_list(float), help="target accuracy (or comma list for params)"),
+    "budget": dict(type=_comma_list(int), help="measurement budget (or comma list)"),
     "L": dict(type=int, dest="levels", help="sensitivity levels"),
     "R": dict(type=int, dest="reps", help="passes per level"),
     "variant": dict(type=_variant, default="precond", metavar="{basic,precond}",
@@ -140,13 +155,13 @@ def _require(value, flag):
     return value
 
 
-def _single_budget(args):
-    if args.budget is None:
+def _single(values, flag):
+    """The one value of a comma-list flag, or None when it is not given."""
+    if values is None:
         return None
-    budgets = _split_values(args.budget, int)
-    if len(budgets) != 1:
-        raise ParameterError("expected a single --budget value")
-    return budgets[0]
+    if len(values) != 1:
+        raise ParameterError(f"expected a single {flag} value")
+    return values[0]
 
 
 def _family(args) -> VectorFamily:
@@ -158,8 +173,9 @@ def _method(args, name):
     if args.eps is not None:
         if name != "adaptive" or levels is not None:
             raise ParameterError("--eps sets adaptive's level count and takes no --L")
-        levels = levels_for_accuracy(float(args.eps), args.p, args.q)
-    return make_method(name, args.m, args.p, args.q, budget=_single_budget(args),
+        levels = levels_for_accuracy(_single(args.eps, "--eps"), args.p, args.q)
+    return make_method(name, args.m, args.p, args.q,
+                       budget=_single(args.budget, "--budget"),
                        levels=levels, reps=args.reps, variant=args.variant)
 
 
@@ -167,15 +183,15 @@ def _cmd_estimate(args) -> int:
     """``adaptive`` and ``nonadaptive``: one CSV row for one method and family."""
     name = "adaptive" if args.command == "adaptive" else _require(args.method, "--method")
     row = estimate_row(_method(args, name), _family(args), args.m, args.p, args.q,
-                       _single_budget(args), args.trials, args.seed)
+                       _single(args.budget, "--budget"), args.trials, args.seed)
     write_csv(args.out or sys.stdout, [row])
     return 0
 
 
 def _cmd_compare(args) -> int:
-    budgets = _split_values(_require(args.budget, "--budget"), int)
+    budgets = _require(args.budget, "--budget")
     families = [VectorFamily.parse(text, args.p)
-                for text in _split_values(_require(args.family, "--family"), str)]
+                for text in _split(_require(args.family, "--family"))]
     rows = compare_methods(args.m, args.p, args.q, budgets, families,
                            args.trials, args.seed)
     write_csv(args.out or sys.stdout, rows)
@@ -183,13 +199,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    eps_values = _split_values(args.eps, float) if args.eps is not None else None
-    budgets = _split_values(args.budget, int) if args.budget is not None else None
-    rows = param_table(args.p, args.q, args.m, eps_values=eps_values,
-                       budgets=budgets, variant=args.variant)
-    columns = ["mode", "value", "L", "R", "variant", "cost_cap", "error_bound",
-               "buckets_per_level"]
-    write_csv(args.out or sys.stdout, rows, columns)
+    rows = param_table(args.p, args.q, args.m, eps_values=args.eps,
+                       budgets=args.budget, variant=args.variant)
+    write_csv(args.out or sys.stdout, rows, PARAM_COLUMNS)
     return 0
 
 

@@ -30,6 +30,10 @@ CSV_COLUMNS = [
     "trials", "mean_err", "qmoment_err", "ci", "mean_cost", "max_cost", "seed",
 ]
 
+PARAM_COLUMNS = [
+    "mode", "value", "L", "R", "variant", "cost_cap", "error_bound", "buckets_per_level",
+]
+
 METHOD_NAMES = (
     "zero", "read_all", "adaptive", "linsketch", "linsketch_denoised",
     "countsketch", "countsketch_denoised",
@@ -260,16 +264,9 @@ def param_table(p: float, q: float, m: int, eps_values=None, budgets=None,
     for mode, value, levels in pairs:
         plan = adaptive.AdaptivePlan(m=m, p=p, q=q, levels=levels, reps=reps,
                                      variant=variant)
-        rows.append({
-            "mode": mode,
-            "value": value,
-            "L": levels,
-            "R": reps,
-            "variant": variant,
-            "cost_cap": adaptive.plan_cost_cap(plan),
-            "error_bound": plan.error_bound(),
-            "buckets_per_level": "|".join(str(c.buckets) for c in plan.configs),
-        })
+        rows.append(dict(zip(PARAM_COLUMNS, (
+            mode, value, levels, reps, variant, adaptive.plan_cost_cap(plan),
+            plan.error_bound(), "|".join(str(c.buckets) for c in plan.configs)))))
     return rows
 
 

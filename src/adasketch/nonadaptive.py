@@ -4,7 +4,9 @@ top-k denoising.
 Non-adaptive means every measurement functional is fixed before the first
 evaluation. Both sketches draw their functionals from the stream and the
 parameters alone, so they replay without an oracle: the count sketch as a
-``CountSketchPlan``, the Gaussian sketch as ``linsketch_matrix``.
+``CountSketchPlan``, the Gaussian sketch as ``linsketch_matrix``. Each
+count-sketch round is one grouped ``measure_rows`` call: its signs are the
+one row, its group ids split the coordinates, one functional per group.
 """
 
 from __future__ import annotations
@@ -96,10 +98,11 @@ def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> Cou
 def countsketch_estimates(oracle: MeasurementOracle, plan: CountSketchPlan) -> np.ndarray:
     """Per-round unbiased estimates sign * Y[group] of every coordinate, shape (reps, m)."""
     est = np.empty_like(plan.signs)
+    support = np.arange(oracle.dimension)
     for r in range(plan.reps):
-        y = oracle.measure_partition(plan.groups[r], plan.signs[r],
-                                     plan.group_count, stage="countsketch")
-        est[r] = plan.signs[r] * y[plan.groups[r]]
+        y = oracle.measure_rows(support, plan.signs[r][None], stage="countsketch",
+                                groups=plan.groups[r], group_count=plan.group_count)
+        est[r] = plan.signs[r] * y[0, plan.groups[r]]
     return est
 
 

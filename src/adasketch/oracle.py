@@ -4,10 +4,11 @@ Algorithms never touch the hidden vector directly: they submit linear
 functionals to a :class:`MeasurementOracle` and get back exact inner
 products, each evaluation incrementing the information-cost counter by
 exactly one. A functional is a support plus one coefficient row; the entry
-points (`measure_rows`, `measure_segments`, `measure_partition`,
-`read_entries`, `charge`) take several functionals per call and charge one
-unit apiece, which keeps Monte Carlo experiments fast without changing the
-cost model.
+points (`measure_rows`, `read_entries`, `charge`) take several functionals
+per call and charge one unit apiece, which keeps Monte Carlo experiments
+fast without changing the cost model. `measure_rows` with group ids splits
+the support into groups and evaluates every row on every group, one
+functional per (row, group) pair.
 
 An oracle instance is single-writer (its counter mutates per call); use one
 oracle per concurrent unit. The pure helper `lp_norm` is safe from any
@@ -96,57 +97,43 @@ class MeasurementOracle:
 
     # -- measurement entry points -------------------------------------------
 
-    def measure_rows(self, support, rows, stage=None) -> np.ndarray:
-        """Evaluate each row of ``rows`` as a functional on ``support``; cost += #rows."""
-        sup = _as_index_array(support, self.dimension)
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != sup.size:
-            raise DimensionError("rows must be (count, len(support))")
-        self._ledger.add(rows.shape[0], stage)
-        return rows @ self._hidden[sup]
+    def measure_rows(self, support, rows, stage=None, groups=None,
+                     group_count=None) -> np.ndarray:
+        """Evaluate each row of ``rows`` as a functional on ``support``; cost += #rows.
 
-    def measure_segments(self, support, rows, starts, stage=None) -> np.ndarray:
-        """Evaluate every row of ``rows`` on each segment of ``support`` separately.
-
-        Segment s is ``support[starts[s]:starts[s+1]]`` together with the
-        matching columns of ``rows``; ``starts`` runs from 0 to
-        len(support). Returns a (#rows, #segments) array;
-        cost += #rows * #segments. Several segments take one sparse
-        block-diagonal product; pass ``rows`` as the transpose of a
+        With ``groups`` (one id in [0, group_count) per support entry), each
+        (row, group) pair is one functional: the row restricted to that
+        group's entries. Returns a (#rows, group_count) array;
+        cost += #rows * group_count, and an empty group measures 0.0. For
+        several rows and groups pass ``rows`` as the transpose of a
         C-contiguous (len(support), #rows) array to avoid a copy.
         """
         sup = _as_index_array(support, self.dimension)
         rows = np.asarray(rows, dtype=np.float64)
-        starts = np.asarray(starts, dtype=np.intp)
         if rows.ndim != 2 or rows.shape[1] != sup.size:
             raise DimensionError("rows must be (count, len(support))")
-        if (starts.ndim != 1 or starts.size < 2 or starts[0] != 0
-                or starts[-1] != sup.size or np.any(np.diff(starts) < 0)):
-            raise DimensionError("segment starts must rise from 0 to len(support)")
-        segments = starts.size - 1
-        self._ledger.add(rows.shape[0] * segments, stage)
-        if segments == 1:
-            return (rows @ self._hidden[sup])[:, None]
-        blocks = csr_array((self._hidden[sup], np.arange(sup.size), starts),
-                           shape=(segments, sup.size))
-        return (blocks @ rows.T).T
-
-    def measure_partition(self, groups, weights, group_count, stage=None) -> np.ndarray:
-        """Evaluate ``group_count`` disjoint-support functionals in one pass.
-
-        ``groups`` assigns each coordinate a group id in [0, group_count);
-        ``weights`` is its coefficient. Returns the per-group sums;
-        cost += group_count.
-        """
-        groups = np.asarray(groups)
-        weights = np.asarray(weights, dtype=np.float64)
-        if groups.shape != (self.dimension,) or weights.shape != (self.dimension,):
-            raise DimensionError("groups and weights must cover every coordinate")
+        if groups is None and group_count is None:
+            self._ledger.add(rows.shape[0], stage)
+            return rows @ self._hidden[sup]
+        if groups is None or group_count is None:
+            raise ParameterError("give groups and group_count together")
+        groups = np.asarray(groups, dtype=np.intp)
         group_count = int(group_count)
-        if group_count < 1 or groups.min() < 0 or groups.max() >= group_count:
+        if groups.shape != sup.shape:
+            raise DimensionError("groups must hold one id per support entry")
+        if group_count < 1 or (groups.size and (groups.min() < 0
+                                                or groups.max() >= group_count)):
             raise ParameterError("group ids must lie in [0, group_count)")
-        self._ledger.add(group_count, stage)
-        return np.bincount(groups, weights=weights * self._hidden, minlength=group_count)
+        self._ledger.add(rows.shape[0] * group_count, stage)
+        values = self._hidden[sup]
+        if group_count == 1:
+            return (rows @ values)[:, None]
+        if rows.shape[0] == 1:
+            return np.bincount(groups, weights=rows[0] * values, minlength=group_count)[None]
+        order = np.argsort(groups, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=group_count))))
+        blocks = csr_array((values[order], order, indptr), shape=(group_count, sup.size))
+        return (blocks @ rows.T).T
 
     def read_entries(self, indices, stage=None) -> np.ndarray:
         idx = _as_index_array(indices, self.dimension)

@@ -18,8 +18,8 @@ fast:
 * Sign columns are drawn only for live candidates, those whose hidden
   entry is nonzero, since zero entries cannot influence a measured sign.
   The live columns of all segments form one (live x k) block, measured by
-  one ``measure_segments`` call; the correlations <a_j, s> are exact
-  integer popcounts of packed sign bits.
+  one ``measure_rows`` call grouped by segment; the correlations <a_j, s>
+  are exact integer popcounts of packed sign bits.
 * A zero candidate's retention is then an independent Binomial(k, 1/2)
   tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
   k = 701). Their total over all segments is one Binomial draw. When it is
@@ -103,8 +103,7 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     gen = rng.generator
     by_segment = np.argsort(segment_of, kind="stable")
     live, segment_of = np.asarray(live, dtype=np.intp)[by_segment], segment_of[by_segment]
-    live_segments, starts, member = np.unique(segment_of, return_index=True,
-                                              return_inverse=True)
+    live_segments, member = np.unique(segment_of, return_inverse=True)
     idle = sizes.size - live_segments.size
     if idle:
         oracle.charge(k * idle, stage="precond")
@@ -112,8 +111,8 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     kept = np.empty(0, dtype=bool)
     if live.size:
         signs, a_bits = sign_rows(gen, live.size, k)  # row j is the column a_j
-        starts = np.append(starts, live.size)
-        y = oracle.measure_segments(live, signs.T, starts, stage="precond")
+        y = oracle.measure_rows(live, signs.T, stage="precond", groups=member,
+                                group_count=live_segments.size)
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
         distance = np.bitwise_count(a_bits ^ s_bits[member]).sum(axis=1, dtype=np.int64)
         kept = sign_filter_mask(k - 2 * distance, k)

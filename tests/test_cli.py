@@ -154,6 +154,28 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
     cfg.write_text("trails = 3\nfamilee = spikes:2\n", encoding="utf-8")
     assert run(["adaptive", "--config", str(cfg), "--m", "64", "--L", "1",
                 "--family", "spikes:4"]) == 2
+    # comma lists: a bad or empty list names its flag, and a single-value
+    # command takes one value
+    spikes = ["--m", "64", "--family", "spikes:1", "--trials", "1"]
+    capsys.readouterr()
+    for argv, message in (
+        (["adaptive", "--m", "64", "--budget", "x", "--family", "spikes:4"],
+         "argument --budget: invalid int list value: 'x'"),
+        (["compare", "--budget", ",", *spikes], "argument --budget: invalid int list value: ','"),
+        (["params", "--m", "64", "--eps", ","], "argument --eps: invalid float list value: ','"),
+    ):
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err, argv
+    for argv, message in (
+        (["adaptive", "--eps", "0.5,0.25", *spikes], "expected a single --eps value"),
+        (["adaptive", "--budget", "5,6", *spikes], "expected a single --budget value"),
+        (["compare", "--m", "64", "--budget", "10", "--family", ",", "--trials", "1"],
+         "expected at least one value"),
+    ):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: {message}"), argv
     # a count on a family that takes none, or an empty count
     for family in ("geometric:7", "uniform_ball:3", "zero:2", "spikes:"):
         assert run(["adaptive", "--m", "64", "--L", "1", "--family", family]) == 2
@@ -277,6 +299,10 @@ def test_bad_config_values_exit_2_naming_the_flag(tmp_path, capsys):
         ("compare", "q = two", "--q"),
         ("nonadaptive", "L = x", "--L"),
         ("audit", "R = 2.5", "--R"),
+        ("adaptive", "budget = x", "--budget"),
+        ("compare", "budget = ,", "--budget"),
+        ("params", "eps = 0.5,x", "--eps"),
+        ("params", "eps = ,", "--eps"),
     ):
         cfg.write_text(line + "\n", encoding="utf-8")
         assert run([command, "--config", str(cfg)]) == 2, line

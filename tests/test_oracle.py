@@ -62,41 +62,73 @@ def test_batch_entry_points_match_single_calls():
     assert oracle.cost == 11
 
 
-def test_measure_partition_matches_explicit_functionals():
-    rng = RngStream(5).child("x").generator
-    hidden = rng.standard_normal(24)
-    groups = rng.integers(0, 4, size=24)
-    weights = np.where(rng.random(24) < 0.5, -1.0, 1.0)
-    oracle = MeasurementOracle(hidden)
-    sums = oracle.measure_partition(groups, weights, 4)
-    assert oracle.cost == 4
-    for g in range(4):
-        members = np.flatnonzero(groups == g)
-        expected = np.dot(weights[members], hidden[members])
-        assert sums[g] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+def _per_group_rows(hidden, support, rows, groups, group_count):
+    """Reference values: one ungrouped call per group, on its own entries."""
+    reference = MeasurementOracle(hidden)
+    columns = [reference.measure_rows(support[groups == g], rows[:, groups == g])
+               for g in range(group_count)]
+    assert reference.cost == rows.shape[0] * group_count
+    return np.stack(columns, axis=1)
 
 
-def test_measure_segments_matches_per_segment_rows():
+def test_grouped_measure_rows_matches_per_group_rows():
     rng = RngStream(6).child("x").generator
     hidden = rng.standard_normal(40)
     support = np.array([2, 3, 7, 11, 12, 30, 31, 39])
-    starts = [0, 3, 3, 4, 8]  # segment 1 is empty: its functionals are 0
+    groups = np.array([3, 0, 3, 2, 0, 3, 2, 0])  # unsorted; group 1 is empty
     rows = rng.standard_normal((5, support.size))
     oracle = MeasurementOracle(hidden)
-    values = oracle.measure_segments(support, rows, starts, stage="seg")
+    values = oracle.measure_rows(support, rows, stage="seg", groups=groups, group_count=4)
     assert values.shape == (5, 4)
     assert oracle.stage_costs() == {"seg": 20}
-    reference = MeasurementOracle(hidden)
-    for s, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-        expected = reference.measure_rows(support[a:b], rows[:, a:b])
-        assert np.allclose(values[:, s], expected, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(values[:, 1], np.zeros(5))  # empty group 1, charged above
+    expected = _per_group_rows(hidden, support, rows, groups, 4)
+    assert np.allclose(values, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_grouped_measure_rows_one_row_is_bincount():
+    rng = RngStream(5).child("x").generator
+    hidden = rng.standard_normal(24)
+    support = np.arange(24)
+    groups = rng.integers(0, 5, size=24)
+    groups[groups == 2] = 4  # group 2 is empty
+    weights = np.where(rng.random(24) < 0.5, -1.0, 1.0)
+    oracle = MeasurementOracle(hidden)
+    sums = oracle.measure_rows(support, weights[None], groups=groups, group_count=5)
+    assert oracle.cost == 5
+    assert np.array_equal(sums, np.bincount(groups, weights=weights * hidden,
+                                            minlength=5)[None])
+    assert sums[0, 2] == 0.0
+    expected = _per_group_rows(hidden, support, weights[None], groups, 5)
+    assert np.allclose(sums, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_grouped_measure_rows_one_group_is_the_ungrouped_call():
+    rng = RngStream(7).child("x").generator
+    hidden = rng.standard_normal(16)
+    support = np.array([1, 5, 6, 14])
+    rows = rng.standard_normal((3, support.size))
+    oracle = MeasurementOracle(hidden)
+    values = oracle.measure_rows(support, rows, groups=np.zeros(4, dtype=int), group_count=1)
+    assert values.shape == (3, 1)
+    assert oracle.cost == 3
+    assert np.array_equal(values[:, 0], MeasurementOracle(hidden).measure_rows(support, rows))
+
+
+def test_grouped_measure_rows_rejects_bad_groups():
+    oracle = MeasurementOracle(np.arange(8.0))
+    support, rows = np.array([0, 3, 5]), np.ones((2, 3))
     with pytest.raises(DimensionError):
-        oracle.measure_segments(support, rows, [0, 3, 7])
-    with pytest.raises(DimensionError):
-        oracle.measure_segments(support, rows, [1, 8])
-    with pytest.raises(DimensionError):
-        oracle.measure_segments(support, rows, [0, 5, 4, 8])
-    assert oracle.cost == 20
+        oracle.measure_rows(support, rows, groups=[0, 1], group_count=2)
+    with pytest.raises(ParameterError):
+        oracle.measure_rows(support, rows, groups=[0, 1, 2], group_count=2)
+    with pytest.raises(ParameterError):
+        oracle.measure_rows(support, rows, groups=[0, -1, 1], group_count=2)
+    with pytest.raises(ParameterError):
+        oracle.measure_rows(support, rows, groups=[0, 0, 0], group_count=0)
+    with pytest.raises(ParameterError):
+        oracle.measure_rows(support, rows, groups=[0, 0, 0])
+    assert oracle.cost == 0
 
 
 def test_charge_and_stage_accounting():
