@@ -20,12 +20,13 @@ exact law. ``tests/test_discover.py`` checks this pass statistically
 against a reference built from ``equi_hash``, ``precond`` per bucket and
 ``spot``.
 
-Both variants hold their candidate sets in one flat form: the sorted sets
-one after another in ``coords``, with boundaries ``cuts``. ``spot`` returns
-a set of at most one element unchanged, at no cost and without a draw, so
-those sets join the result in one slice and only larger ones go to
-``spot``; every stream is consumed as by a per-set loop. At desk scale all
-basic-variant buckets are singletons, and its pass calls ``spot`` never.
+Both variants hold their candidate sets in one flat form, built by
+``_candidate_sets``: the sorted sets one after another in ``coords``, with
+boundaries ``cuts``. ``spot`` returns a set of at most one element
+unchanged, at no cost and without a draw, so those sets join the result in
+one slice and only larger ones go to ``spot``; every stream is consumed as
+by a per-set loop. At desk scale all basic-variant buckets are singletons,
+and its pass calls ``spot`` never.
 
 The three random components (hashing, filtering, spotting) draw from
 children of ``rng`` with fixed labels, so they are independent of each
@@ -58,10 +59,12 @@ BASIC = "basic"
 PRECONDITIONED = "preconditioned"
 VARIANTS = (BASIC, PRECONDITIONED)
 
-# dominance constants required by spot at the two operating points, and the
-# sign measurements that lift sqrt(5)-dominance to the preconditioned one
-GAMMA_BASIC = spot_heavy_hitter_constant(1.0 / 3.0)
-GAMMA_PRECONDITIONED = spot_heavy_hitter_constant(1.0 / 4.0)
+# spot's failure probability at the two operating points, the dominance
+# constants it requires there, and the sign measurements that lift
+# sqrt(5)-dominance to the preconditioned one
+DELTA2 = {BASIC: 1.0 / 3.0, PRECONDITIONED: 1.0 / 4.0}
+GAMMA_BASIC = spot_heavy_hitter_constant(DELTA2[BASIC])
+GAMMA_PRECONDITIONED = spot_heavy_hitter_constant(DELTA2[PRECONDITIONED])
 PRECOND_MEASUREMENTS = precond_measurements(GAMMA_PRECONDITIONED, 1.0 / 5.0)  # 701
 
 
@@ -112,8 +115,9 @@ class DiscoverConfig:
             raise ParameterError(f"unknown variant {self.variant!r}")
         if not 1 <= self.buckets <= self.m:
             raise ParameterError("bucket count must lie in [1, m]")
-        if self.variant == PRECONDITIONED and self.precond_size < 1:
-            raise ParameterError("preconditioned variant needs precond_size >= 1")
+        if self.precond_size < 0 or (self.precond_size > 0) != (self.variant == PRECONDITIONED):
+            raise ParameterError("precond_size must be >= 1 for the preconditioned "
+                                 "variant and 0 for the basic one")
 
     @classmethod
     def for_sensitivity(cls, p: float, eps: float, m: int,
@@ -131,7 +135,7 @@ class DiscoverConfig:
     @property
     def delta2(self) -> float:
         """Failure probability that ``spot`` is run at."""
-        return 1.0 / 4.0 if self.variant == PRECONDITIONED else 1.0 / 3.0
+        return DELTA2[self.variant]
 
     @property
     def depth(self) -> int:
@@ -145,10 +149,7 @@ class DiscoverConfig:
 
 def discover_cost_cap(cfg: DiscoverConfig) -> int:
     """Hard upper bound on the oracle cost of one discover call."""
-    per_bucket = spot_cost_cap(cfg.spot_params)
-    if cfg.variant == PRECONDITIONED:
-        per_bucket += cfg.precond_size
-    return cfg.buckets * per_bucket
+    return cfg.buckets * (cfg.precond_size + spot_cost_cap(cfg.spot_params))
 
 
 def _spot_survivors(oracle, coords, cuts, params, spot_rng):
@@ -161,23 +162,24 @@ def _spot_survivors(oracle, coords, cuts, params, spot_rng):
     return np.unique(np.concatenate(hits))
 
 
+def _candidate_sets(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream):
+    """The pass's candidate sets before ``spot``, as ``(coords, cuts)``: the
+    sorted sets one after another in ``coords``, with boundaries ``cuts``."""
+    if cfg.variant == BASIC:
+        hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
+        coords = np.argsort(hashed, kind="stable")  # ascending inside each bucket
+        return coords, _equi_bounds(cfg.m, cfg.buckets)
+    nonzero = oracle.nonzero_indices()
+    groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
+    return sign_filter(
+        oracle, nonzero, groups, np.diff(bounds), cfg.precond_size, rng.child("precond"),
+        lambda: np.setdiff1d(np.arange(cfg.m), nonzero, assume_unique=True),
+    )
+
+
 def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream) -> np.ndarray:
     """Run one detection pass; returns the sorted set of detected coordinates."""
     if oracle.dimension != cfg.m:
         raise DimensionError("oracle dimension does not match the configuration")
-    params = cfg.spot_params
-    spot_rng = rng.child("spot")
-
-    if cfg.variant == BASIC:
-        hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
-        coords = np.argsort(hashed, kind="stable")  # ascending inside each bucket
-        return _spot_survivors(oracle, coords, _equi_bounds(cfg.m, cfg.buckets),
-                               params, spot_rng)
-
-    nonzero = oracle.nonzero_indices()
-    groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
-    coords, cuts = sign_filter(
-        oracle, nonzero, groups, np.diff(bounds), cfg.precond_size, rng.child("precond"),
-        lambda: np.setdiff1d(np.arange(cfg.m), nonzero, assume_unique=True),
-    )
-    return _spot_survivors(oracle, coords, cuts, params, spot_rng)
+    coords, cuts = _candidate_sets(oracle, cfg, rng)
+    return _spot_survivors(oracle, coords, cuts, cfg.spot_params, rng.child("spot"))

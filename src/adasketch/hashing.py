@@ -11,7 +11,12 @@ Hash vectors are plain int64 arrays with values in [1, D]. Two families:
   (the nonzero ones) in O(count).
 * ``pairwise_hash`` uses the affine family ((a*i + b) mod P) folded onto
   [1, D]; marginals are near-uniform and any two distinct coordinates
-  collide with probability at most 1/D up to O(D/P) rounding slack.
+  collide with probability at most 1/D up to O(D/P) rounding slack. It
+  labels only the coordinates it is given, and it is the label draw of each
+  intermediate ``spot`` step.
+
+Each family has one draw path, used by the algorithms and by the tests of
+its law alike: a Monte Carlo check stacks single draws from one stream.
 """
 
 from __future__ import annotations
@@ -51,21 +56,16 @@ def _check_bucket_args(m: int, buckets: int, require_le_m: bool):
         raise ParameterError("equi-hash requires bucket count <= m")
 
 
-def equi_hash(m: int, buckets: int, rng: RngStream, draws: int | None = None) -> np.ndarray:
+def equi_hash(m: int, buckets: int, rng: RngStream) -> np.ndarray:
     """Hash values ceil(rank * D / m) for a uniform random ranking of [0, m).
 
-    Returns shape (m,) for a single draw, or (draws, m) when ``draws`` is
-    given (independent draws, e.g. for Monte Carlo verification). Hash value
-    d + 1 holds the coordinates of 0-based rank r in [bounds[d], bounds[d+1])
-    for ``bounds = _equi_bounds(m, D)``: ceil((r+1) D / m) = d + 1 exactly
-    when floor(d m / D) <= r < floor((d+1) m / D).
+    Hash value d + 1 holds the coordinates of 0-based rank r in
+    [bounds[d], bounds[d+1]) for ``bounds = _equi_bounds(m, D)``:
+    ceil((r+1) D / m) = d + 1 exactly when
+    floor(d m / D) <= r < floor((d+1) m / D).
     """
     _check_bucket_args(m, buckets, require_le_m=True)
-    gen = rng.generator
-    if draws is None:
-        ranks = gen.permutation(m) + 1
-    else:
-        ranks = gen.permuted(np.tile(np.arange(1, m + 1), (int(draws), 1)), axis=1)
+    ranks = rng.generator.permutation(m) + 1
     return (ranks * buckets + m - 1) // m
 
 
@@ -95,7 +95,7 @@ def equi_buckets_of(m: int, buckets: int, count: int, rng: RngStream):
 def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarray:
     """((a*i + b) mod prime) folded to [1, buckets] by floor(residue*D/prime)+1."""
     idx = np.asarray(indices, dtype=np.int64)
-    if prime * max(buckets, 1) < 2**62 and (int(idx.max(initial=0)) + 1) * a < 2**62:
+    if prime * buckets < 2**62 and (int(idx.max(initial=0)) + 1) * a < 2**62:
         residues = (a * idx + b) % prime
         vals = residues * buckets // prime + 1
     else:
@@ -107,25 +107,12 @@ def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarr
     return np.minimum(vals, buckets)
 
 
-def draw_affine(gen: np.random.Generator, prime: int) -> tuple[int, int]:
-    a = int(gen.integers(1, prime))
-    b = int(gen.integers(0, prime))
-    return a, b
-
-
-def pairwise_hash(m: int, buckets: int, rng: RngStream, draws: int | None = None) -> np.ndarray:
-    """Hash vector(s) with pairwise-independent entries, uniform-ish on [1, D]."""
+def pairwise_hash(indices, m: int, buckets: int, rng: RngStream) -> np.ndarray:
+    """Labels in [1, D] of ``indices``, coordinates of [0, m), under one
+    draw (a, b) of the affine family modulo P = next_prime(max(m, D))."""
     _check_bucket_args(m, buckets, require_le_m=False)
     prime = next_prime(max(m, buckets))
     gen = rng.generator
-    idx = np.arange(m, dtype=np.int64)
-    if draws is None:
-        a, b = draw_affine(gen, prime)
-        return affine_values(idx, a, b, prime, buckets)
-    a = gen.integers(1, prime, size=int(draws))
-    b = gen.integers(0, prime, size=int(draws))
-    if prime * buckets >= 2**62 or prime * max(m, 1) >= 2**62:
-        rows = [affine_values(idx, int(ai), int(bi), prime, buckets) for ai, bi in zip(a, b)]
-        return np.vstack(rows)
-    residues = (a[:, None] * idx[None, :] + b[:, None]) % prime
-    return np.minimum(residues * buckets // prime + 1, buckets)
+    a = int(gen.integers(1, prime))
+    b = int(gen.integers(0, prime))
+    return affine_values(indices, a, b, prime, buckets)

@@ -1,13 +1,14 @@
 """Isolating a single dominant coordinate inside a candidate set.
 
-``spot`` runs a chain of two-measurement shrinking steps. Each step hashes
-the current candidates into sub-buckets, measures y1 = <g, x> and
-y2 = <g * label, x> with fresh Gaussian weights g, and keeps the sub-bucket
-whose label the ratio y2/y1 rounds to: when one coordinate carries almost
-all the mass of the set, the ratio concentrates at that coordinate's label.
-The last step labels the surviving candidates injectively, so the output
-has at most one element. A step budget of ``depth`` intermediate shrinks
-keeps the cost of one spot call at most 2 * (depth + 1) measurements.
+``spot`` runs a chain of two-measurement shrinking steps. Each intermediate
+step labels the current candidates with one ``pairwise_hash`` draw into the
+step's sub-bucket count, measures y1 = <g, x> and y2 = <g * label, x> with
+fresh Gaussian weights g, and keeps the sub-bucket whose label the ratio
+y2/y1 rounds to: when one coordinate carries almost all the mass of the set,
+the ratio concentrates at that coordinate's label. The last step labels the
+surviving candidates injectively, so the output has at most one element.
+A step budget of ``depth`` intermediate shrinks keeps the cost of one spot
+call at most 2 * (depth + 1) measurements.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hashing import affine_values, draw_affine, next_prime
+from .hashing import pairwise_hash
 from .oracle import MeasurementOracle
 from .rng import RngStream
 
@@ -108,8 +109,8 @@ def spot(oracle: MeasurementOracle, candidates, params: SpotParams,
     """Return at most one candidate from ``candidates`` (empty set on failure).
 
     Sets of size <= 1 are returned immediately at zero cost. Otherwise each
-    intermediate step hashes the current set with pairwise-independent
-    labels into the step's scheduled sub-bucket count and shrinks; the final
+    intermediate step labels the current set with one ``pairwise_hash`` draw
+    into the step's scheduled sub-bucket count and shrinks; the final
     step enumerates the survivors injectively. If survivors still outnumber
     the final schedule slot (possible only when the caller's set exceeds the
     depth's design size), the attempt counts as a failure.
@@ -117,13 +118,9 @@ def spot(oracle: MeasurementOracle, candidates, params: SpotParams,
     current = np.asarray(candidates, dtype=np.intp)
     if current.size <= 1:
         return current.copy()
-    gen = rng.generator
-    domain = oracle.dimension
     for step in range(params.depth):
         label_count = shrink_schedule(step, params.delta2)
-        prime = next_prime(max(domain, label_count))
-        a, b = draw_affine(gen, prime)
-        labels = affine_values(current, a, b, prime, label_count)
+        labels = pairwise_hash(current, oracle.dimension, label_count, rng)
         current = shrink(oracle, current, labels, label_count, rng)
         if current.size <= 1:
             return current

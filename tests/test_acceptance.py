@@ -80,7 +80,7 @@ def test_criterion_02_equi_hash_law():
         picker = np.random.Generator(np.random.PCG64(2024))
 
         def check(m, d, draws, pair_rng):
-            batch = equi_hash(m, d, pair_rng, draws=draws)
+            batch = np.array([equi_hash(m, d, pair_rng) for _ in range(draws)])
             lo, hi = m // d, -(-m // d)
             flat = batch + np.arange(draws)[:, None] * (d + 1)
             counts = np.bincount(flat.ravel(), minlength=draws * (d + 1))

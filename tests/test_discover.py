@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -13,24 +12,17 @@ from adasketch.discover import (
     PRECOND_MEASUREMENTS,
     PRECONDITIONED,
     DiscoverConfig,
+    _candidate_sets,
     bucket_count,
     discover,
     discover_cost_cap,
 )
 from adasketch.errors import ParameterError
-from adasketch.hashing import equi_buckets_of, equi_hash
+from adasketch.hashing import equi_hash
 from adasketch.oracle import MeasurementOracle
-from adasketch.precondition import (
-    precond,
-    precond_measurements,
-    sign_filter,
-    sign_tail_probability,
-)
+from adasketch.precondition import precond, precond_measurements, sign_tail_probability
 from adasketch.rng import RngStream
 from adasketch.spotting import shrink_depth, spot, spot_heavy_hitter_constant
-
-# the package re-exports the function ``discover`` under the module's name
-discover_module = importlib.import_module("adasketch.discover")
 
 
 def stream(label, seed=99):
@@ -90,6 +82,14 @@ def test_config_derivation():
     assert basic.delta2 == pytest.approx(1 / 3)
     assert basic.precond_size == 0
     assert basic.buckets == 2**14  # capped: constant is huge at desk scale
+
+
+def test_config_rejects_a_filter_size_off_its_variant():
+    # the basic variant takes no sign measurements, the preconditioned one some
+    cfg = DiscoverConfig.with_buckets(0.5, 2**12, 60, BASIC)
+    for variant, size in ((BASIC, 1), (PRECONDITIONED, 0), (BASIC, -1)):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(cfg, variant=variant, precond_size=size)
 
 
 def test_cost_caps_formulae():
@@ -214,20 +214,14 @@ def test_one_stream_replays_one_pass():
     assert any(not np.array_equal(fresh[0], other) for other in fresh[1:])
 
 
+def sets_of(coords, cuts):
+    return [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def per_set_pass(oracle, cfg, rng):
     """``discover`` with its candidate sets handed to ``spot`` one by one, in
     ascending set order, singletons included. Returns (found, set sizes)."""
-    if cfg.variant == BASIC:
-        hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
-        sets = [np.flatnonzero(hashed == d) for d in range(1, cfg.buckets + 1)]
-    else:
-        nonzero = oracle.nonzero_indices()
-        groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size,
-                                         rng.child("hash"))
-        coords, cuts = sign_filter(
-            oracle, nonzero, groups, np.diff(bounds), cfg.precond_size,
-            rng.child("precond"), lambda: np.setdiff1d(np.arange(cfg.m), nonzero))
-        sets = [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    sets = sets_of(*_candidate_sets(oracle, cfg, rng))
     spot_rng = rng.child("spot")
     hits = [spot(oracle, s, cfg.spot_params, spot_rng) for s in sets]
     found = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.intp)
@@ -291,24 +285,10 @@ def reference_pass(oracle, cfg, rng):
     return found, survivor_sets
 
 
-@pytest.fixture
-def filter_survivors(monkeypatch):
-    """Record every survivor set that ``sign_filter`` returns to ``discover``."""
-    seen = []
-    real_filter = discover_module.sign_filter
-
-    def recording_filter(*args, **kwargs):
-        coords, cuts = real_filter(*args, **kwargs)
-        seen.extend(coords[a:b].copy() for a, b in zip(cuts[:-1], cuts[1:]))
-        return coords, cuts
-
-    monkeypatch.setattr(discover_module, "sign_filter", recording_filter)
-    return seen
-
-
-def _pass_records(x, cfg, trials, label, seen=None):
-    """Per-pass records of independent passes: the fast ``discover`` path
-    when ``seen`` (its recorded survivor sets) is given, else the reference."""
+def _pass_records(x, cfg, trials, label, fast):
+    """Per-pass records of independent passes: the fast ``discover`` path,
+    with its survivor sets replayed from the same stream on a second oracle,
+    when ``fast`` is true, else the reference."""
     root = stream(label)
     live = np.flatnonzero(x)
     detected = np.zeros((trials, live.size), dtype=bool)
@@ -317,12 +297,11 @@ def _pass_records(x, cfg, trials, label, seen=None):
     for t in range(trials):
         oracle = MeasurementOracle(x)
         rng = root.child_at("trial", t)
-        if seen is None:
-            found, sets = reference_pass(oracle, cfg, rng)
-        else:
-            seen.clear()
+        if fast:
             found = discover(oracle, cfg, rng)
-            sets = list(seen)
+            sets = sets_of(*_candidate_sets(MeasurementOracle(x), cfg, rng))
+        else:
+            found, sets = reference_pass(oracle, cfg, rng)
         assert oracle.stage_costs()["precond"] == cfg.precond_size * cfg.buckets
         assert oracle.cost <= discover_cost_cap(cfg)
         pooled = np.concatenate(sets) if sets else np.empty(0, dtype=np.intp)
@@ -355,9 +334,9 @@ def _homogeneity_pvalue(a, b, min_pooled=20):
     return chi2_contingency(table).pvalue
 
 
-def _assert_same_law(x, cfg, trials, label, seen):
-    fast_detected, fast = _pass_records(x, cfg, trials, f"{label}-fast", seen)
-    ref_detected, ref = _pass_records(x, cfg, trials, f"{label}-ref")
+def _assert_same_law(x, cfg, trials, label):
+    fast_detected, fast = _pass_records(x, cfg, trials, f"{label}-fast", True)
+    ref_detected, ref = _pass_records(x, cfg, trials, f"{label}-ref", False)
     for j, coordinate in enumerate(np.flatnonzero(x)):
         p_value = _homogeneity_pvalue(fast_detected[:, j], ref_detected[:, j])
         assert p_value >= ALPHA, (label, "detection", coordinate, p_value)
@@ -367,17 +346,17 @@ def _assert_same_law(x, cfg, trials, label, seen):
     return fast_detected, fast
 
 
-def test_fast_pass_matches_reference_on_sparse_spikes(filter_survivors):
+def test_fast_pass_matches_reference_on_sparse_spikes():
     m = 2**10
     cfg = DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED)
     x = np.zeros(m)
     x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
-    detected, records = _assert_same_law(x, cfg, 600, "eq-spikes", filter_survivors)
+    detected, records = _assert_same_law(x, cfg, 600, "eq-spikes")
     assert detected[:, 0].mean() >= 0.5  # the spike above eps
     assert records["zero_survivors"].sum() == 0  # tail ~3.7e-76 per bucket
 
 
-def test_fast_pass_matches_reference_with_exact_cancellation(filter_survivors):
+def test_fast_pass_matches_reference_with_exact_cancellation():
     # two buckets of 16; when +-0.5 share one, every row with equal signs
     # measures exactly 0.0 and takes sign +1. k = 12 keeps the survivor
     # counts non-degenerate and lets zero candidates through the tail.
@@ -386,12 +365,12 @@ def test_fast_pass_matches_reference_with_exact_cancellation(filter_survivors):
         DiscoverConfig.with_buckets(0.25, m, 2, PRECONDITIONED), precond_size=12)
     x = np.zeros(m)
     x[3], x[11] = 0.5, -0.5
-    detected, records = _assert_same_law(x, cfg, 2000, "eq-cancel", filter_survivors)
+    detected, records = _assert_same_law(x, cfg, 2000, "eq-cancel")
     assert 0.3 <= detected[:, 0].mean() <= 0.9
     assert records["zero_survivors"].sum() > 0
 
 
-def test_fast_pass_matches_reference_when_the_zero_tail_fires(filter_survivors):
+def test_fast_pass_matches_reference_when_the_zero_tail_fires():
     m, trials = 2**10, 400
     cfg = dataclasses.replace(
         DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
@@ -399,7 +378,7 @@ def test_fast_pass_matches_reference_when_the_zero_tail_fires(filter_survivors):
     assert tail == pytest.approx(0.21875)
     x = np.zeros(m)
     x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
-    _, records = _assert_same_law(x, cfg, trials, "eq-tail", filter_survivors)
+    _, records = _assert_same_law(x, cfg, trials, "eq-tail")
     # extras are distinct zero coordinates (checked per pass above), and the
     # branch fires in nearly every pass at rate tail per zero coordinate
     zero_kept = records["zero_survivors"]

@@ -19,6 +19,15 @@ def stream(label, seed=1234):
     return RngStream(seed).child(label)
 
 
+def stacked_draws(family, m, d, label, trials):
+    """``trials`` single draws of one family from one stream, one per row."""
+    rng = stream(label)
+    if family == "equi":
+        return np.array([equi_hash(m, d, rng) for _ in range(trials)])
+    idx = np.arange(m)
+    return np.array([pairwise_hash(idx, m, d, rng) for _ in range(trials)])
+
+
 def test_next_prime():
     assert [next_prime(n) for n in (1, 2, 3, 4, 10, 64, 100)] == [2, 2, 3, 5, 11, 67, 101]
 
@@ -36,7 +45,7 @@ def test_equi_hash_bucket_size_law_examples():
 def test_equi_hash_law_holds_on_a_grid():
     for m in (1, 2, 7, 16, 33, 100):
         for d in {1, min(2, m), min(3, m), m // 2 or 1, m}:
-            batch = equi_hash(m, d, stream(f"{m}-{d}"), draws=20)
+            batch = stacked_draws("equi", m, d, f"{m}-{d}", 20)
             lo, hi = m // d, -(-m // d)
             for row in batch:
                 sizes = np.bincount(row, minlength=d + 1)[1:]
@@ -85,14 +94,25 @@ def test_equi_buckets_of_follows_the_restricted_law():
 
 
 def test_pairwise_hash_degenerate_cases():
-    assert np.array_equal(pairwise_hash(5, 1, stream("pw1")), np.ones(5, dtype=int))
-    v = pairwise_hash(1, 7, stream("pw2"))
+    assert np.array_equal(pairwise_hash(np.arange(5), 5, 1, stream("pw1")),
+                          np.ones(5, dtype=int))
+    v = pairwise_hash([0], 1, 7, stream("pw2"))
     assert v.shape == (1,) and 1 <= v[0] <= 7
+    assert pairwise_hash([], 9, 4, stream("pw3")).shape == (0,)
+
+
+def test_pairwise_hash_labels_the_given_coordinates_of_one_draw():
+    # labelling a subset draws the same (a, b) as labelling all of [0, m)
+    m, d = 1000, 3072
+    full = pairwise_hash(np.arange(m), m, d, stream("pw-sub"))
+    some = np.array([3, 17, 400, 999])
+    assert np.array_equal(pairwise_hash(some, m, d, stream("pw-sub")), full[some])
+    assert full.min() >= 1 and full.max() <= d
 
 
 def test_pairwise_collision_rate_m2_d2():
     # exact collision probability is at most 1/D = 0.5
-    batch = pairwise_hash(2, 2, stream("pwc"), draws=100_000)
+    batch = stacked_draws("pairwise", 2, 2, "pwc", 100_000)
     rate = np.mean(batch[:, 0] == batch[:, 1])
     assert rate <= 0.5 + 0.01
 
@@ -100,11 +120,7 @@ def test_pairwise_collision_rate_m2_d2():
 @pytest.mark.parametrize("draw", ["equi", "pairwise"])
 def test_pairwise_collision_bound_both_families(draw):
     m, d, trials = 64, 8, 100_000
-    label = f"coll-{draw}"
-    if draw == "equi":
-        batch = equi_hash(m, d, stream(label), draws=trials)
-    else:
-        batch = pairwise_hash(m, d, stream(label), draws=trials)
+    batch = stacked_draws(draw, m, d, f"coll-{draw}", trials)
     margin = 4 * math.sqrt((1 / d) * (1 - 1 / d) / trials)
     for i, j in ((0, 1), (3, 40), (17, 63)):
         rate = np.mean(batch[:, i] == batch[:, j])
@@ -122,11 +138,7 @@ def test_subvector_norm_tail_bound(alpha, draw, p=1.5):
     rest = v.copy()
     rest[j] = 0.0
     threshold = (alpha * d) ** (-1 / p) * lp_norm(rest, p)
-    label = f"tail-{draw}-{alpha}"
-    if draw == "equi":
-        batch = equi_hash(m, d, stream(label), draws=trials)
-    else:
-        batch = pairwise_hash(m, d, stream(label), draws=trials)
+    batch = stacked_draws(draw, m, d, f"tail-{draw}-{alpha}", trials)
     same = batch == batch[:, [j]]
     same[:, j] = False
     exceed = 0
@@ -150,7 +162,7 @@ def test_heavy_hitter_isolation_event():
         v[j] = 0.0
         v *= (1 - eps) / lp_norm(v, p)
         v[j] = eps
-        batch = equi_hash(m, d, stream("hh"), draws=trials)
+        batch = stacked_draws("equi", m, d, "hh", trials)
         same = batch == batch[:, [j]]
         same[:, j] = False
         mass = same @ (v * v)

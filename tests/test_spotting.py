@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from adasketch import spotting
+from adasketch.discover import BASIC, DiscoverConfig, discover
 from adasketch.errors import ParameterError
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.rng import RngStream
@@ -229,3 +231,42 @@ def test_spot_heavy_hitter_boundary_monte_carlo():
         hits += got.size == 1 and got[0] == j
     margin = 3 * math.sqrt((2 / 3) * (1 / 3) / trials)
     assert hits / trials >= 2 / 3 - margin
+
+
+def test_spot_stream_use_is_pinned():
+    """Outputs and costs of seeded ``spot`` calls and basic passes, pinned by
+    their sha256.
+
+    Sets of two or more elements are the only ones ``spot`` draws on, so
+    this pins how it consumes its stream: 400 calls at depth 1 to 4 on sets
+    of 2 to 400 elements, each holding one spike of random size in a dense
+    vector, then 20 basic discover passes at depth 3. A refactor that draws
+    as before leaves the digest unchanged.
+    """
+    digest = hashlib.sha256()
+
+    def record(found, oracle):
+        digest.update(np.asarray(found, dtype=np.int64).tobytes())
+        digest.update(repr(sorted(oracle.stage_costs().items())).encode())
+
+    gen = stream("pin-x").generator
+    rng = stream("pin")
+    for trial in range(400):
+        m = int(gen.integers(400, 5000))
+        size = int(gen.integers(2, 401))
+        x = gen.standard_normal(m) * (gen.random(m) < 0.5)
+        candidates = np.sort(gen.choice(m, size=size, replace=False))
+        x[candidates[0]] = gen.exponential(30.0)  # dominant or not
+        oracle = MeasurementOracle(x)
+        params = SpotParams(1 / 3 if trial % 2 else 1 / 4, 1 + trial % 4)
+        record(spot(oracle, candidates, params, rng), oracle)
+    cfg = DiscoverConfig.with_buckets(0.25, 2**16, 32, BASIC)
+    assert cfg.depth == 3
+    gen = stream("pin-pass-x").generator
+    rng = stream("pin-pass")
+    for t in range(20):
+        x = gen.standard_normal(cfg.m) * (gen.random(cfg.m) < 0.001)
+        oracle = MeasurementOracle(x)
+        record(discover(oracle, cfg, rng.child_at("trial", t)), oracle)
+    assert digest.hexdigest() == (
+        "dc871127c4690e8ef90b780cb62a479c25128550cce76fdea2c720e367ed27e4")
