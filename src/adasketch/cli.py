@@ -5,7 +5,8 @@ Subcommands: ``adaptive``, ``nonadaptive``, ``compare``, ``params``,
 flat key=value config file via ``--config``, whose values are parsed exactly
 like flags (explicit flags override the file). Results are written as
 UTF-8 CSV with a header row; the exit code is 0 on success, 1 on a cost-cap
-violation, 2 on a parameter error.
+violation (the first trial over its method's cap stops the run), 2 on a
+parameter error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .harness import (
     PARAM_COLUMNS,
     ExperimentConfig,
     compare_methods,
-    cost_audit,
+    estimate_error,
     estimate_row,
     make_method,
     param_table,
@@ -206,13 +207,16 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    """Per-stage cost totals of a run; a trial over the cap raises, and main exits 1."""
     method = _method(args, args.method or "adaptive")
-    cfg = ExperimentConfig(method=method, family=_family(args), m=args.m,
-                           q=args.q, trials=args.trials, seed=args.seed)
-    report = cost_audit(cfg)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    est = estimate_error(ExperimentConfig(method=method, family=_family(args), m=args.m,
+                                          q=args.q, trials=args.trials, seed=args.seed))
+    print(f"method {method.name}: cap {method.cap}, max cost {est.max_cost}, "
+          f"mean cost {est.mean_cost:.2f} -> OK")
+    print("  hashing: 0 (draws no information)")
+    for stage in sorted(est.stage_costs):
+        print(f"  {stage}: {est.stage_costs[stage]}")
+    return 0
 
 
 _COMMANDS = {

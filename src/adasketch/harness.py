@@ -1,12 +1,14 @@
-"""Experiment driver: Monte Carlo error estimation, cost audits, parameter
-tables, and CSV comparisons of adaptive vs non-adaptive methods.
+"""Experiment driver: Monte Carlo error estimation, parameter tables, and CSV
+comparisons of adaptive vs non-adaptive methods.
 
 Each trial draws a fresh vector from the family (a stream derived only from
 seed, family and trial index, so different methods see identical inputs),
 runs the method against a fresh oracle, and records the l_q error and the
 measured cost. Every trial hard-asserts the measured cost against the
-method's closed-form cap. Identical configurations (including the seed)
-produce byte-identical CSV output.
+method's closed-form cap: the first trial over it raises
+:class:`CapViolationError`, naming the trial and its per-stage costs.
+Identical configurations (including the seed) produce byte-identical CSV
+output.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def _resolve_method(name, m, p, q, budget, levels, reps, variant) -> Method:
     if name in ("linsketch", "linsketch_denoised"):
         if budget is None:
             raise ParameterError(f"{name} needs --budget")
-        if budget == 0:
+        if budget == 0 or (name == "linsketch_denoised"
+                           and nonadaptive.linsketch_keep_count(m, budget, p) == 0):
             return Method(name, 0, _zero)
         if name == "linsketch":
             runner = lambda oracle, rng: nonadaptive.linsketch(oracle, budget, rng)
@@ -179,18 +182,24 @@ def _trial_streams(seed: int, family: VectorFamily, method_name: str, t: int):
 
 
 def _trials(cfg: ExperimentConfig):
-    """Run the trials of ``cfg`` in order, yielding each one's l_q error and oracle."""
+    """Run the trials of ``cfg`` in order, yielding each one's l_q error and oracle;
+    raises :class:`CapViolationError` at the first trial that cost more than the cap."""
     for t in range(cfg.trials):
         vec_rng, method_rng = _trial_streams(cfg.seed, cfg.family,
                                              cfg.method.name, t)
         x = gen_vector(cfg.family, cfg.m, vec_rng)
         oracle = MeasurementOracle(x)
         out = cfg.method.run(oracle, method_rng)
+        if oracle.cost > cfg.method.cap:
+            raise CapViolationError(
+                f"{cfg.method.name}: trial {t} cost {oracle.cost} exceeds cap "
+                f"{cfg.method.cap} (stages {oracle.stage_costs()})")
         yield lp_norm(x - out, cfg.q), oracle
 
 
-def _estimate(cfg: ExperimentConfig) -> ErrorEstimate:
-    """Fold the trials of ``cfg`` into one estimate; the cap is not checked."""
+def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
+    """Monte Carlo l_q error and cost of one method on one family; raises
+    :class:`CapViolationError` at the first trial that cost more than the method's cap."""
     errors, costs, stage_totals = [], [], Counter()
     for error, oracle in _trials(cfg):
         errors.append(error)
@@ -208,44 +217,6 @@ def _estimate(cfg: ExperimentConfig) -> ErrorEstimate:
         max_cost=int(costs.max()),
         stage_costs=dict(stage_totals),
     )
-
-
-def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
-    """Monte Carlo l_q error and cost of one method on one family; raises
-    :class:`CapViolationError` if any trial cost more than the method's cap."""
-    est = _estimate(cfg)
-    if est.max_cost > cfg.method.cap:
-        raise CapViolationError(
-            f"{cfg.method.name}: cost {est.max_cost} exceeds cap {cfg.method.cap}")
-    return est
-
-
-@dataclass
-class AuditReport:
-    method: Method
-    estimate: ErrorEstimate
-
-    @property
-    def ok(self) -> bool:
-        return self.estimate.max_cost <= self.method.cap
-
-    def lines(self):
-        est = self.estimate
-        yield f"method {self.method.name}: cap {self.method.cap}, max cost {est.max_cost}, " \
-              f"mean cost {est.mean_cost:.2f} -> {'OK' if self.ok else 'CAP VIOLATION'}"
-        yield "  hashing: 0 (draws no information)"
-        for stage in sorted(est.stage_costs):
-            yield f"  {stage}: {est.stage_costs[stage]}"
-
-
-def cost_audit(cfg: ExperimentConfig) -> AuditReport:
-    """Check measured costs against the declared cap; report per-stage totals.
-
-    Unlike :func:`estimate_error` this never raises on a violation: the
-    report carries the verdict so callers can surface it (the CLI exits
-    nonzero).
-    """
-    return AuditReport(cfg.method, _estimate(cfg))
 
 
 def param_table(p: float, q: float, m: int, eps_values=None, budgets=None,

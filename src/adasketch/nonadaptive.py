@@ -138,20 +138,21 @@ def denoised_countsketch(oracle: MeasurementOracle, level: int, rng: RngStream) 
     return keep_largest(z, 2 ** level)
 
 
+def linsketch_keep_count(m: int, n: int, p: float) -> int:
+    """Entries k = floor((n / (m^(1-2/p) log m))^(p/2)) that the denoised Gaussian
+    sketch keeps; at k = 0 it cannot beat the zero method."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    noise = m ** (1.0 - 2.0 / p) * math.log(m) / n
+    return math.floor(noise ** (-p / 2.0)) if noise > 0 else m
+
+
 def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float,
                        rng: RngStream) -> np.ndarray:
     """Gaussian sketch with n measurements, then keep the top
-    k = floor((n / (m^(1-2/p) log m))^(p/2)) entries.
-
-    When k = 0 the sketch cannot beat the trivial method, so this falls
-    back to the zero algorithm (no measurements, output 0).
-    """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    ``linsketch_keep_count(m, n, p)`` entries; a count of 0 is a parameter error."""
     m = oracle.dimension
-    noise = m ** (1.0 - 2.0 / p) * math.log(m) / n
-    k = math.floor(noise ** (-p / 2.0)) if noise > 0 else m
+    k = linsketch_keep_count(m, n, p)
     if k == 0:
-        return np.zeros(m)
-    z = linsketch(oracle, n, rng)
-    return keep_largest(z, k)
+        raise ParameterError(f"{n} Gaussian measurements keep no entry at m = {m}, p = {p}")
+    return keep_largest(linsketch(oracle, n, rng), k)

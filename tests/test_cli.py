@@ -1,9 +1,13 @@
 import csv
 import hashlib
+import types
+from dataclasses import replace
 
 import pytest
 
+from adasketch import cli
 from adasketch.cli import _COMMAND_FLAGS, main, read_config
+from adasketch.harness import make_method
 
 
 def run(argv):
@@ -66,13 +70,23 @@ def test_params_subcommand(tmp_path):
     assert rows[0]["L"] == "9" and rows[0]["R"] == "2"
 
 
-def test_audit_subcommand_exit_codes(capsys):
-    code = run([
-        "audit", "--method", "linsketch", "--m", "64", "--budget", "128",
-        "--family", "spikes:4", "--trials", "5",
-    ])
-    assert code == 0
-    assert "OK" in capsys.readouterr().out
+def test_audit_subcommand_exit_codes(capsys, monkeypatch):
+    argv = ["audit", "--method", "linsketch", "--m", "64", "--budget", "128",
+            "--family", "spikes:4", "--trials", "5"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (
+        "method linsketch: cap 128, max cost 128, mean cost 128.00 -> OK\n"
+        "  hashing: 0 (draws no information)\n"
+        "  linsketch: 640\n")
+    # a method whose declared cap is below what it spends: the first trial
+    # stops the run, and main reports it with exit code 1
+    monkeypatch.setattr(cli, "make_method",
+                        lambda *args, **knobs: replace(make_method(*args, **knobs), cap=100))
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("cap violation: linsketch: trial 0 cost 128 exceeds cap 100 "
+                            "(stages {'linsketch': 128})\n")
 
 
 def test_compare_subcommand_and_reproducibility(tmp_path, capsys):
@@ -322,3 +336,35 @@ def test_compare_csv_digest_is_pinned(capsys):
                 "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == "786f82bd0f3ecffeb425bb21951257c5e083a8f68e4198963b292c0f4eac4553"
+
+
+def test_audit_output_is_pinned(capsys):
+    """The stdout and exit code of four ``audit`` runs, pinned by their sha256.
+
+    They cover the adaptive variants and both denoised baselines; a refactor
+    of the cap check or of how ``audit`` prints leaves the digest unchanged.
+    """
+    digest = hashlib.sha256()
+    for argv in (
+        ["--m", "4096", "--budget", "50000", "--family", "spikes:4", "--trials", "5"],
+        ["--m", "4096", "--L", "2", "--variant", "basic", "--family", "uniform_ball",
+         "--trials", "3"],
+        ["--method", "countsketch_denoised", "--m", "1024", "--budget", "20000",
+         "--family", "spikes:4", "--trials", "5"],
+        ["--method", "linsketch_denoised", "--m", "256", "--budget", "300",
+         "--family", "spikes:4", "--trials", "5"],
+    ):
+        code = run(["audit", *argv])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+    assert digest.hexdigest() == (
+        "e6741c85ba080852f76fd469e62b4dc391dd56fe371f49a214830d008ac98ec6")
+
+
+def test_each_name_has_one_import_path():
+    # the package binds its modules, never a function that shadows one
+    import adasketch
+    import adasketch.discover as discover_module
+
+    assert isinstance(discover_module, types.ModuleType)
+    for name in ("harness", "adaptive", "nonadaptive", "families"):
+        assert isinstance(getattr(adasketch, name), types.ModuleType), name

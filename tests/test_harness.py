@@ -13,7 +13,6 @@ from adasketch.harness import (
     ExperimentConfig,
     Method,
     compare_methods,
-    cost_audit,
     estimate_error,
     make_method,
     param_table,
@@ -118,10 +117,10 @@ def test_cost_audit_spot_cap():
         return np.zeros(oracle.dimension)
 
     method = Method("spot", 14, run_spot)
-    report = cost_audit(config(method, family="uniform_ball", m=200, trials=200))
-    assert report.ok and report.estimate.max_cost <= 14
-    assert list(report.estimate.stage_costs) == ["spot"]  # every shrink step is labelled
-    assert report.estimate.stage_costs["spot"] / 200 == report.estimate.mean_cost
+    est = estimate_error(config(method, family="uniform_ball", m=200, trials=200))
+    assert est.max_cost <= 14
+    assert list(est.stage_costs) == ["spot"]  # every shrink step is labelled
+    assert est.stage_costs["spot"] / 200 == est.mean_cost
 
 
 def test_cost_audit_preconditioned_discover_cap():
@@ -135,27 +134,36 @@ def test_cost_audit_preconditioned_discover_cap():
         return np.zeros(oracle.dimension)
 
     method = Method("discover", 60 * (703 + 8), run_discover)
-    report = cost_audit(config(method, family="spikes:4", m=m, p=2.0, trials=20))
-    assert report.ok
-    assert report.estimate.max_cost <= 42660
-    assert report.estimate.stage_costs["precond"] == 20 * 60 * 701
+    est = estimate_error(config(method, family="spikes:4", m=m, p=2.0, trials=20))
+    assert est.max_cost <= 42660
+    assert est.stage_costs["precond"] == 20 * 60 * 701
 
 
 def test_cost_audit_linsketch_exact_cost():
     method = make_method("linsketch", 64, 1.0, 2.0, budget=128)
-    report = cost_audit(config(method, m=64, trials=10))
-    assert report.ok
-    assert report.estimate.max_cost == 128 and report.estimate.mean_cost == 128
-    lines = list(report.lines())
-    assert any("hashing: 0" in line for line in lines)
+    est = estimate_error(config(method, m=64, trials=10))
+    assert est.max_cost == 128 and est.mean_cost == 128
+    assert est.stage_costs == {"linsketch": 1280}
 
 
 def test_cost_audit_flags_violations():
-    lying = Method("read_all", 10,
-                   lambda oracle, rng: oracle.read_entries(np.arange(oracle.dimension)))
-    report = cost_audit(config(lying, m=64, trials=5))
-    assert not report.ok
-    assert report.estimate.max_cost == 64
+    # a method that overspends from its third trial on: the run stops at
+    # that trial, and the error names it, its cost, the cap and its stages
+    runs = []
+
+    def overspend_from_trial_2(oracle, rng):
+        runs.append(len(runs))
+        out = np.zeros(oracle.dimension)
+        read = oracle.dimension if len(runs) > 2 else 8
+        out[:read] = oracle.read_entries(np.arange(read), stage="reads")
+        return out
+
+    lying = Method("read_all", 10, overspend_from_trial_2)
+    with pytest.raises(CapViolationError) as raised:
+        estimate_error(config(lying, m=64, trials=5))
+    assert runs == [0, 1, 2]
+    assert str(raised.value) == (
+        "read_all: trial 2 cost 64 exceeds cap 10 (stages {'reads': 64})")
 
 
 def test_param_table_for_accuracies():
@@ -257,3 +265,24 @@ def test_budgeted_countsketch_takes_the_largest_level_that_fits():
                 assert method.cap == 0
             reps, groups = countsketch_params(level + 1, m)
             assert reps * groups > budget
+
+
+def test_every_method_on_tiny_dimensions_and_extreme_budgets():
+    # each cell is a parameter error at resolution (only a read_all that the
+    # budget cannot pay for), or three trials within the cap (estimate_error
+    # raises otherwise) with finite statistics
+    for name in METHOD_NAMES:
+        for m in (1, 2, 3):
+            for budget in (0, 1, m, 10**6):
+                for p, q in ((1.0, 2.0), (3.0, 4.0)):
+                    try:
+                        method = make_method(name, m, p, q, budget=budget)
+                    except ParameterError:
+                        assert name == "read_all" and budget < m, (name, m, budget, p, q)
+                        continue
+                    for family in ("zero", "spikes:1"):
+                        est = estimate_error(config(method, family=family, m=m, p=p,
+                                                    q=q, trials=3))
+                        assert all(map(math.isfinite, (est.mean_err, est.qmoment_err,
+                                                       est.ci, est.mean_cost))), \
+                            (name, m, budget, p, q, family)

@@ -14,6 +14,7 @@ from adasketch.nonadaptive import (
     denoised_linsketch,
     keep_largest,
     linsketch,
+    linsketch_keep_count,
     linsketch_matrix,
 )
 from adasketch.oracle import MeasurementOracle, lp_norm
@@ -267,10 +268,17 @@ def test_denoised_countsketch_error_bound():
 
 
 def test_denoised_linsketch_zero_fallback():
-    # n below m^(1-2/p) log m means k = 0: zero output, zero measurements
+    # n below m^(1-2/p) log m means k = 0: the sketch itself refuses to run,
+    # and the budgeted method resolves to the zero method, cap 0
     m, n = 256, 3
+    assert linsketch_keep_count(m, n, 2) == 0 < linsketch_keep_count(m, 6, 2)
     oracle = MeasurementOracle(np.ones(m) / math.sqrt(m))
-    out = denoised_linsketch(oracle, n, 2, stream("dl0"))
+    with pytest.raises(ParameterError, match="keep no entry"):
+        denoised_linsketch(oracle, n, 2, stream("dl0"))
+    assert oracle.cost == 0
+    method = make_method("linsketch_denoised", m, 2.0, 3.0, budget=n)
+    assert method.cap == 0
+    out = method.run(oracle, stream("dl0"))
     assert np.array_equal(out, np.zeros(m))
     assert oracle.cost == 0
 

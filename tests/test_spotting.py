@@ -1,12 +1,13 @@
+import copy
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from adasketch import spotting
 from adasketch.discover import BASIC, DiscoverConfig, discover
 from adasketch.errors import ParameterError
+from adasketch.hashing import pairwise_hash
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.rng import RngStream
 from adasketch.spotting import (
@@ -144,59 +145,66 @@ def test_spot_cost_cap_random_runs():
         assert oracle.cost <= 2 * (depth + 1) == spot_cost_cap(params)
 
 
-@pytest.fixture
-def shrink_trace(monkeypatch):
-    """Record spot's candidate sets: its input, then each shrink step's output.
+def spot_chain(x, candidates, params, rng):
+    """Replay ``spot``'s loop from its parts on a fresh oracle over ``x``.
 
-    Wraps ``spotting.shrink``; each call appends its input (the first time)
-    and its output to the returned list. Clear the list between spot calls.
+    Returns every candidate set (the input, then each performed shrink
+    step's output) and the replay's cost. Run on a copy of the stream that
+    ``spot`` is given, it makes the same draws; ``spot`` returns the last set
+    whenever that has at most one element.
     """
-    trace = []
-    real = spotting.shrink
+    oracle = MeasurementOracle(x)
+    chain = [np.asarray(candidates, dtype=np.intp)]
+    if chain[-1].size <= 1:
+        return chain, oracle.cost
+    for step in range(params.depth):
+        label_count = shrink_schedule(step, params.delta2)
+        labels = pairwise_hash(chain[-1], oracle.dimension, label_count, rng)
+        chain.append(shrink(oracle, chain[-1], labels, label_count, rng))
+        if chain[-1].size <= 1:
+            return chain, oracle.cost
+    current = chain[-1]
+    if current.size <= shrink_schedule(params.depth, params.delta2):
+        chain.append(shrink(oracle, current, np.arange(1, current.size + 1),
+                            current.size, rng))
+    return chain, oracle.cost
 
-    def recording(oracle, indices, *args):
-        out = real(oracle, indices, *args)
-        if not trace:
-            trace.append(np.array(indices, copy=True))
-        assert np.array_equal(trace[-1], indices)  # each step shrinks the last set
-        trace.append(out.copy())
-        return out
 
-    monkeypatch.setattr(spotting, "shrink", recording)
-    return trace
+def traced_spot(x, candidates, params, rng):
+    """``spot``'s output and cost, checked against its replayed chain, and the chain."""
+    replay_rng = copy.deepcopy(rng)
+    oracle = MeasurementOracle(x)
+    got = spot(oracle, candidates, params, rng)
+    chain, cost = spot_chain(x, candidates, params, replay_rng)
+    assert np.array_equal(chain[-1], got) and cost == oracle.cost
+    return chain, oracle.cost
 
 
-def test_spot_cost_is_two_per_performed_shrink(shrink_trace):
-    # each recorded shrink step costs exactly 2; with no early exit that is
+def test_spot_cost_is_two_per_performed_shrink():
+    # each performed shrink step costs exactly 2; with no early exit that is
     # exactly 2 * (depth + 1) in total
     rng = stream("sp-two")
     gen = stream("sp-two-x").generator
-    trace = shrink_trace
     for trial in range(300):
         m = int(gen.integers(2, 200))
         depth = trial % 5
         x = gen.standard_normal(m) * (gen.random(m) < 0.3)
-        oracle = MeasurementOracle(x)
-        trace.clear()
-        spot(oracle, np.arange(m), SpotParams(1 / 4, depth), rng)
-        assert np.array_equal(trace[0], np.arange(m))
-        assert oracle.cost == 2 * (len(trace) - 1)
-        if all(s.size > 1 for s in trace[:-1]) and len(trace) == depth + 2:
-            assert oracle.cost == 2 * (depth + 1)
+        chain, cost = traced_spot(x, np.arange(m), SpotParams(1 / 4, depth), rng)
+        assert np.array_equal(chain[0], np.arange(m))
+        assert cost == 2 * (len(chain) - 1)
+        if all(s.size > 1 for s in chain[:-1]) and len(chain) == depth + 2:
+            assert cost == 2 * (depth + 1)
 
 
-def test_spot_nesting_of_traced_sets(shrink_trace):
+def test_spot_nesting_of_traced_sets():
     rng = stream("sp-trace")
     gen = stream("sp-trace-x").generator
-    trace = shrink_trace
     for _ in range(50):
         m = 400
         x = gen.standard_normal(m)
-        oracle = MeasurementOracle(x)
-        trace.clear()
-        spot(oracle, np.arange(m), SpotParams(1 / 4, shrink_depth(m)), rng)
-        assert np.array_equal(trace[0], np.arange(m))
-        for prev, nxt in zip(trace, trace[1:]):
+        chain, _ = traced_spot(x, np.arange(m), SpotParams(1 / 4, shrink_depth(m)), rng)
+        assert np.array_equal(chain[0], np.arange(m))
+        for prev, nxt in zip(chain, chain[1:]):
             assert np.all(np.isin(nxt, prev))
 
 
