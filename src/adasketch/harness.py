@@ -126,7 +126,8 @@ def _resolve_method(name, m, p, q, budget, levels, reps, variant) -> Method:
                            and nonadaptive.linsketch_keep_count(m, budget, p) == 0):
             return Method(name, 0, _zero)
         if name == "linsketch":
-            runner = lambda oracle, rng: nonadaptive.linsketch(oracle, budget, rng)
+            runner = lambda oracle, rng: oracle.gaussian_sketch(
+                budget, rng, stage="linsketch")
         else:
             runner = lambda oracle, rng: nonadaptive.denoised_linsketch(
                 oracle, budget, p, rng)

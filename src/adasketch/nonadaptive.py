@@ -7,6 +7,12 @@ parameters alone, so they replay without an oracle: the count sketch as a
 ``CountSketchPlan``, the Gaussian sketch as ``linsketch_matrix``. Each
 count-sketch round is one grouped ``measure_rows`` call: its signs are the
 one row, its group ids split the coordinates, one functional per group.
+
+The Gaussian-sketch methods (``denoised_linsketch`` here, the harness's
+``linsketch``) sample the sketch's output from its exact law through
+``MeasurementOracle.gaussian_sketch``, in O(m) and at the same cost n.
+``linsketch`` and ``linsketch_matrix`` are the materialized, replayable
+reference: the linear method that applies the n x m matrix itself.
 """
 
 from __future__ import annotations
@@ -155,4 +161,4 @@ def denoised_linsketch(oracle: MeasurementOracle, n: int, p: float,
     k = linsketch_keep_count(m, n, p)
     if k == 0:
         raise ParameterError(f"{n} Gaussian measurements keep no entry at m = {m}, p = {p}")
-    return keep_largest(linsketch(oracle, n, rng), k)
+    return keep_largest(oracle.gaussian_sketch(n, rng, stage="linsketch"), k)

@@ -10,6 +10,11 @@ fast without changing the cost model. `measure_rows` with group ids splits
 the support into groups and evaluates every row on every group, one
 functional per (row, group) pair.
 
+The last section holds simulation affordances: the free `nonzero_indices`,
+which only speeds up exact fast paths, and the charged `gaussian_sketch`,
+which stands for n Gaussian functionals and samples their sketch from its
+exact law.
+
 An oracle instance is single-writer (its counter mutates per call); use one
 oracle per concurrent unit. The pure helper `lp_norm` is safe from any
 thread.
@@ -152,16 +157,40 @@ class MeasurementOracle:
             raise ParameterError("charge count must be non-negative")
         self._ledger.add(count, stage)
 
-    # -- simulation affordances (free: no information cost) ------------------
+    # -- simulation affordances ----------------------------------------------
 
     def nonzero_indices(self) -> np.ndarray:
         """Sorted indices of nonzero hidden entries.
 
-        Simulation affordance for distribution-exact fast paths; it does not
-        count toward the information cost and is never used to alter the
+        Free simulation affordance for distribution-exact fast paths; it does
+        not count toward the information cost and is never used to alter the
         distribution of any algorithm's output.
         """
         if self._nonzero is None:
             self._nonzero = np.flatnonzero(self._hidden)
             self._nonzero.setflags(write=False)
         return self._nonzero
+
+    def gaussian_sketch(self, n: int, rng, stage=None) -> np.ndarray:
+        """One sample of (1/n) N^T N x for an n x m standard Gaussian N; cost += n.
+
+        Charged simulation affordance: it stands for the n functionals of N
+        and samples their sketch from its exact law in O(m). With
+        u = x / ||x||_2, S ~ chi^2_n and z ~ N(0, I_m) the output is
+        (||x||_2 / n) (S u + sqrt(S) (z - <u, z> u)), because N u ~ N(0, I_n)
+        is independent of N's action orthogonal to u. It draws chisquare(n),
+        then standard_normal(m), from ``rng.generator``; at x = 0 it draws
+        nothing and returns zeros. Unlike ``nonadaptive.linsketch`` it is not
+        linear in x under a shared stream.
+        """
+        if n < 1:
+            raise ParameterError("n must be >= 1")
+        self._ledger.add(n, stage)
+        norm = lp_norm(self._hidden, 2)
+        if norm == 0.0:
+            return np.zeros(self.dimension)
+        gen = rng.generator
+        s = gen.chisquare(n)
+        z = gen.standard_normal(self.dimension)
+        u = self._hidden / norm
+        return (norm / n) * (s * u + math.sqrt(s) * (z - (u @ z) * u))

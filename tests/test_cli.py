@@ -335,7 +335,7 @@ def test_compare_csv_digest_is_pinned(capsys):
                 "--family", "spikes:4,geometric,uniform_ball", "--trials", "2",
                 "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "786f82bd0f3ecffeb425bb21951257c5e083a8f68e4198963b292c0f4eac4553"
+    assert digest == "b01d92f834b864936aa449364c6841d0f5396287b0da2319da1d366a2be1e183"
 
 
 def test_audit_output_is_pinned(capsys):

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from adasketch.errors import ParameterError
 from adasketch.harness import make_method
@@ -27,18 +29,46 @@ def stream(label, seed=2718):
 
 # -- Gaussian sketch ----------------------------------------------------------
 
+# the materialized reference and the sampled law: one sketch per call, both
+# charged under stage "linsketch"
+GAUSSIAN_SKETCHES = {
+    "linsketch": linsketch,
+    "gaussian_sketch": lambda oracle, n, rng: oracle.gaussian_sketch(
+        n, rng, stage="linsketch"),
+}
+
+
 def test_linsketch_zero_input():
-    oracle = MeasurementOracle(np.zeros(16))
-    out = linsketch(oracle, 8, stream("z"))
-    assert np.array_equal(out, np.zeros(16))
-    assert oracle.cost == 8
+    for sketch in GAUSSIAN_SKETCHES.values():
+        oracle = MeasurementOracle(np.zeros(16))
+        out = sketch(oracle, 8, stream("z"))
+        assert np.array_equal(out, np.zeros(16))
+        assert oracle.cost == 8 and oracle.stage_costs() == {"linsketch": 8}
 
 
 def test_linsketch_cost_is_exactly_n():
-    for n in (1, 64, 130, 300):  # crosses the internal block size
+    for sketch in GAUSSIAN_SKETCHES.values():
+        for n in (1, 64, 130, 300):  # crosses the internal block size
+            oracle = MeasurementOracle(np.ones(8))
+            sketch(oracle, n, stream(f"c{n}"))
+            assert oracle.cost == n and oracle.stage_costs() == {"linsketch": n}
         oracle = MeasurementOracle(np.ones(8))
-        linsketch(oracle, n, stream(f"c{n}"))
-        assert oracle.cost == n
+        with pytest.raises(ParameterError):
+            sketch(oracle, 0, stream("c0"))
+        assert oracle.cost == 0
+
+
+def test_gaussian_sketch_stream_use_is_pinned():
+    """The bytes of one seeded ``gaussian_sketch`` draw, pinned by their sha256.
+
+    The draw takes chisquare(n) and then standard_normal(m) from the stream;
+    a refactor that draws and combines them as before leaves the digest
+    unchanged.
+    """
+    x = stream("pin-x").generator.standard_normal(16)
+    out = MeasurementOracle(x).gaussian_sketch(32, stream("pin"))
+    digest = hashlib.sha256(out.tobytes()).hexdigest()
+    assert digest == "e58cecf373bd5131f78d3fd8ba8f7617d86d6c745f1c1f1d73f6abf5750d6b85"
 
 
 def test_linsketch_matrix_matches_execution_draws():
@@ -62,20 +92,61 @@ def test_linsketch_linearity_under_coupled_draws():
     assert np.allclose(out_scaled, 2.5 * out_x, rtol=1e-12, atol=1e-12)
 
 
-def test_linsketch_is_componentwise_unbiased():
+@pytest.mark.parametrize("name", sorted(GAUSSIAN_SKETCHES))
+def test_gaussian_sketch_moments_match_closed_form(name):
+    # E out = x and Var(out_j) = (||x||_2^2 + x_j^2) / n per coordinate; each
+    # sample moment must lie within 4 of its own standard errors
+    sketch = GAUSSIAN_SKETCHES[name]
     m, n, trials = 16, 32, 10_000
     x = stream("unb-x").generator.standard_normal(m)
     x /= lp_norm(x, 2)
     rng = stream("unb")
-    acc = np.zeros(m)
-    acc2 = np.zeros(m)
-    for _ in range(trials):
-        out = linsketch(MeasurementOracle(x), n, rng)
-        acc += out
-        acc2 += out * out
-    mean = acc / trials
-    std = np.sqrt(np.maximum(acc2 / trials - mean**2, 0.0))
+    outs = np.array([sketch(MeasurementOracle(x), n, rng) for _ in range(trials)])
+    mean = outs.mean(axis=0)
+    std = np.sqrt(np.maximum((outs * outs).mean(axis=0) - mean**2, 0.0))
     assert np.all(np.abs(mean - x) <= 4 * std / math.sqrt(trials) + 1e-12)
+    var = (lp_norm(x, 2) ** 2 + x * x) / n
+    dev2 = (outs - mean) ** 2
+    sample_var = dev2.mean(axis=0)
+    var_sem = dev2.std(axis=0) / math.sqrt(trials)
+    assert np.all(np.abs(sample_var - var) <= 4 * var_sem), sample_var / var
+
+
+def test_gaussian_sketch_law_matches_materialized_sketch():
+    # where the methods use it: top-k of the law against top-k of the
+    # materialized sketch, by two-sample KS tests on the l_2 error of the
+    # denoised output and on every raw coordinate, Bonferroni at 1e-3
+    m, n, trials, alpha = 16, 32, 3_000, 1e-3
+    k = linsketch_keep_count(m, n, 1)
+    sparse = np.zeros(m)
+    sparse[5] = 1.0
+    dense = stream("eq-x").generator.standard_normal(m)
+    dense /= lp_norm(dense, 1)
+    pvalues = []
+    for label, x in (("sparse", sparse), ("dense", dense)):
+        draws = {}
+        for name, sketch in GAUSSIAN_SKETCHES.items():
+            rng = stream(f"eq-{label}-{name}")
+            draws[name] = np.array([sketch(MeasurementOracle(x), n, rng)
+                                    for _ in range(trials)])
+        ref, law = draws["linsketch"], draws["gaussian_sketch"]
+        err_ref, err_law = ([lp_norm(x - keep_largest(out, k), 2) for out in outs]
+                            for outs in (ref, law))
+        pvalues.append(ks_2samp(err_ref, err_law).pvalue)
+        pvalues.extend(ks_2samp(ref[:, j], law[:, j]).pvalue for j in range(m))
+    assert min(pvalues) >= alpha / len(pvalues), min(pvalues)
+
+
+def test_gaussian_sketch_in_one_dimension():
+    # m = 1: the law is x S / n with S ~ chi^2_n, with no projection residue
+    n = 8
+    for x in (3.25, -0.5, 1e-300):
+        oracle = MeasurementOracle([x])
+        out = oracle.gaussian_sketch(n, stream(f"g1-{x}"))
+        s = stream(f"g1-{x}").generator.chisquare(n)
+        assert out[0] == pytest.approx(x * s / n, rel=1e-15, abs=0.0)
+        assert np.sign(out[0]) == np.sign(x)
+        assert np.sign(linsketch(MeasurementOracle([x]), n, stream("g1"))[0]) == np.sign(x)
 
 
 def test_linsketch_sup_error_bound_monte_carlo():
