@@ -150,6 +150,7 @@ def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -
                 pieces.append(found)
     out = np.zeros(plan.m)
     if pieces:
-        candidates = np.unique(np.concatenate(pieces))
+        detected = np.sort(np.concatenate(pieces))  # passes can repeat a coordinate
+        candidates = detected[np.concatenate(([True], detected[1:] != detected[:-1]))]
         out[candidates] = oracle.read_entries(candidates, stage="reads")
     return out

@@ -159,7 +159,9 @@ def _spot_survivors(oracle, coords, cuts, params, spot_rng):
     hits = [coords[cuts[:-1][sizes == 1]]]
     for d in np.flatnonzero(sizes > 1):
         hits.append(spot(oracle, coords[cuts[d]:cuts[d + 1]], params, spot_rng))
-    return np.unique(np.concatenate(hits))
+    # the sets are disjoint and spot keeps a subset of its own set, so the
+    # union has no repeats: sorting is np.unique
+    return np.sort(np.concatenate(hits))
 
 
 def _candidate_sets(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream):
@@ -167,7 +169,10 @@ def _candidate_sets(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStre
     sorted sets one after another in ``coords``, with boundaries ``cuts``."""
     if cfg.variant == BASIC:
         hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
-        coords = np.argsort(hashed, kind="stable")  # ascending inside each bucket
+        # ascending inside each bucket; a stable sort of the values in the
+        # narrowest dtype holding them is the same permutation, radix-sorted
+        # by numpy up to 16 bits
+        coords = np.argsort(hashed.astype(np.min_scalar_type(cfg.buckets)), kind="stable")
         return coords, _equi_bounds(cfg.m, cfg.buckets)
     nonzero = oracle.nonzero_indices()
     groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))

@@ -116,7 +116,10 @@ def countsketch(oracle: MeasurementOracle, reps: int, group_count: int,
                 rng: RngStream) -> np.ndarray:
     """Componentwise median of the per-round estimates; cost reps * group_count."""
     plan = countsketch_plan(oracle.dimension, reps, group_count, rng)
-    return np.median(countsketch_estimates(oracle, plan), axis=0)
+    # reps is odd, so the median is the middle order statistic; + 0.0 turns
+    # -0.0 into +0.0 as np.median's mean of one element does
+    middle = reps // 2
+    return np.partition(countsketch_estimates(oracle, plan), middle, axis=0)[middle] + 0.0
 
 
 # -- denoising ----------------------------------------------------------------

@@ -11,6 +11,7 @@ are kept independent while staying replayable.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -73,5 +74,4 @@ def sign_rows(generator: np.random.Generator, rows: int, k: int):
 def rademacher(generator: np.random.Generator, shape) -> np.ndarray:
     """Uniform ±1 float64 array; one raw random bit per entry."""
     shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
-    n = int(np.prod(shape)) if shape else 1
-    return sign_rows(generator, 1, n)[0].reshape(shape)
+    return sign_rows(generator, 1, math.prod(shape))[0].reshape(shape)

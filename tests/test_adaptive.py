@@ -14,7 +14,7 @@ from adasketch.adaptive import (
     plan_cost_cap,
     repetitions,
 )
-from adasketch.discover import BASIC, PRECONDITIONED
+from adasketch.discover import BASIC, PRECONDITIONED, discover
 from adasketch.errors import ParameterError
 from adasketch.families import VectorFamily, gen_vector
 from adasketch.oracle import MeasurementOracle, lp_norm
@@ -173,6 +173,40 @@ def test_support_correctness():
         out = approximate(oracle, plan, rng.child_at("trial", t))
         mismatch = (out != 0.0) & (out != x)
         assert not mismatch.any()
+
+
+class ReadLog(MeasurementOracle):
+    """An oracle that keeps the index array of every direct read."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.reads = []
+
+    def read_entries(self, indices, stage=None):
+        self.reads.append(indices)
+        return super().read_entries(indices, stage)
+
+
+@pytest.mark.parametrize("variant", [BASIC, PRECONDITIONED])
+def test_approximate_reads_the_union_of_its_passes(variant):
+    # approximate reads np.unique of the per-pass discover outputs, each pass
+    # on its own child stream, in one call; here the passes overlap
+    m = 2**10
+    plan = AdaptivePlan(m=m, p=1, q=2, levels=3, reps=2, variant=variant)
+    x = gen_vector(VectorFamily("spikes", count=4), m, stream("union-x"))
+    rng = stream("union")
+    passes = [discover(MeasurementOracle(x), cfg, rng.child(f"discover-l{level}-r{rep}"))
+              for level, cfg in enumerate(plan.configs, start=1)
+              for rep in range(1, plan.reps + 1)]
+    union = np.unique(np.concatenate(passes))
+    assert sum(found.size for found in passes) > union.size
+    oracle = ReadLog(x)
+    out = approximate(oracle, plan, rng)
+    (read,) = oracle.reads
+    assert read.dtype == union.dtype and np.array_equal(read, union)
+    expected = np.zeros(m)
+    expected[union] = x[union]
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("t", [2.0, -3.0, 1e-3])

@@ -214,6 +214,18 @@ def test_one_stream_replays_one_pass():
     assert any(not np.array_equal(fresh[0], other) for other in fresh[1:])
 
 
+@pytest.mark.parametrize("buckets", [255, 256, 65_535, 65_536])
+def test_basic_candidate_sets_are_the_stable_argsort_of_the_hash(buckets):
+    # the basic pass sorts the hash values in the narrowest dtype that holds
+    # them; these counts cross each dtype boundary of np.min_scalar_type
+    m = 2**17
+    cfg = DiscoverConfig.with_buckets(0.25, m, buckets, BASIC)
+    coords, _ = _candidate_sets(MeasurementOracle(np.zeros(m)), cfg, stream("argsort"))
+    hashed = equi_hash(m, buckets, stream("argsort").child("hash"))
+    expected = np.argsort(hashed, kind="stable")
+    assert coords.dtype == expected.dtype and np.array_equal(coords, expected)
+
+
 def sets_of(coords, cuts):
     return [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from adasketch.errors import ParameterError
+from adasketch.families import VectorFamily, gen_vector
 from adasketch.harness import make_method
 from adasketch.nonadaptive import (
     countsketch,
@@ -178,6 +179,23 @@ def test_countsketch_zero_input():
     out = countsketch(oracle, 5, 8, stream("z"))
     assert np.array_equal(out, np.zeros(32))
     assert oracle.cost == 40
+
+
+@pytest.mark.parametrize("reps", [1, 5, 39])
+def test_countsketch_is_the_np_median_of_its_round_estimates(reps):
+    # countsketch reads the median as the middle order statistic; its bytes
+    # must be np.median's, the sign of zero included. The zero vector's
+    # estimates are all ±0.0, and x = [1, -1] in one group cancels exactly
+    # whenever the two signs agree.
+    ball = gen_vector(VectorFamily("uniform_ball"), 2**12, stream("med-ball-x"))
+    for name, x, groups in (("zero", np.zeros(64), 8),
+                            ("cancel", np.array([1.0, -1.0]), 1),
+                            ("ball", ball, 256)):
+        label = f"med-{name}-{reps}"
+        out = countsketch(MeasurementOracle(x), reps, groups, stream(label))
+        plan = countsketch_plan(x.size, reps, groups, stream(label))
+        est = countsketch_estimates(MeasurementOracle(x), plan)
+        assert out.tobytes() == np.median(est, axis=0).tobytes()
 
 
 def test_countsketch_rejects_even_reps():
