@@ -8,6 +8,14 @@ parameters alone, so they replay without an oracle: the count sketch as a
 count-sketch round is one grouped ``measure_rows`` call: its signs are the
 one row, its group ids split the coordinates, one functional per group.
 
+The plan is one block of 32-bit words from the stream. Each round takes one
+word per coordinate, whose top log2(G) bits are its group id, then
+ceil(m/32) words whose little-endian bytes are its packed signs. That is
+the words, in order, that per-round ``integers(0, G, m)`` and
+``rademacher(m)`` calls take: numpy's bounded draw (Lemire's rule) keeps
+the top bits of a word and never rejects one when G is a power of two, so
+G must be 2^b with b <= 32; at G = 1 a round draws no group words.
+
 The Gaussian-sketch methods (``denoised_linsketch`` here, the harness's
 ``linsketch``) sample the sketch's output from its exact law through
 ``MeasurementOracle.gaussian_sketch``, in O(m) and at the same cost n.
@@ -24,9 +32,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .oracle import MeasurementOracle
-from .rng import RngStream, rademacher
+from .rng import RngStream, unpack_signs
 
 _LINSKETCH_BLOCK_ROWS = 128  # fixed so blocked and one-shot draws agree
+_MAX_GROUP_COUNT = 2**32    # group ids are the top bits of one 32-bit word
 
 
 # -- Gaussian linear sketch ---------------------------------------------------
@@ -74,11 +83,14 @@ class CountSketchPlan:
 def countsketch_params(level: int, m: int) -> tuple[int, int]:
     """Rounds and group count for accuracy level ``level``.
 
-    Groups G = 2^(4+level); rounds R = smallest odd number with
-    R >= max(5, 2 + 3*log2(m)).
+    Groups G = 2^(4+level), at most 2^32 (level <= 28); rounds R = smallest
+    odd number with R >= max(5, 2 + 3*log2(m)).
     """
     if level < 0:
         raise ParameterError("level must be >= 0")
+    if 2 ** (4 + level) > _MAX_GROUP_COUNT:
+        raise ParameterError(f"count-sketch level {level} needs 2^{4 + level} groups, "
+                             "above the cap of 2^32")
     if m < 1:
         raise ParameterError("m must be >= 1")
     reps = max(5, math.ceil(2.0 + 3.0 * math.log2(m)))
@@ -90,15 +102,19 @@ def countsketch_params(level: int, m: int) -> tuple[int, int]:
 def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> CountSketchPlan:
     if reps < 1 or reps % 2 == 0:
         raise ParameterError("reps must be odd and >= 1")
-    if group_count < 1:
-        raise ParameterError("group_count must be >= 1")
-    gen = rng.generator
-    groups = np.empty((reps, m), dtype=np.int64)
-    signs = np.empty((reps, m))
-    for r in range(reps):  # per round: group ids first, then signs
-        groups[r] = gen.integers(0, group_count, size=m)
-        signs[r] = rademacher(gen, m)
-    return CountSketchPlan(groups, signs, group_count)
+    if group_count < 1 or group_count & (group_count - 1) or group_count > _MAX_GROUP_COUNT:
+        raise ParameterError(f"group_count must be a power of two at most 2^32, got {group_count}")
+    # per round (see the module docstring): m group words, none when G = 1,
+    # then the sign words, 4 packed sign bytes each
+    group_words = m if group_count > 1 else 0
+    words = rng.generator.integers(0, 2**32, size=(reps, group_words + -(-m // 32)),
+                                   dtype=np.uint32)
+    if group_words:  # Lemire's rule at G = 2^b keeps the word's top b bits
+        groups = (words[:, :m] >> (33 - group_count.bit_length())).astype(np.int64)
+    else:
+        groups = np.zeros((reps, m), dtype=np.int64)
+    sign_bytes = words[:, group_words:].astype("<u4", copy=False).view(np.uint8)
+    return CountSketchPlan(groups, unpack_signs(sign_bytes, m), group_count)
 
 
 def countsketch_estimates(oracle: MeasurementOracle, plan: CountSketchPlan) -> np.ndarray:
@@ -119,7 +135,9 @@ def countsketch(oracle: MeasurementOracle, reps: int, group_count: int,
     # reps is odd, so the median is the middle order statistic; + 0.0 turns
     # -0.0 into +0.0 as np.median's mean of one element does
     middle = reps // 2
-    return np.partition(countsketch_estimates(oracle, plan), middle, axis=0)[middle] + 0.0
+    est = countsketch_estimates(oracle, plan)
+    est.partition(middle, axis=0)
+    return est[middle] + 0.0
 
 
 # -- denoising ----------------------------------------------------------------
@@ -134,7 +152,13 @@ def keep_largest(z, k: int) -> np.ndarray:
         return out
     if k >= z.size:
         return z.copy()
-    keep = np.argsort(-np.abs(z), kind="stable")[:k]
+    # the k-th smallest key -|z| splits the kept set: every smaller key, then
+    # the lowest-index ties; NaN keys become +inf, last as in an argsort
+    key = -np.abs(z)
+    key[np.isnan(key)] = np.inf
+    kth = np.partition(key, k - 1)[k - 1]
+    keep = key < kth
+    keep[np.flatnonzero(key == kth)[: k - np.count_nonzero(keep)]] = True
     out[keep] = z[keep]
     return out
 

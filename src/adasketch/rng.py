@@ -66,9 +66,14 @@ def sign_rows(generator: np.random.Generator, rows: int, k: int):
     packed = generator.integers(0, 256, size=(rows, (k + 7) // 8), dtype=np.uint8)
     if k % 8:
         packed[:, -1] &= np.uint8((0xFF << (8 - k % 8)) & 0xFF)
+    return unpack_signs(packed, k), packed
+
+
+def unpack_signs(packed: np.ndarray, k: int) -> np.ndarray:
+    """The first k bits of each row of ``packed`` as float64 ±1 (bit 1 is +1)."""
     signs = np.unpackbits(packed, axis=1, count=k) * 2.0
     signs -= 1.0  # in place: one float64 block, however large
-    return signs, packed
+    return signs
 
 
 def rademacher(generator: np.random.Generator, shape) -> np.ndarray:

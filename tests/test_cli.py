@@ -250,6 +250,13 @@ def test_over_budget_and_conflicting_sizes_exit_2(capsys):
         (["adaptive", "--m", "1024", "--eps", "0.3", "--L", "3", *spikes], "--eps"),
         (["audit", "--method", "linsketch", "--m", "64", "--eps", "0.3",
           "--budget", "128", *spikes], "--eps"),
+        # more than 2^32 count-sketch groups, by level or by budget // 21 rounds
+        (["nonadaptive", "--method", "countsketch", "--m", "64", "--L", "29", *spikes],
+         "count-sketch level 29 needs 2^33 groups, above the cap of 2^32"),
+        (["nonadaptive", "--method", "countsketch_denoised", "--m", "64",
+          "--budget", str(21 * 2**33), *spikes], "above the cap of 2^32"),
+        (["audit", "--method", "countsketch_denoised", "--m", "64", "--L", "40", *spikes],
+         "count-sketch level 40 needs 2^44 groups, above the cap of 2^32"),
     ):
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

@@ -249,22 +249,38 @@ def test_make_method_validation():
     for name in set(METHOD_NAMES) - {"adaptive"}:
         with pytest.raises(ParameterError, match="does not read reps"):
             make_method(name, 64, 1.0, 2.0, budget=100, reps=2)
+    # a count sketch names at most 2^32 groups (level 28), by --L or by budget;
+    # resolving the method rejects more before any trial runs
+    reps, _ = countsketch_params(0, 64)
+    for name in ("countsketch", "countsketch_denoised"):
+        assert make_method(name, 64, 1.0, 2.0, levels=28).cap == reps * 2**32
+        assert make_method(name, 64, 1.0, 2.0, budget=reps * 2**33 - 1).levels == 28
+        for knobs in ({"levels": 29}, {"levels": 60}, {"budget": reps * 2**33},
+                      {"budget": 2**62}):
+            with pytest.raises(ParameterError, match="above the cap of 2\\^32"):
+                make_method(name, 64, 1.0, 2.0, **knobs)
 
 
 def test_budgeted_countsketch_takes_the_largest_level_that_fits():
     # the level's definition, checked level by level: its cost fits the
-    # budget and the next level's does not; below level 0 it is the zero method
+    # budget and the next level's does not; below level 0 it is the zero
+    # method, and past level 28 (2^32 groups) a parameter error
     for m in (1, 3, 64, 4096, 10**9):
-        for budget in [*range(0, 3000, 7), 10**6, 10**12, 10**18, 2**62]:
+        reps, _ = countsketch_params(0, m)  # the rounds do not depend on the level
+        for budget in [*range(0, 3000, 7), 10**6, reps * 2**33 - 1, reps * 2**33,
+                       10**12, 10**18, 2**62]:
+            if budget // reps >= 2**33:
+                with pytest.raises(ParameterError, match="above the cap of 2\\^32"):
+                    make_method("countsketch", m, 1.0, 2.0, budget=budget)
+                continue
             method = make_method("countsketch", m, 1.0, 2.0, budget=budget)
             level = -1 if method.levels is None else method.levels
             if level >= 0:
-                reps, groups = countsketch_params(level, m)
-                assert method.cap == reps * groups <= budget
+                assert (reps, 2 ** (4 + level)) == countsketch_params(level, m)
+                assert method.cap == reps * 2 ** (4 + level) <= budget
             else:
                 assert method.cap == 0
-            reps, groups = countsketch_params(level + 1, m)
-            assert reps * groups > budget
+            assert reps * 2 ** (5 + level) > budget
 
 
 def test_every_method_on_tiny_dimensions_and_extreme_budgets():

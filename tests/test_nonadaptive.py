@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from adasketch.errors import ParameterError
@@ -21,7 +23,7 @@ from adasketch.nonadaptive import (
     linsketch_matrix,
 )
 from adasketch.oracle import MeasurementOracle, lp_norm
-from adasketch.rng import RngStream
+from adasketch.rng import RngStream, rademacher
 
 
 def stream(label, seed=2718):
@@ -198,6 +200,51 @@ def test_countsketch_is_the_np_median_of_its_round_estimates(reps):
         assert out.tobytes() == np.median(est, axis=0).tobytes()
 
 
+def reference_plan(m, reps, group_count, gen):
+    """The per-round draw loop that ``countsketch_plan`` reads in one block:
+    each round draws its m group ids, then its m signs."""
+    groups = np.empty((reps, m), dtype=np.int64)
+    signs = np.empty((reps, m))
+    for r in range(reps):
+        groups[r] = gen.integers(0, group_count, size=m)
+        signs[r] = rademacher(gen, m)
+    return groups, signs
+
+
+@pytest.mark.parametrize("m", [1, 3, 7, 24, 1000, 4096])
+def test_countsketch_plan_replays_the_per_round_draws(m):
+    # byte for byte, over four consecutive plans from one stream and a
+    # 32-bit draw after them: a half-word one call leaves buffered in the
+    # generator must be the next call's first word, as in the loop
+    for group_count in (1, 4, 512, 2**32):
+        for reps in (1, 5, 39):
+            label = f"replay-{m}-{group_count}-{reps}"
+            rng, gen = stream(label), stream(label).generator
+            for _ in range(4):
+                plan = countsketch_plan(m, reps, group_count, rng)
+                groups, signs = reference_plan(m, reps, group_count, gen)
+                assert plan.groups.tobytes() == groups.tobytes(), label
+                assert plan.signs.tobytes() == signs.tobytes(), label
+            after = rng.generator.integers(0, 1000, size=3)
+            assert after.tobytes() == gen.integers(0, 1000, size=3).tobytes(), label
+
+
+def test_countsketch_plan_is_pinned():
+    plan = countsketch_plan(4096, 39, 512, stream("plan-pin"))
+    digest = hashlib.sha256(plan.groups.tobytes() + plan.signs.tobytes()).hexdigest()
+    assert digest == "12af6128414c8fa1b5dd05b2a725e6c03e8818a9c99835d6f36ce6ea3653d523"
+
+
+def test_countsketch_plan_rejects_group_counts_off_the_word_draw():
+    # group ids are the top bits of one 32-bit word: G must be 2^b, b <= 32
+    for group_count in (0, 3, 12, 513, 2**32 + 1, 2**33):
+        with pytest.raises(ParameterError, match="power of two at most 2\\^32"):
+            countsketch_plan(8, 1, group_count, stream("bad-g"))
+    with pytest.raises(ParameterError, match="above the cap of 2\\^32"):
+        countsketch_params(29, 8)
+    assert countsketch_params(28, 8) == (11, 2**32)
+
+
 def test_countsketch_rejects_even_reps():
     oracle = MeasurementOracle(np.zeros(4))
     with pytest.raises(ParameterError):
@@ -285,6 +332,28 @@ def test_keep_largest_ties_break_to_smaller_index():
     z = np.array([1.0, -1.0, 1.0, 0.5])
     assert np.array_equal(keep_largest(z, 2), [1.0, -1.0, 0.0, 0.0])
     assert np.array_equal(keep_largest(z, 3), [1.0, -1.0, 1.0, 0.0])
+
+
+# ties, signed zeros, infinities and NaN, drawn often enough to collide
+_TOP_K_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.one_of(st.lists(_TOP_K_VALUES, min_size=1, max_size=40),
+                   st.builds(lambda v, n: [v] * n, _TOP_K_VALUES, st.integers(1, 40))),
+       k=st.integers(0, 43))
+def test_keep_largest_is_the_stable_argsort_top_k(z, k):
+    # by bytes, so which of several ±0.0 entries are kept shows
+    z = np.array(z)
+    m = z.size
+    for kk in (0, 1, m - 1, m, m + 3, k):
+        expected = np.zeros(m)
+        keep = np.argsort(-np.abs(z), kind="stable")[:kk]
+        expected[keep] = z[keep]
+        assert keep_largest(z, kk).tobytes() == expected.tobytes(), (z, kk)
 
 
 def test_keep_largest_preserves_values_and_sparsity():
