@@ -5,6 +5,13 @@ spike constructions, numerically for the rest). The families mirror the
 structures that stress sparse-recovery methods: few equal spikes, geometric
 decay, spikes over a decaying tail, the equal-mass construction that is
 worst for top-k denoising, uniform draws from the ball, and zero.
+
+``uniform_ball`` is the uniform law on the unit l_p ball of R^m, built as in
+Barthe, Guédon, Mendelson and Naor (Ann. Probab. 33, 2005): the direction
+y / ||y||_p of m i.i.d. p-generalized normal coordinates (density
+proportional to exp(-|t|^p)), scaled by the radius U^(1/m). Each coordinate
+is drawn as ±Gamma(1/p)^(1/p) with a fair sign, as Nardon and Pianca
+sample it (J. Stat. Comput. Simul. 79, 2009).
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gennorm
 
 from .errors import ParameterError
 from .rng import RngStream, rademacher
@@ -119,7 +125,8 @@ def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> np.ndarray:
         return x
 
     # uniform_ball: direction from the p-generalized normal, radius U^(1/m)
-    y = gennorm.rvs(p, size=m, random_state=gen)
+    y = gen.gamma(1.0 / p, size=m) ** (1.0 / p)
+    y = np.where(gen.random(size=m) < 0.5, -y, y) + 0.0  # + 0.0 maps -0.0 to 0.0
     norm = float(np.sum(np.abs(y) ** p)) ** (1.0 / p)
     radius = gen.uniform() ** (1.0 / m)
     return (radius / norm) * y

@@ -38,7 +38,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import ParameterError
 from .oracle import MeasurementOracle
@@ -61,11 +60,12 @@ def sign_tail_probability(k: int) -> float:
     """P(a fresh ±1 column passes the k/6 filter against any fixed sign vector).
 
     The agreement distance is Binomial(k, 1/2); both filter events together
-    have probability 2 * P(Bin(k, 1/2) <= floor(k/6)).
+    have probability 2 * P(Bin(k, 1/2) <= floor(k/6)). The value is exact,
+    correctly rounded: an integer ratio, rounded once by int/int division.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    return min(1.0, 2.0 * float(binom.cdf(k // 6, k, 0.5)))
+    return min(1.0, 2 * sum(math.comb(k, i) for i in range(k // 6 + 1)) / 2 ** k)
 
 
 def sign_filter_mask(corr: np.ndarray, k: int) -> np.ndarray:

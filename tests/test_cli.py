@@ -1,7 +1,11 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -375,3 +379,15 @@ def test_each_name_has_one_import_path():
     assert isinstance(discover_module, types.ModuleType)
     for name in ("harness", "adaptive", "nonadaptive", "families"):
         assert isinstance(getattr(adasketch, name), types.ModuleType), name
+
+
+def test_library_import_leaves_scipy_stats_unloaded():
+    # adasketch.cli loads every module; scipy.stats is only a test dependency
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, adasketch.cli; "
+             "print(sys.modules['adasketch'].__file__); print('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    module_file, stats_loaded = done.stdout.split()
+    assert Path(module_file).parent.parent == src
+    assert stats_loaded == "False"

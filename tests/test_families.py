@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import gennorm
 
 from adasketch.errors import ParameterError
 from adasketch.families import VectorFamily, gen_vector
@@ -49,6 +50,26 @@ def test_unit_ball_membership(kind, p):
     for t in range(20):
         x = gen_vector(fam, 512, stream(f"{kind}-{p}-{t}"))
         assert lp_norm(x, p) <= 1.0 + 1e-9
+
+
+def gennorm_uniform_ball(p, m, gen):
+    """The uniform_ball draw built on scipy's p-generalized normal sampler."""
+    y = gennorm.rvs(p, size=m, random_state=gen)
+    norm = float(np.sum(np.abs(y) ** p)) ** (1.0 / p)
+    radius = gen.uniform() ** (1.0 / m)
+    return (radius / norm) * y
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.5])
+@pytest.mark.parametrize("m", [1, 2, 17, 4096])
+def test_uniform_ball_replays_the_gennorm_construction(p, m):
+    fam = VectorFamily("uniform_ball", p=p)
+    for seed in range(20):
+        ours, theirs = stream("u", seed), stream("u", seed)
+        x = gen_vector(fam, m, ours)
+        assert x.tobytes() == gennorm_uniform_ball(p, m, theirs.generator).tobytes()
+        assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
+        assert ours.generator.random() == theirs.generator.random()
 
 
 def test_geometric_decay_shape():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,11 +59,37 @@ def test_sign_filter_mask_is_exact_rational_comparison():
     assert list(sign_filter_mask(corr, k)) == [True, False, True]
 
 
+def exact_sign_tails(k_max):
+    """The exact tails 2 * P(Bin(k, 1/2) <= floor(k/6)), capped at 1, as
+    fractions for k = 1..k_max; binomial coefficients from Pascal's rule."""
+    row, tails = [1], {}
+    for k in range(1, k_max + 1):
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
+        tails[k] = min(Fraction(1), Fraction(2 * sum(row[:k // 6 + 1]), 2 ** k))
+    return tails
+
+
 def test_sign_tail_probability_matches_binomial():
-    for k in (1, 6, 60, 120, 701):
-        expected = min(1.0, 2 * float(binom.cdf(k // 6, k, 0.5)))
-        assert sign_tail_probability(k) == expected
+    # the exact tail, rounded once: equality here is stricter than equality
+    # with binom.cdf, which is 1 ulp off at k = 120 and ~200 ulps at k = 701
+    for k, exact in exact_sign_tails(1000).items():
+        assert sign_tail_probability(k) == float(exact), k
+        assert sign_tail_probability(k) == pytest.approx(
+            min(1.0, 2 * float(binom.cdf(k // 6, k, 0.5))), rel=1e-12, abs=0.0), k
     assert sign_tail_probability(1) == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 4095, 65535, 2 ** 30])
+def test_sign_tail_draw_is_zero_under_either_tail_value(n):
+    # at k = 701 the tail is ~3.7e-76, so q = 1 - p is 1.0 for both values
+    # and the zero-candidate Binomial draw uses the stream identically
+    ours = sign_tail_probability(701)
+    theirs = 2 * float(binom.cdf(701 // 6, 701, 0.5))
+    assert 0.0 < ours < 1e-75 and 0.0 < theirs < 1e-75
+    for seed in range(20):
+        gen_ours, gen_theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert gen_ours.binomial(n, ours) == 0 == gen_theirs.binomial(n, theirs)
+        assert gen_ours.random() == gen_theirs.random()
 
 
 def test_singleton_bucket_always_survives():
