@@ -108,33 +108,25 @@ def plan_cost_cap(plan: AdaptivePlan) -> int:
 
 
 def levels_for_budget(budget: int, m: int, p: float, q: float,
-                      variant: str = PRECONDITIONED) -> int:
-    """Largest level count whose worst-case cost cap fits the budget.
-
-    Exact search: level counts are tried upward while the closed-form cap
-    stays within ``budget``. Once a level's buckets saturate at m, every
-    deeper level does too and adds the same detection cost (the reads are
-    already capped at m), so the rest of the count is one division. Zero
-    means the zero algorithm (no measurements, output 0).
+                      variant: str = PRECONDITIONED, reps: int | None = None) -> int:
+    """Largest level count, at ``reps`` passes per level (default
+    ``repetitions(p, q)``), whose cost cap fits the budget, stopping at the
+    first level whose m buckets are all singletons. A singleton survives
+    either variant's pass, so that level recovers x exactly and deeper ones
+    add cost, not accuracy. Buckets grow like 2^level, so the search tries
+    about log2(m) + 1 counts at most. Zero means the zero algorithm.
     """
     check_pq(p, q)
     if budget < 0:
         raise ParameterError("budget must be >= 0")
-    reps = repetitions(p, q)
+    reps = repetitions(p, q) if reps is None else reps
     levels = 0
     while True:
         plan = AdaptivePlan(m=m, p=p, q=q, levels=levels + 1, reps=reps, variant=variant)
-        cap = plan_cost_cap(plan)
-        if cap > budget:
+        if plan_cost_cap(plan) > budget:
             return levels
         levels += 1
-        deepest = plan.configs[-1]
-        if deepest.buckets == m:
-            levels += (budget - cap) // (reps * discover_cost_cap(deepest))
-            if level_sensitivity(levels, p) == 0.0:
-                raise ParameterError(
-                    f"budget {budget} affords {levels} levels, beyond the smallest "
-                    "positive sensitivity a float can hold")
+        if plan.configs[-1].buckets == m:
             return levels
 
 

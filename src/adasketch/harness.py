@@ -57,17 +57,6 @@ class Method:
         return self.runner(oracle, rng)
 
 
-def _countsketch_level_for_budget(budget: int, m: int) -> int | None:
-    """Largest level with reps * groups <= budget, or None if even level 0 misses.
-
-    The rounds do not depend on the level and groups = 2^(4+level), so the
-    level is floor(log2(budget // reps)) - 4.
-    """
-    reps, _ = nonadaptive.countsketch_params(0, m)
-    level = (budget // reps).bit_length() - 5
-    return level if level >= 0 else None
-
-
 def _zero(oracle: MeasurementOracle, rng: RngStream) -> np.ndarray:
     return np.zeros(oracle.dimension)
 
@@ -106,11 +95,11 @@ def _resolve_method(name, m, p, q, budget, levels, reps, variant) -> Method:
         return Method("read_all", m, run_read_all)
 
     if name == "adaptive":
-        if levels is None:
-            if budget is None:
-                raise ParameterError("adaptive needs --L or --budget")
-            levels = adaptive.levels_for_budget(budget, m, p, q, variant)
+        if levels is None and budget is None:
+            raise ParameterError("adaptive needs --L or --budget")
         use_reps = reps if reps is not None else adaptive.repetitions(p, q)
+        if levels is None:
+            levels = adaptive.levels_for_budget(budget, m, p, q, variant, use_reps)
         plan = adaptive.AdaptivePlan(m=m, p=p, q=q, levels=levels,
                                      reps=use_reps, variant=variant)
         return Method(
@@ -137,7 +126,7 @@ def _resolve_method(name, m, p, q, budget, levels, reps, variant) -> Method:
     if levels is None:
         if budget is None:
             raise ParameterError("countsketch needs --L or --budget")
-        levels = _countsketch_level_for_budget(budget, m)
+        levels = nonadaptive.countsketch_level_for_budget(budget, m)
         if levels is None:
             return Method(name, 0, _zero)
     cs_reps, cs_groups = nonadaptive.countsketch_params(levels, m)
@@ -222,7 +211,8 @@ def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:
 
 def param_table(p: float, q: float, m: int, eps_values=None, budgets=None,
                 variant: str = PRECONDITIONED) -> list[dict]:
-    """One row of derived parameters per requested accuracy or budget."""
+    """One row of derived parameters per requested accuracy or budget; the
+    paper's ``error_bound`` overstates an exact plan saturated at m."""
     if (eps_values is None) == (budgets is None):
         raise ParameterError("give exactly one of eps_values or budgets")
     rows = []

@@ -99,6 +99,14 @@ def countsketch_params(level: int, m: int) -> tuple[int, int]:
     return reps, 2 ** (4 + level)
 
 
+def countsketch_level_for_budget(budget: int, m: int) -> int | None:
+    """Largest level whose cost reps * groups fits ``budget``, or None if even
+    level 0 misses; each level doubles level 0's groups at the same rounds."""
+    reps, groups = countsketch_params(0, m)
+    level = (budget // reps // groups).bit_length() - 1
+    return level if level >= 0 else None
+
+
 def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> CountSketchPlan:
     if reps < 1 or reps % 2 == 0:
         raise ParameterError("reps must be odd and >= 1")

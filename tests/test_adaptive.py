@@ -83,32 +83,55 @@ def test_levels_for_budget_zero_and_boundary():
 
 
 def test_levels_for_budget_past_saturation():
-    # basic variant at desk scale: every level's buckets saturate at m = 4096,
-    # so each level adds R * m * 2 = 16,384 to the cap and the reads stay at m.
-    # The count follows in closed form, far past level 1,024, where eps^-2
-    # leaves the float range.
+    # basic variant at desk scale: level 1's buckets already saturate at
+    # m = 4096, so every coordinate is its own bucket and level 1 recovers x
+    # exactly. The search stops there, however many more levels would fit
+    # (1,830 at budget 30,000,000, 6,103 at 100,000,000).
     m, p, q = 4096, 3.0, 4.0
-    levels = levels_for_budget(30_000_000, m, p, q, BASIC)
-    assert levels == (30_000_000 - m) // 16_384 == 1830
-    plan = AdaptivePlan(m=m, p=p, q=q, levels=levels, reps=2, variant=BASIC)
-    deeper = AdaptivePlan(m=m, p=p, q=q, levels=levels + 1, reps=2, variant=BASIC)
-    assert plan_cost_cap(plan) == levels * 16_384 + m
-    assert plan_cost_cap(deeper) > 30_000_000
-    assert {cfg.buckets for cfg in deeper.configs} == {m}
-    for budget in (plan_cost_cap(plan), plan_cost_cap(deeper) - 1):
-        assert levels_for_budget(budget, m, p, q, BASIC) == levels
-    # both variants, saturating after a few levels: still the largest fitting count
+    plan = AdaptivePlan(m=m, p=p, q=q, levels=1, reps=2, variant=BASIC)
+    assert plan.configs[0].buckets == m and plan_cost_cap(plan) == 16_384 + m
+    for budget in (30_000_000, 1830 * 16_384 + m, 1831 * 16_384 + m - 1, 100_000_000,
+                   plan_cost_cap(plan)):
+        assert levels_for_budget(budget, m, p, q, BASIC) == 1
+    assert levels_for_budget(plan_cost_cap(plan) - 1, m, p, q, BASIC) == 0
+    # both variants, saturating after a few levels: the largest fitting count,
+    # up to the first saturated level
     for variant in (BASIC, PRECONDITIONED):
         for budget in (10**4, 10**5, 4 * 10**5):
             levels = levels_for_budget(budget, 64, 1.5, 2.5, variant)
-            caps = [plan_cost_cap(AdaptivePlan(m=64, p=1.5, q=2.5, levels=n, reps=2,
-                                               variant=variant))
-                    for n in (levels, levels + 1)]
-            assert caps[0] <= budget < caps[1]
-    # 6,103 affordable levels would need eps = 2^-3051.5, which is 0.0 as a float
-    assert level_sensitivity(6103, p) == 0.0
-    with pytest.raises(ParameterError, match="sensitivity"):
-        levels_for_budget(100_000_000, m, p, q, BASIC)
+            plans = [AdaptivePlan(m=64, p=1.5, q=2.5, levels=n, reps=2, variant=variant)
+                     for n in (levels, levels + 1)]
+            caps = [plan_cost_cap(plan) for plan in plans]
+            buckets = [cfg.buckets for cfg in plans[0].configs]
+            assert caps[0] <= budget
+            assert 64 not in buckets[:-1]
+            if buckets[-1:] != [64]:
+                assert budget < caps[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.one_of(st.integers(1, 64), st.integers(1, 2**20)),
+    budget=st.one_of(st.sampled_from([0, 1]),
+                     st.integers(0, 12_000).map(lambda k: int(10 ** (k / 1000)))),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    q_gap=st.sampled_from([0.5, 1.0, 2.0]),
+    variant=st.sampled_from([BASIC, PRECONDITIONED]),
+    reps=st.sampled_from([None, 1, 2, 3, 4]),
+)
+def test_levels_for_budget_fits_and_stops_at_the_first_saturated_level(
+        m, budget, p, q_gap, variant, reps):
+    q = p + q_gap
+    levels = levels_for_budget(budget, m, p, q, variant, reps)
+    use_reps = repetitions(p, q) if reps is None else reps
+
+    def plan(n):
+        return AdaptivePlan(m=m, p=p, q=q, levels=n, reps=use_reps, variant=variant)
+
+    buckets = [cfg.buckets for cfg in plan(levels).configs]
+    assert plan_cost_cap(plan(levels)) <= budget
+    assert m not in buckets[:-1]
+    assert buckets[-1:] == [m] or plan_cost_cap(plan(levels + 1)) > budget
 
 
 def test_budgeted_plan_never_exceeds_the_budget():

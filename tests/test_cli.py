@@ -50,6 +50,19 @@ def test_adaptive_budget_mode(tmp_path):
     assert row["max_cost"] == "0"
 
 
+def test_budgeted_adaptive_fits_at_the_given_R_and_stops_at_saturation(capsys):
+    spikes = ["--family", "spikes:4", "--trials", "2", "--seed", "3"]
+    # searched at R = 4, not the default 2: level 2 fits (cap 230,040), level 3 does not
+    assert run(["adaptive", "--m", "65536", "--budget", "300000", "--R", "4", *spikes]) == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert (row["L"], row["R"]) == ("2", "4")
+    # m = 3 saturates at level 1, which reads every coordinate it finds: exact
+    assert run(["adaptive", "--m", "3", "--budget", "1000000", "--variant", "basic",
+                "--family", "spikes:2", "--trials", "2", "--seed", "3"]) == 0
+    row = next(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert (row["L"], row["mean_err"]) == ("1", "0.0")
+
+
 def test_nonadaptive_subcommand(tmp_path):
     out = tmp_path / "cs.csv"
     code = run([
@@ -218,13 +231,14 @@ def test_parameter_errors_exit_2(tmp_path, capsys):
             assert repr(key) in capsys.readouterr().err
 
 
-def test_params_budget_beyond_float_sensitivities_exits_2(capsys):
-    # about 6,100 basic levels fit this budget; the deepest sensitivity
-    # underflows to 0.0, which is a parameter error, not a traceback
+def test_params_budget_beyond_float_sensitivities_stops_at_level_1(capsys):
+    # about 6,100 basic levels would fit this budget, the deepest past the
+    # smallest float sensitivity; level 1 already saturates at m = 4096, so
+    # the plan stops there
     assert run(["params", "--m", "4096", "--p", "3", "--q", "4", "--variant", "basic",
-                "--budget", "100000000"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+                "--budget", "100000000"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(row["L"], row["buckets_per_level"]) for row in rows] == [("1", "4096")]
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -346,7 +360,7 @@ def test_compare_csv_digest_is_pinned(capsys):
                 "--family", "spikes:4,geometric,uniform_ball", "--trials", "2",
                 "--seed", "5"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "b01d92f834b864936aa449364c6841d0f5396287b0da2319da1d366a2be1e183"
+    assert digest == "ab6962ec005f6e2a777798a2cdf19f917914f67757f6d6b5b2fa865b0f420333"
 
 
 def test_audit_output_is_pinned(capsys):
