@@ -25,8 +25,9 @@ Both variants hold their candidate sets in one flat form, built by
 boundaries ``cuts``. ``spot`` returns a set of at most one element
 unchanged, at no cost and without a draw, so those sets join the result in
 one slice and only larger ones go to ``spot``; every stream is consumed as
-by a per-set loop. At desk scale all basic-variant buckets are singletons,
-and its pass calls ``spot`` never.
+by a per-set loop. At desk scale all basic-variant buckets are singletons:
+such a pass returns [0, m) whatever the hash, so it neither draws the hash
+(its stream is private to the pass) nor calls ``spot``.
 
 The three random components (hashing, filtering, spotting) draw from
 children of ``rng`` with fixed labels, so they are independent of each
@@ -168,6 +169,9 @@ def _candidate_sets(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStre
     """The pass's candidate sets before ``spot``, as ``(coords, cuts)``: the
     sorted sets one after another in ``coords``, with boundaries ``cuts``."""
     if cfg.variant == BASIC:
+        if cfg.buckets == cfg.m:
+            # every bucket is a singleton, which spot keeps whatever the draw
+            return np.arange(cfg.m), np.arange(cfg.m + 1)
         hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
         # ascending inside each bucket; a stable sort of the values in the
         # narrowest dtype holding them is the same permutation, radix-sorted

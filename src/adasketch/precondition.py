@@ -19,7 +19,9 @@ fast:
   entry is nonzero, since zero entries cannot influence a measured sign.
   The live columns of all segments form one (live x k) block, measured by
   one ``measure_rows`` call grouped by segment; the correlations <a_j, s>
-  are exact integer popcounts of packed sign bits.
+  are exact integer popcounts of packed sign bits. A lone segment (one
+  live candidate) needs no arithmetic: its signs are its column's, so its
+  candidate survives; it takes only its sign bytes and its charge.
 * A zero candidate's retention is then an independent Binomial(k, 1/2)
   tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
   k = 701). Their total over all segments is one Binomial draw. When it is
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .oracle import MeasurementOracle
-from .rng import RngStream, rademacher, sign_rows
+from .rng import RngStream, rademacher, sign_bits, unpack_signs
 
 _EMPTY = np.empty(0, dtype=np.intp)
 
@@ -83,17 +85,28 @@ def signs_of(values: np.ndarray) -> np.ndarray:
     return np.where(values >= 0.0, 1.0, -1.0)
 
 
+def _run_starts(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries that start a run of equal ids."""
+    starts = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    return starts
+
+
 def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
                 rng: RngStream, zero_pool) -> tuple:
     """Survivor sets of the k-measurement sign filter on disjoint segments.
 
     Segment d holds the live candidates ``live[segment_of == d]`` (nonzero
-    hidden entries) and ``sizes[d]`` candidates in all; the rest are zero
-    candidates. ``zero_pool()`` returns every zero candidate of every
-    segment (their segment does not matter: it is drawn here); it is called
-    only when the Binomial tail keeps one. Each segment costs exactly k
-    measurements; segments without live candidates are charged in bulk,
-    since their measured values are all exactly 0.0. Returns
+    hidden entries), ascending within each segment (``live`` ascending, as
+    ``nonzero_indices`` returns it, suffices), and ``sizes[d]`` candidates
+    in all; the rest are zero candidates. ``zero_pool()`` returns every zero
+    candidate of every segment (their segment does not matter: it is drawn
+    here); it is called only when the Binomial tail keeps one. Each segment
+    costs exactly k measurements. Every live row takes its sign bytes, but
+    only shared segments (two or more live candidates) are measured, each
+    summed as in one grouped call over all segments. The others are charged
+    in bulk: an idle segment measures 0.0, and a lone one measures
+    x_j * a_j exactly, so its j survives at distance 0. Returns
     ``(coords, cuts)``: the non-empty survivor sets in ascending segment
     order, set i being ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts``
     starts at 0 and ends at ``coords.size``.
@@ -103,33 +116,43 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     gen = rng.generator
     by_segment = np.argsort(segment_of, kind="stable")
     live, segment_of = np.asarray(live, dtype=np.intp)[by_segment], segment_of[by_segment]
-    live_segments, member = np.unique(segment_of, return_inverse=True)
-    idle = sizes.size - live_segments.size
-    if idle:
-        oracle.charge(k * idle, stage="precond")
+    head = _run_starts(segment_of)  # first live row of its segment
+    lone = head.copy()
+    lone[:-1] &= head[1:]  # the only live row of its segment
 
-    kept = np.empty(0, dtype=bool)
-    if live.size:
-        signs, a_bits = sign_rows(gen, live.size, k)  # row j is the column a_j
-        y = oracle.measure_rows(live, signs.T, stage="precond", groups=member,
-                                group_count=live_segments.size)
+    a_bits = sign_bits(gen, live.size, k)  # row j is the column a_j
+    kept = np.ones(live.size, dtype=bool)
+    measured = 0
+    if not lone.all():
+        rows = slice(None)
+        if lone.any():
+            rows = ~lone
+            if np.count_nonzero(head & rows) == 1:
+                # one group would take measure_rows' gemv path, whose sums
+                # differ from the grouped kernel's: measure a lone segment too
+                rows[np.argmax(lone)] = True
+        groups, bits = np.cumsum(head[rows]) - 1, a_bits[rows]
+        measured = int(groups[-1]) + 1
+        y = oracle.measure_rows(live[rows], unpack_signs(bits, k).T, stage="precond",
+                                groups=groups, group_count=measured)
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
-        distance = np.bitwise_count(a_bits ^ s_bits[member]).sum(axis=1, dtype=np.int64)
-        kept = sign_filter_mask(k - 2 * distance, k)
-    coords, where = [live[kept]], [segment_of[kept]]
+        distance = np.bitwise_count(bits ^ s_bits[groups]).sum(axis=1, dtype=np.int64)
+        kept[rows] = sign_filter_mask(k - 2 * distance, k)
+    if sizes.size > measured:
+        oracle.charge(k * (sizes.size - measured), stage="precond")
+    coords, where = live[kept], segment_of[kept]
 
     n_zero = int(sizes.sum()) - live.size
     extra = int(gen.binomial(n_zero, sign_tail_probability(k))) if n_zero else 0
     if extra:
         zero_slots = np.cumsum(sizes - np.bincount(segment_of, minlength=sizes.size))
         slots = gen.choice(n_zero, size=extra, replace=False)
-        where.append(np.searchsorted(zero_slots, slots, side="right"))
-        coords.append(gen.choice(zero_pool(), size=extra, replace=False))
-
-    coords, where = np.concatenate(coords), np.concatenate(where)
-    order = np.lexsort((coords, where))
-    cuts = np.append(np.flatnonzero(np.diff(where[order], prepend=-1)), order.size)
-    return coords[order], cuts
+        where = np.concatenate((where, np.searchsorted(zero_slots, slots, side="right")))
+        coords = np.concatenate((coords, gen.choice(zero_pool(), size=extra, replace=False)))
+        order = np.lexsort((coords, where))
+        coords, where = coords[order], where[order]
+    cuts = np.append(np.flatnonzero(_run_starts(where)), coords.size)
+    return coords, cuts
 
 
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream):

@@ -226,6 +226,27 @@ def test_basic_candidate_sets_are_the_stable_argsort_of_the_hash(buckets):
     assert coords.dtype == expected.dtype and np.array_equal(coords, expected)
 
 
+def test_saturated_basic_pass_draws_no_hash():
+    # at buckets == m every bucket is a singleton, which spot keeps whatever
+    # the hash, so the pass returns [0, m) without drawing the hash
+    labels = []
+
+    class LabelLog(RngStream):
+        def child(self, label):
+            labels.append(label)
+            return super().child(label)
+
+    m = 64
+    cfg = DiscoverConfig.with_buckets(0.25, m, m, BASIC)
+    x = stream("saturated-x").generator.standard_normal(m) * (np.arange(m) % 3 == 0)
+    coords, cuts = _candidate_sets(MeasurementOracle(x), cfg, LabelLog(5))
+    assert labels == []
+    assert np.array_equal(coords, np.arange(m)) and np.array_equal(cuts, np.arange(m + 1))
+    oracle = MeasurementOracle(x)
+    assert np.array_equal(discover(oracle, cfg, stream("saturated")), np.arange(m))
+    assert oracle.cost == 0
+
+
 def sets_of(coords, cuts):
     return [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 

@@ -15,7 +15,7 @@ from adasketch.precondition import (
     sign_tail_probability,
     signs_of,
 )
-from adasketch.rng import RngStream, rademacher, sign_rows
+from adasketch.rng import RngStream, rademacher, sign_bits, unpack_signs
 
 
 def stream(label, seed=4242):
@@ -117,31 +117,22 @@ def test_cost_is_exactly_k():
             assert oracle.cost == k
 
 
-def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
-    # with no zero candidates the segmented filter is a function of its one
-    # sign block (row j = column a_j): replaying that block per segment with
-    # measure_rows and float correlations must give the same survivors.
-    # Segment 0 cancels exactly on rows where its two signs agree, so
-    # sign(0) = +1 is exercised; segment 1 is empty and charged k all the same.
-    k = 24
-    gen = stream("replay-x").generator
-    hidden = np.zeros(40)
-    hidden[[1, 2]] = [0.5, -0.5]
-    hidden[[10, 11, 12]] = [1.0, 0.01, -0.02]
-    hidden[20:25] = gen.standard_normal(5)
-    live = np.array([20, 1, 10, 21, 22, 2, 11, 12, 23, 24])
-    segment_of = np.array([3, 0, 2, 3, 3, 0, 2, 2, 3, 3])
-    sizes = np.bincount(segment_of, minlength=4)
+def replay_sign_filter(hidden, live, segment_of, segments, k, label):
+    """``sign_filter`` with no zero candidates, and its replay: the same one
+    sign block (row j = column a_j) measured per segment with measure_rows
+    and float correlations. Returns (sets, replayed sets, cost, rows that
+    measured exactly 0.0)."""
+    live, segment_of = np.asarray(live, dtype=np.intp), np.asarray(segment_of, dtype=np.intp)
+    sizes = np.bincount(segment_of, minlength=segments)
     oracle = MeasurementOracle(hidden)
-    coords, cuts = sign_filter(oracle, live, segment_of, sizes, k, stream("replay"), None)
-    assert oracle.cost == 4 * k
+    coords, cuts = sign_filter(oracle, live, segment_of, sizes, k, stream(label), None)
     assert cuts[0] == 0 and cuts[-1] == coords.size
     got = [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
     grouped = live[np.argsort(segment_of, kind="stable")]
-    block, _ = sign_rows(stream("replay").generator, live.size, k)
+    block = unpack_signs(sign_bits(stream(label).generator, live.size, k), k)
     expected, zero_rows = [], 0
-    for d in range(4):
+    for d in range(segments):
         rows = np.flatnonzero(np.isin(grouped, live[segment_of == d]))
         if not rows.size:
             continue
@@ -151,9 +142,75 @@ def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
         kept = grouped[rows][sign_filter_mask(signs_of(y) @ matrix, k)]
         if kept.size:
             expected.append(np.sort(kept))
-    assert zero_rows > 0
+    return got, expected, oracle.cost, zero_rows
+
+
+# (label, live, segment_of, segments): every segment lone, one shared
+# segment among lone ones, one live segment lone or shared, none live
+LONE_AND_SHARED = [("all-lone", [3, 17, 30, 38], [1, 0, 4, 2], 6),
+                   ("one-shared", [4, 20, 21, 22, 23, 24, 33], [2, 3, 3, 3, 3, 3, 0], 5),
+                   ("single-lone", [11], [2], 4),
+                   ("single-shared", [20, 21, 22, 23], [1, 1, 1, 1], 3),
+                   ("none-live", [], [], 3)]
+
+
+def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
+    # with no zero candidates the segmented filter is a function of its one
+    # sign block: replaying that block per segment must give the same
+    # survivors. Segment 0 cancels exactly on rows where its two signs
+    # agree, so sign(0) = +1 is exercised; segment 1 is empty and charged k
+    # all the same.
+    k = 24
+    gen = stream("replay-x").generator
+    hidden = np.zeros(40)
+    hidden[[1, 2]] = [0.5, -0.5]
+    hidden[[10, 11, 12]] = [1.0, 0.01, -0.02]
+    hidden[20:25] = gen.standard_normal(5)
+    hidden[[3, 4, 17, 30, 33, 38]] = [2.0, -1e-300, -0.3, 5e-324, 7.0, -1.0]
+    live = [20, 1, 10, 21, 22, 2, 11, 12, 23, 24]
+    segment_of = [3, 0, 2, 3, 3, 0, 2, 2, 3, 3]
+    got, expected, cost, zero_rows = replay_sign_filter(hidden, live, segment_of, 4, k, "replay")
+    assert zero_rows > 0 and cost == 4 * k
     assert len(got) == len(expected)
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    # a lone segment's candidate survives without being measured
+    for label, live, segment_of, segments in LONE_AND_SHARED:
+        got, expected, cost, _ = replay_sign_filter(hidden, live, segment_of, segments, k, label)
+        assert cost == k * segments, label
+        assert len(got) == len(expected), label
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), label
+
+
+class MeasureLog(MeasurementOracle):
+    """An oracle that records the group count of each measure_rows call."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.group_counts = []
+
+    def measure_rows(self, support, rows, stage=None, groups=None, group_count=None):
+        self.group_counts.append(group_count)
+        return super().measure_rows(support, rows, stage, groups, group_count)
+
+
+def test_sign_filter_measures_only_shared_segments():
+    # a pass whose live segments are all lone makes no measurement; one
+    # shared segment among lone ones is measured with one lone segment, so
+    # the call keeps two groups and the grouped kernel; with no lone
+    # segment every live segment is measured, as by one grouped call
+    hidden = stream("measured-x").generator.standard_normal(40)
+    expected = {"all-lone": [], "one-shared": [2], "single-lone": [],
+                "single-shared": [1], "none-live": []}
+    for label, live, segment_of, segments in LONE_AND_SHARED:
+        oracle, segment_of = MeasureLog(hidden), np.array(segment_of, dtype=np.intp)
+        sign_filter(oracle, live, segment_of, np.bincount(segment_of, minlength=segments), 60,
+                    stream(label), None)
+        assert oracle.group_counts == expected[label], label
+        assert oracle.cost == 60 * segments, label
+    oracle = MeasureLog(hidden)
+    sign_filter(oracle, np.arange(9), [0, 0, 1, 1, 1, 2, 2, 3, 3], [2, 3, 2, 2, 5], 60,
+                stream("all-shared"), lambda: np.arange(9, 40))
+    assert oracle.group_counts == [4] and oracle.cost == 5 * 60
 
 
 def test_zero_vector_retention_rate_both_paths():

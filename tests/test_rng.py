@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adasketch.errors import ParameterError
 from adasketch.rng import RngStream, rademacher
@@ -55,3 +59,31 @@ def test_rademacher_is_roughly_balanced():
     a = rademacher(gen, 200_000)
     # 5 sigma band for a fair coin
     assert abs(a.mean()) < 5 / np.sqrt(a.size)
+
+
+def blake2b_key(label):
+    return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(),
+                          "little")
+
+
+_STEPS = st.lists(st.tuples(st.text(max_size=12),
+                            st.none() | st.integers(0, 2**70) | st.sampled_from([0, 2**32])),
+                  max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64) | st.integers(2**128, 2**160), steps=_STEPS)
+@example(seed=0, steps=[])
+@example(seed=2**128, steps=[("trial", 0), ("hash", None)])
+@example(seed=7, steps=[("trial", 2**32), ("", 2**64 - 1)])
+def test_stream_generator_is_the_spawned_seed_sequence(seed, steps):
+    # a stream's generator is PCG64(SeedSequence(seed, spawn_key=path)), the
+    # path holding each label's 64-bit blake2b key and each index
+    rng, path = RngStream(seed), ()
+    for label, index in steps:
+        if index is None:
+            rng, path = rng.child(label), path + (blake2b_key(label),)
+        else:
+            rng, path = rng.child_at(label, index), path + (blake2b_key(label), index)
+    expected = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path))
+    assert rng.generator.bit_generator.state == expected.state
