@@ -17,11 +17,13 @@ fast:
 
 * Sign columns are drawn only for live candidates, those whose hidden
   entry is nonzero, since zero entries cannot influence a measured sign.
-  The live columns of all segments form one (live x k) block, measured by
-  one ``measure_rows`` call grouped by segment; the correlations <a_j, s>
-  are exact integer popcounts of packed sign bits. A lone segment (one
-  live candidate) needs no arithmetic: its signs are its column's, so its
-  candidate survives; it takes only its sign bytes and its charge.
+  The live columns of all segments are drawn as one block of packed sign
+  bits, one byte row per live candidate, and measured by one
+  ``measure_rows`` call grouped by segment, which unpacks them chunk by
+  chunk; the correlations <a_j, s> are exact integer popcounts of the same
+  packed bits. A lone segment (one live candidate) needs no arithmetic: its
+  signs are its column's, so its candidate survives; it takes only its
+  sign bytes and its charge.
 * A zero candidate's retention is then an independent Binomial(k, 1/2)
   tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
   k = 701). Their total over all segments is one Binomial draw. When it is
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .oracle import MeasurementOracle
-from .rng import RngStream, rademacher, sign_bits, unpack_signs
+from .rng import RngStream, rademacher, sign_bits
 
 _EMPTY = np.empty(0, dtype=np.intp)
 
@@ -103,8 +105,9 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     candidate of every segment (their segment does not matter: it is drawn
     here); it is called only when the Binomial tail keeps one. Each segment
     costs exactly k measurements. Every live row takes its sign bytes, but
-    only shared segments (two or more live candidates) are measured, each
-    summed as in one grouped call over all segments. The others are charged
+    only shared segments (two or more live candidates) are measured: their
+    packed sign bytes go to ``measure_rows`` as they are, and each segment
+    is summed as in one grouped call over all segments. The others are charged
     in bulk: an idle segment measures 0.0, and a lone one measures
     x_j * a_j exactly, so its j survives at distance 0. Returns
     ``(coords, cuts)``: the non-empty survivor sets in ascending segment
@@ -133,8 +136,8 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
                 rows[np.argmax(lone)] = True
         groups, bits = np.cumsum(head[rows]) - 1, a_bits[rows]
         measured = int(groups[-1]) + 1
-        y = oracle.measure_rows(live[rows], unpack_signs(bits, k).T, stage="precond",
-                                groups=groups, group_count=measured)
+        y = oracle.measure_rows(live[rows], bits, stage="precond", groups=groups,
+                                group_count=measured, row_count=k)
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
         distance = np.bitwise_count(bits ^ s_bits[groups]).sum(axis=1, dtype=np.int64)
         kept[rows] = sign_filter_mask(k - 2 * distance, k)

@@ -88,11 +88,16 @@ def sign_bits(generator: np.random.Generator, rows: int, k: int) -> np.ndarray:
     return packed
 
 
-def unpack_signs(packed: np.ndarray, k: int) -> np.ndarray:
-    """The first k bits of each row of ``packed`` as float64 ±1 (bit 1 is +1)."""
-    signs = np.unpackbits(packed, axis=1, count=k) * 2.0
-    signs -= 1.0  # in place: one float64 block, however large
-    return signs
+def unpack_signs(packed: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first k bits of each row of ``packed`` as float64 ±1 (bit 1 is +1),
+    written to ``out`` (shape (rows, k)) when it is given."""
+    signs = np.unpackbits(packed, axis=1, count=k).view(np.int8)
+    signs += signs
+    signs -= 1  # exact ±1 in int8, then one cast into the float64 block
+    if out is None:
+        out = np.empty(signs.shape)
+    np.copyto(out, signs)
+    return out
 
 
 def rademacher(generator: np.random.Generator, shape) -> np.ndarray:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
+from adasketch import oracle as oracle_module
 from adasketch.errors import DimensionError, ParameterError
 from adasketch.oracle import MeasurementOracle, lp_norm
-from adasketch.rng import RngStream
+from adasketch.rng import RngStream, sign_bits, unpack_signs
 
 
 def test_measure_coordinate_functional():
@@ -115,6 +117,61 @@ def test_grouped_measure_rows_one_group_is_the_ungrouped_call():
     assert np.array_equal(values[:, 0], MeasurementOracle(hidden).measure_rows(support, rows))
 
 
+def _unchunked_product(hidden, support, rows, groups, group_count):
+    """The grouped product of several rows as one csr product over all groups
+    (one row: one bincount), the kernel calls the chunked product must repeat."""
+    values = hidden[support]
+    if rows.shape[0] == 1:
+        return np.bincount(groups, weights=rows[0] * values, minlength=group_count)[None]
+    order = np.argsort(groups, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=group_count))))
+    blocks = csr_array((values[order], order, indptr), shape=(group_count, support.size))
+    return (blocks @ rows.T).T
+
+
+def _grouped_layout(gen, layout):
+    """Support size, group count and unsorted group ids, one group left empty."""
+    chunk = oracle_module._CHUNK_ROWS
+    if layout == "few":
+        size, group_count = int(gen.integers(1, 60)), int(gen.integers(2, 12))
+    else:  # several chunks; "big-group" gives one group more rows than a chunk
+        size, group_count = 3 * chunk + int(gen.integers(0, chunk)), int(gen.integers(20, 90))
+    empty = int(gen.integers(group_count))
+    groups = gen.integers(0, group_count - 1, size=size)
+    groups[groups >= empty] += 1
+    if layout == "big-group":
+        big = (empty + 1) % group_count
+        groups[gen.choice(size, size=chunk + 1 + int(gen.integers(chunk)), replace=False)] = big
+    return size, group_count, groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 8, 9, 701]),
+       st.sampled_from(["few", "chunks", "big-group"]))
+def test_packed_grouped_rows_equal_the_float_product_bytewise(seed, k, layout):
+    gen = RngStream(seed).child("packed").generator
+    size, group_count, groups = _grouped_layout(gen, layout)
+    m = size + int(gen.integers(0, 8))
+    hidden = gen.standard_normal(m) * 10.0 ** gen.uniform(-3.0, 3.0, size=m)
+    support = np.sort(gen.choice(m, size=size, replace=False))
+    bits = sign_bits(gen, size, k)
+    if k % 8:  # padding bits the kernel must ignore
+        bits[:, -1] |= gen.integers(0, 256, size=size, dtype=np.uint8) >> (k % 8)
+    rows = unpack_signs(bits, k).T
+    expected = _unchunked_product(hidden, support, rows, groups, group_count)
+    oracle = MeasurementOracle(hidden)
+    packed = oracle.measure_rows(support, bits, stage="precond", groups=groups,
+                                 group_count=group_count, row_count=k)
+    assert oracle.stage_costs() == {"precond": k * group_count}
+    assert oracle.cost == k * group_count
+    assert packed.shape == (k, group_count)
+    assert np.array_equal(packed, expected)
+    floats = oracle.measure_rows(support, rows, groups=groups, group_count=group_count)
+    assert np.array_equal(floats, expected)
+    ungrouped = oracle.measure_rows(support, bits, row_count=k)
+    assert np.array_equal(ungrouped, rows @ hidden[support])
+
+
 def test_grouped_measure_rows_rejects_bad_groups():
     oracle = MeasurementOracle(np.arange(8.0))
     support, rows = np.array([0, 3, 5]), np.ones((2, 3))
@@ -150,6 +207,13 @@ def test_dimension_errors():
         oracle.read_entries([0, 5])
     with pytest.raises(DimensionError):
         oracle.measure_rows([0, 1], np.ones((2, 3)))
+    with pytest.raises(DimensionError):  # packed rows: one byte row per support entry
+        oracle.measure_rows([0, 1], np.zeros((3, 2), dtype=np.uint8), row_count=9)
+    with pytest.raises(DimensionError):
+        oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=9)
+    with pytest.raises(DimensionError):
+        oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=0)
+    assert oracle.cost == 0
 
 
 def test_vector_validation():

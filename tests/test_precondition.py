@@ -188,9 +188,10 @@ class MeasureLog(MeasurementOracle):
         super().__init__(hidden)
         self.group_counts = []
 
-    def measure_rows(self, support, rows, stage=None, groups=None, group_count=None):
+    def measure_rows(self, support, rows, stage=None, groups=None, group_count=None,
+                     row_count=None):
         self.group_counts.append(group_count)
-        return super().measure_rows(support, rows, stage, groups, group_count)
+        return super().measure_rows(support, rows, stage, groups, group_count, row_count)
 
 
 def test_sign_filter_measures_only_shared_segments():
