@@ -6,11 +6,11 @@ products, each evaluation incrementing the information-cost counter by
 exactly one. A functional is a support plus one coefficient row; the entry
 points (`measure_rows`, `read_entries`, `charge`) take several functionals
 per call and charge one unit apiece, which keeps Monte Carlo experiments
-fast without changing the cost model. `measure_rows` with group ids splits
-the support into groups and evaluates every row on every group, one
-functional per (row, group) pair. ±1 rows may come packed as sign bits:
-the grouped product unpacks them a cache-sized chunk of whole groups at a
-time and sums each group in the order one product over all groups would.
+fast without changing the cost model. `measure_rows` has one product per
+row type: float rows on the whole support (a dense product); with group
+ids, one functional per (row, group) pair, either one float row
+(`np.bincount`) or ±1 rows packed as sign bits, unpacked a cache-sized
+chunk of whole groups at a time and summed in support order.
 
 The last section holds simulation affordances: the free `nonzero_indices`,
 which only speeds up exact fast paths, and the charged `gaussian_sketch`,
@@ -78,38 +78,35 @@ def _as_index_array(indices, m: int) -> np.ndarray:
 _CHUNK_ROWS = 512
 
 
-def _grouped_product(values, groups, group_count: int, width: int, fill) -> np.ndarray:
-    """(width, group_count) sums y[:, g] = sum of values_j * a_j over group g.
+def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.ndarray:
+    """(k, group_count) sums y[:, g] = sum of values_j * a_j over group g.
 
-    ``fill(positions, out)`` writes the rows a_j (length ``width``) of the
-    given support positions into ``out``. Groups are taken in order in
-    chunks of at most ``_CHUNK_ROWS`` rows (a larger group is a chunk of its
-    own), written into one reused buffer, and each chunk's groups are
-    summed by the csr kernel: one axpy y[g] += x_j * a_j per row, in
-    support order within the group. A group is never split, so every sum
-    takes the same additions in the same order as one csr product over all
-    groups.
+    Row j of ``packed`` holds the k signs a_j as ``rng.sign_bits`` packs
+    them. Groups are taken in order in chunks of at most ``_CHUNK_ROWS``
+    rows (a larger group is a chunk of its own); each chunk's rows are
+    unpacked into one reused float64 buffer and its groups summed by the
+    csr kernel: one axpy y[g] += x_j * a_j per row, in support order within
+    the group. A group is never split, so every sum takes the same
+    additions in the same order as one csr product over all groups.
     """
     order = np.argsort(groups, kind="stable")
     indptr = np.zeros(group_count + 1, dtype=np.intp)
     np.cumsum(np.bincount(groups, minlength=group_count), out=indptr[1:])
     data = values[order]
     cuts = [0]  # chunk i holds groups cuts[i]:cuts[i+1]
-    while indptr[-1] - indptr[cuts[-1]] > _CHUNK_ROWS:
+    while cuts[-1] < group_count:
         end = int(np.searchsorted(indptr, indptr[cuts[-1]] + _CHUNK_ROWS, side="right")) - 1
         cuts.append(max(cuts[-1] + 1, end))
-    cuts.append(group_count)
     starts = indptr[cuts].tolist()  # chunk i holds support rows starts[i]:starts[i+1]
-    buffer = np.empty((max(b - a for a, b in zip(starts, starts[1:])), width))
+    buffer = np.empty((max(b - a for a, b in zip(starts, starts[1:])), k))
     cols = np.arange(buffer.shape[0])
-    # one chunk returns its own product: a second (groups x width) array
-    # can push the freed heap top past glibc's trim threshold, and the next
+    # one chunk returns its own product: a second (groups x k) array can
+    # push the freed heap top past glibc's trim threshold, and the next
     # call faults it back in (570 minor faults per call at 200 rows in 90
     # groups, none without)
-    y = np.empty((group_count, width)) if len(cuts) > 2 else None
+    y = np.empty((group_count, k)) if len(cuts) > 2 else None
     for g0, g1, s0, s1 in zip(cuts, cuts[1:], starts, starts[1:]):
-        block = buffer[:s1 - s0]
-        fill(order[s0:s1], block)
+        block = unpack_signs(packed[order[s0:s1]], k, out=buffer[:s1 - s0])
         chunk = csr_array((data[s0:s1], cols[:s1 - s0], indptr[g0:g1 + 1] - s0),
                           shape=(g1 - g0, s1 - s0))
         if y is None:
@@ -163,36 +160,32 @@ class MeasurementOracle:
         With ``groups`` (one id in [0, group_count) per support entry), each
         (row, group) pair is one functional: the row restricted to that
         group's entries. Returns a (#rows, group_count) array;
-        cost += #rows * group_count, and an empty group measures 0.0. For
-        several rows and groups pass ``rows`` as the transpose of a
-        C-contiguous (len(support), #rows) array, so that each chunk of the
-        grouped product gathers whole memory rows.
-
-        With ``row_count`` = k, ``rows`` holds k ±1 rows packed as
+        cost += #rows * group_count, and an empty group measures 0.0.
+        Grouped rows are either one float row, summed per group by
+        ``np.bincount``, or, with ``row_count`` = k, k ±1 rows packed as
         ``rng.sign_bits`` returns them: one byte row per support entry, bit
-        1 for +1, padding bits ignored. Several rows on several groups are
-        unpacked chunk by chunk (see ``_grouped_product``), never as the
-        whole (len(support), k) float64 block; every call returns the same
-        bytes as the unpacked rows would.
+        1 for +1, padding bits ignored. Packed rows are unpacked chunk by
+        chunk (see ``_grouped_product``), never as the whole
+        (len(support), k) float64 block.
         """
         sup = _as_index_array(support, self.dimension)
+        if groups is None and group_count is None and row_count is None:
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 2 or rows.shape[1] != sup.size:
+                raise DimensionError("rows must be (count, len(support))")
+            self._ledger.add(rows.shape[0], stage)
+            return rows @ self._hidden[sup]
+        if groups is None or group_count is None:
+            raise ParameterError("give groups and group_count together")
         packed = row_count is not None
         if packed:
             row_count, rows = int(row_count), np.asarray(rows, dtype=np.uint8)
             if row_count < 1 or rows.shape != (sup.size, (row_count + 7) // 8):
                 raise DimensionError("packed rows must be (len(support), ceil(row_count / 8))")
         else:
-            rows = np.asarray(rows, dtype=np.float64)
-            if rows.ndim != 2 or rows.shape[1] != sup.size:
-                raise DimensionError("rows must be (count, len(support))")
-            row_count = rows.shape[0]
-        if groups is None and group_count is None:
-            self._ledger.add(row_count, stage)
-            if packed:
-                rows = unpack_signs(rows, row_count).T
-            return rows @ self._hidden[sup]
-        if groups is None or group_count is None:
-            raise ParameterError("give groups and group_count together")
+            rows, row_count = np.asarray(rows, dtype=np.float64), 1
+            if rows.shape != (1, sup.size):
+                raise DimensionError("grouped float rows must be one (1, len(support)) row")
         groups = np.asarray(groups, dtype=np.intp)
         group_count = int(group_count)
         if groups.shape != sup.shape:
@@ -202,18 +195,8 @@ class MeasurementOracle:
             raise ParameterError("group ids must lie in [0, group_count)")
         self._ledger.add(row_count * group_count, stage)
         values = self._hidden[sup]
-        if group_count > 1 and row_count > 1:
-            if packed:
-                def fill(positions, out):
-                    unpack_signs(rows[positions], row_count, out=out)
-            else:
-                def fill(positions, out):
-                    np.take(rows.T, positions, axis=0, out=out)
-            return _grouped_product(values, groups, group_count, row_count, fill)
         if packed:
-            rows = unpack_signs(rows, row_count).T
-        if group_count == 1:
-            return (rows @ values)[:, None]
+            return _grouped_product(values, rows, groups, group_count, row_count)
         return np.bincount(groups, weights=rows[0] * values, minlength=group_count)[None]
 
     def read_entries(self, indices, stage=None) -> np.ndarray:

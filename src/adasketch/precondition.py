@@ -18,12 +18,12 @@ fast:
 * Sign columns are drawn only for live candidates, those whose hidden
   entry is nonzero, since zero entries cannot influence a measured sign.
   The live columns of all segments are drawn as one block of packed sign
-  bits, one byte row per live candidate, and measured by one
-  ``measure_rows`` call grouped by segment, which unpacks them chunk by
-  chunk; the correlations <a_j, s> are exact integer popcounts of the same
-  packed bits. A lone segment (one live candidate) needs no arithmetic: its
-  signs are its column's, so its candidate survives; it takes only its
-  sign bytes and its charge.
+  bits, one byte row per live candidate; those of the shared segments (two
+  or more live candidates) are measured by one ``measure_rows`` call
+  grouped by segment, and the correlations <a_j, s> are exact integer
+  popcounts of the same packed bits. A lone segment (one live candidate)
+  needs no arithmetic: its signs are its column's, so its candidate
+  survives; it takes only its sign bytes and its charge.
 * A zero candidate's retention is then an independent Binomial(k, 1/2)
   tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
   k = 701). Their total over all segments is one Binomial draw. When it is
@@ -105,11 +105,11 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     candidate of every segment (their segment does not matter: it is drawn
     here); it is called only when the Binomial tail keeps one. Each segment
     costs exactly k measurements. Every live row takes its sign bytes, but
-    only shared segments (two or more live candidates) are measured: their
-    packed sign bytes go to ``measure_rows`` as they are, and each segment
-    is summed as in one grouped call over all segments. The others are charged
-    in bulk: an idle segment measures 0.0, and a lone one measures
-    x_j * a_j exactly, so its j survives at distance 0. Returns
+    only the shared segments (two or more live candidates) are measured, by
+    one ``measure_rows`` call that takes their packed sign bytes as they are
+    and has one group per shared segment. The others are charged in bulk:
+    an idle segment measures 0.0, and a lone one measures x_j * a_j
+    exactly, so its j survives at distance 0. Returns
     ``(coords, cuts)``: the non-empty survivor sets in ascending segment
     order, set i being ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts``
     starts at 0 and ends at ``coords.size``.
@@ -127,13 +127,7 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
     kept = np.ones(live.size, dtype=bool)
     measured = 0
     if not lone.all():
-        rows = slice(None)
-        if lone.any():
-            rows = ~lone
-            if np.count_nonzero(head & rows) == 1:
-                # one group would take measure_rows' gemv path, whose sums
-                # differ from the grouped kernel's: measure a lone segment too
-                rows[np.argmax(lone)] = True
+        rows = ~lone
         groups, bits = np.cumsum(head[rows]) - 1, a_bits[rows]
         measured = int(groups[-1]) + 1
         y = oracle.measure_rows(live[rows], bits, stage="precond", groups=groups,

@@ -78,9 +78,11 @@ def test_grouped_measure_rows_matches_per_group_rows():
     hidden = rng.standard_normal(40)
     support = np.array([2, 3, 7, 11, 12, 30, 31, 39])
     groups = np.array([3, 0, 3, 2, 0, 3, 2, 0])  # unsorted; group 1 is empty
-    rows = rng.standard_normal((5, support.size))
+    bits = sign_bits(rng, support.size, 5)
+    rows = unpack_signs(bits, 5).T
     oracle = MeasurementOracle(hidden)
-    values = oracle.measure_rows(support, rows, stage="seg", groups=groups, group_count=4)
+    values = oracle.measure_rows(support, bits, stage="seg", groups=groups, group_count=4,
+                                 row_count=5)
     assert values.shape == (5, 4)
     assert oracle.stage_costs() == {"seg": 20}
     assert np.array_equal(values[:, 1], np.zeros(5))  # empty group 1, charged above
@@ -106,15 +108,19 @@ def test_grouped_measure_rows_one_row_is_bincount():
 
 
 def test_grouped_measure_rows_one_group_is_the_ungrouped_call():
+    # the same functionals; the grouped sum runs in support order, the
+    # ungrouped product in BLAS order, so they agree to rounding
     rng = RngStream(7).child("x").generator
     hidden = rng.standard_normal(16)
     support = np.array([1, 5, 6, 14])
-    rows = rng.standard_normal((3, support.size))
+    bits = sign_bits(rng, support.size, 3)
     oracle = MeasurementOracle(hidden)
-    values = oracle.measure_rows(support, rows, groups=np.zeros(4, dtype=int), group_count=1)
+    values = oracle.measure_rows(support, bits, groups=np.zeros(4, dtype=int), group_count=1,
+                                 row_count=3)
     assert values.shape == (3, 1)
     assert oracle.cost == 3
-    assert np.array_equal(values[:, 0], MeasurementOracle(hidden).measure_rows(support, rows))
+    ungrouped = MeasurementOracle(hidden).measure_rows(support, unpack_signs(bits, 3).T)
+    assert np.allclose(values[:, 0], ungrouped, rtol=1e-12, atol=1e-15)
 
 
 def _unchunked_product(hidden, support, rows, groups, group_count):
@@ -130,8 +136,12 @@ def _unchunked_product(hidden, support, rows, groups, group_count):
 
 
 def _grouped_layout(gen, layout):
-    """Support size, group count and unsorted group ids, one group left empty."""
+    """Support size, group count and unsorted group ids, one group left empty
+    ("one-group": a single group of a few rows up to several chunks)."""
     chunk = oracle_module._CHUNK_ROWS
+    if layout == "one-group":
+        size = int(gen.integers(1, 3 * chunk))
+        return size, 1, np.zeros(size, dtype=np.intp)
     if layout == "few":
         size, group_count = int(gen.integers(1, 60)), int(gen.integers(2, 12))
     else:  # several chunks; "big-group" gives one group more rows than a chunk
@@ -147,7 +157,7 @@ def _grouped_layout(gen, layout):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 8, 9, 701]),
-       st.sampled_from(["few", "chunks", "big-group"]))
+       st.sampled_from(["one-group", "few", "chunks", "big-group"]))
 def test_packed_grouped_rows_equal_the_float_product_bytewise(seed, k, layout):
     gen = RngStream(seed).child("packed").generator
     size, group_count, groups = _grouped_layout(gen, layout)
@@ -166,25 +176,44 @@ def test_packed_grouped_rows_equal_the_float_product_bytewise(seed, k, layout):
     assert oracle.cost == k * group_count
     assert packed.shape == (k, group_count)
     assert np.array_equal(packed, expected)
-    floats = oracle.measure_rows(support, rows, groups=groups, group_count=group_count)
-    assert np.array_equal(floats, expected)
-    ungrouped = oracle.measure_rows(support, bits, row_count=k)
-    assert np.array_equal(ungrouped, rows @ hidden[support])
+
+
+def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
+    # groups of 10 and chunk + 188 rows: two chunks, and no empty csr product
+    # after the large last group
+    shapes = []
+
+    def spy(arg, shape):
+        shapes.append(shape)
+        return csr_array(arg, shape=shape)
+
+    monkeypatch.setattr(oracle_module, "csr_array", spy)
+    gen = RngStream(11).child("chunks").generator
+    big = oracle_module._CHUNK_ROWS + 188
+    hidden = gen.standard_normal(10 + big)
+    support, groups = np.arange(10 + big), np.repeat([0, 1], [10, big])
+    bits = sign_bits(gen, support.size, 9)
+    values = MeasurementOracle(hidden).measure_rows(support, bits, groups=groups,
+                                                    group_count=2, row_count=9)
+    assert shapes == [(1, 10), (1, big)]
+    expected = _unchunked_product(hidden, support, unpack_signs(bits, 9).T, groups, 2)
+    assert np.array_equal(values, expected)
 
 
 def test_grouped_measure_rows_rejects_bad_groups():
     oracle = MeasurementOracle(np.arange(8.0))
-    support, rows = np.array([0, 3, 5]), np.ones((2, 3))
-    with pytest.raises(DimensionError):
-        oracle.measure_rows(support, rows, groups=[0, 1], group_count=2)
-    with pytest.raises(ParameterError):
-        oracle.measure_rows(support, rows, groups=[0, 1, 2], group_count=2)
-    with pytest.raises(ParameterError):
-        oracle.measure_rows(support, rows, groups=[0, -1, 1], group_count=2)
-    with pytest.raises(ParameterError):
-        oracle.measure_rows(support, rows, groups=[0, 0, 0], group_count=0)
-    with pytest.raises(ParameterError):
-        oracle.measure_rows(support, rows, groups=[0, 0, 0])
+    support = np.array([0, 3, 5])
+    for rows, k in ((np.ones((1, 3)), None), (np.zeros((3, 1), dtype=np.uint8), 5)):
+        with pytest.raises(DimensionError):
+            oracle.measure_rows(support, rows, groups=[0, 1], group_count=2, row_count=k)
+        with pytest.raises(ParameterError):
+            oracle.measure_rows(support, rows, groups=[0, 1, 2], group_count=2, row_count=k)
+        with pytest.raises(ParameterError):
+            oracle.measure_rows(support, rows, groups=[0, -1, 1], group_count=2, row_count=k)
+        with pytest.raises(ParameterError):
+            oracle.measure_rows(support, rows, groups=[0, 0, 0], group_count=0, row_count=k)
+        with pytest.raises(ParameterError):
+            oracle.measure_rows(support, rows, groups=[0, 0, 0], row_count=k)
     assert oracle.cost == 0
 
 
@@ -207,12 +236,17 @@ def test_dimension_errors():
         oracle.read_entries([0, 5])
     with pytest.raises(DimensionError):
         oracle.measure_rows([0, 1], np.ones((2, 3)))
+    one_group = {"groups": [0, 0], "group_count": 1}
     with pytest.raises(DimensionError):  # packed rows: one byte row per support entry
-        oracle.measure_rows([0, 1], np.zeros((3, 2), dtype=np.uint8), row_count=9)
+        oracle.measure_rows([0, 1], np.zeros((3, 2), dtype=np.uint8), row_count=9, **one_group)
     with pytest.raises(DimensionError):
-        oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=9)
+        oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=9, **one_group)
     with pytest.raises(DimensionError):
-        oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=0)
+        oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=0, **one_group)
+    with pytest.raises(ParameterError):  # packed rows come with groups
+        oracle.measure_rows([0, 1], np.zeros((2, 2), dtype=np.uint8), row_count=9)
+    with pytest.raises(DimensionError):  # grouped float rows are one row
+        oracle.measure_rows([0, 1], np.ones((2, 2)), **one_group)
     assert oracle.cost == 0
 
 

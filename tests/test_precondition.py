@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from adasketch.errors import ParameterError
@@ -181,6 +183,51 @@ def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
         assert all(np.array_equal(a, b) for a, b in zip(got, expected)), label
 
 
+def random_segments(gen, layout):
+    """(live, segment_of, segments) for a random layout, ``live`` ascending as
+    ``sign_filter`` takes it: every live segment lone, one shared segment
+    among lone ones, a single shared segment, no live segment, or shared and
+    lone segments mixed. A shared segment holds 2 candidates one time in
+    two, else 3-40."""
+    segments = int(gen.integers(2, 10))
+    counts = np.zeros(segments, dtype=np.intp)
+    shared, *others = gen.permutation(segments)
+    if layout == "all-lone":
+        counts[gen.random(segments) < 0.6] = 1
+        counts[shared] = 1
+    elif layout == "mixed":
+        counts = gen.integers(0, 6, size=segments)
+    elif layout != "none-live":  # "one-shared" and "single-shared"
+        if layout == "one-shared":
+            counts[others[:int(gen.integers(1, segments))]] = 1
+        counts[shared] = 2 if gen.random() < 0.5 else gen.integers(3, 41)
+    segment_of = gen.permutation(np.repeat(np.arange(segments), counts))
+    live = np.sort(gen.choice(segment_of.size + 20, size=segment_of.size, replace=False))
+    return live, segment_of, segments
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 24, 701]),
+       st.sampled_from(["all-lone", "one-shared", "single-shared", "none-live", "mixed"]))
+def test_sign_filter_replays_per_segment_on_random_layouts(seed, k, layout):
+    # survivors and cost equal a per-segment ungrouped replay of the same
+    # sign block; the largest segment's first two candidates are an exact
+    # +-0.5 pair, which cancels to 0 in a two-candidate segment and so
+    # exercises sign(0)
+    gen = RngStream(seed).child("layout").generator
+    live, segment_of, segments = random_segments(gen, layout)
+    hidden = np.zeros(live.size + 20)
+    hidden[live] = gen.standard_normal(live.size) * 10.0 ** gen.uniform(-3.0, 3.0, live.size)
+    if live.size:
+        pair = live[segment_of == np.argmax(np.bincount(segment_of))][:2]
+        hidden[pair] = [0.5, -0.5][:pair.size]
+    got, expected, cost, _ = replay_sign_filter(hidden, live, segment_of, segments, k,
+                                                f"layout-{seed}")
+    assert cost == k * segments
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
 class MeasureLog(MeasurementOracle):
     """An oracle that records the group count of each measure_rows call."""
 
@@ -196,11 +243,10 @@ class MeasureLog(MeasurementOracle):
 
 def test_sign_filter_measures_only_shared_segments():
     # a pass whose live segments are all lone makes no measurement; one
-    # shared segment among lone ones is measured with one lone segment, so
-    # the call keeps two groups and the grouped kernel; with no lone
-    # segment every live segment is measured, as by one grouped call
+    # shared segment among lone ones is measured alone, as one group; with
+    # no lone segment every live segment is measured, as by one grouped call
     hidden = stream("measured-x").generator.standard_normal(40)
-    expected = {"all-lone": [], "one-shared": [2], "single-lone": [],
+    expected = {"all-lone": [], "one-shared": [1], "single-lone": [],
                 "single-shared": [1], "none-live": []}
     for label, live, segment_of, segments in LONE_AND_SHARED:
         oracle, segment_of = MeasureLog(hidden), np.array(segment_of, dtype=np.intp)
