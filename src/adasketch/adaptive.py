@@ -4,8 +4,9 @@ The algorithm runs ``reps`` independent detection passes at each of
 ``levels`` sensitivity levels eps_l = 2^(-l / min(2, p)), unions every
 detected coordinate into one candidate set K, reads the entries on K
 directly, and outputs the vector that agrees with the hidden one on K and
-is zero elsewhere. With reps = ceil(q / min(2, p)) the q-th moment error
-on the unit l_p ball decays like 3^(1/q) * 2^(-(1/p' )(1-p/q) L).
+is zero elsewhere, as an ``oracle.SparseVector`` of K and its reads. With
+reps = ceil(q / min(2, p)) the q-th moment error on the unit l_p ball
+decays like 3^(1/q) * 2^(-(1/p' )(1-p/q) L).
 
 Every adaptive decision inside the pipeline depends only on ratios and
 signs of measurements, so with coupled randomness the whole algorithm is
@@ -28,7 +29,7 @@ from .discover import (
     discover_cost_cap,
 )
 from .errors import DimensionError, ParameterError
-from .oracle import MeasurementOracle
+from .oracle import MeasurementOracle, SparseVector
 from .rng import RngStream
 
 
@@ -130,8 +131,9 @@ def levels_for_budget(budget: int, m: int, p: float, q: float,
             return levels
 
 
-def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -> np.ndarray:
-    """Run the full multi-sensitivity algorithm and return the recovered vector."""
+def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -> SparseVector:
+    """Run the full multi-sensitivity algorithm and return the recovered vector:
+    the sorted candidates and their reads, which may include zeros."""
     if oracle.dimension != plan.m:
         raise DimensionError("oracle dimension does not match the plan")
     pieces = []
@@ -140,9 +142,8 @@ def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -
             found = discover(oracle, cfg, rng.child(f"discover-l{level}-r{rep}"))
             if found.size:
                 pieces.append(found)
-    out = np.zeros(plan.m)
-    if pieces:
-        detected = np.sort(np.concatenate(pieces))  # passes can repeat a coordinate
-        candidates = detected[np.concatenate(([True], detected[1:] != detected[:-1]))]
-        out[candidates] = oracle.read_entries(candidates, stage="reads")
-    return out
+    if not pieces:
+        return SparseVector(plan.m, [], [])
+    detected = np.sort(np.concatenate(pieces))  # passes can repeat a coordinate
+    candidates = detected[np.concatenate(([True], detected[1:] != detected[:-1]))]
+    return SparseVector(plan.m, candidates, oracle.read_entries(candidates, stage="reads"))

@@ -12,6 +12,11 @@ y / ||y||_p of m i.i.d. p-generalized normal coordinates (density
 proportional to exp(-|t|^p)), scaled by the radius U^(1/m). Each coordinate
 is drawn as ±Gamma(1/p)^(1/p) with a fair sign, as Nardon and Pianca
 sample it (J. Stat. Comput. Simul. 79, 2009).
+
+Every family but ``uniform_ball`` samples its support without replacement
+(O(nnz)) and returns an ``oracle.SparseVector``; ``uniform_ball`` returns a
+dense array. The stream calls are those of a dense construction, so
+``np.asarray`` of a draw is that dense vector, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .oracle import SparseVector
 from .rng import RngStream, rademacher
 
 KINDS = ("spikes", "geometric", "spike_plus_tail", "uniform_ball", "zero",
@@ -79,39 +85,42 @@ def _geometric_magnitudes(p: float, mass: float, length: int) -> np.ndarray:
     return head * _GEOMETRIC_RATIO ** np.arange(length)
 
 
-def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> np.ndarray:
-    """Draw one vector of dimension m from the family."""
+def _sparse(m: int, where, values) -> SparseVector:
+    """The vector with ``values`` at the distinct coordinates ``where``."""
+    order = np.argsort(where)
+    return SparseVector(m, where[order], values[order])
+
+
+def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> SparseVector | np.ndarray:
+    """Draw one vector of dimension m from the family: a :class:`SparseVector`
+    for every family but ``uniform_ball``, which is a dense array."""
     if m < 1:
         raise ParameterError("m must be >= 1")
     gen = rng.generator
     p = family.p
-    x = np.zeros(m)
 
     if family.kind == "zero":
-        return x
+        return SparseVector(m, [], [])
 
     if family.kind == "spikes":
         k = family.count
         if k > m:
             raise ParameterError(f"spikes:{k} does not fit dimension {m}")
         where = gen.choice(m, size=k, replace=False)
-        x[where] = rademacher(gen, k) * k ** (-1.0 / p)
-        return x
+        return _sparse(m, where, rademacher(gen, k) * k ** (-1.0 / p))
 
     if family.kind == "denoise_adversarial":
         block = 2 * family.count + 1
         if block > m:
             raise ParameterError(f"denoise_adversarial:{family.count} needs m >= {block}")
         where = gen.choice(m, size=block, replace=False)
-        x[where] = block ** (-1.0 / p)
-        return x
+        return _sparse(m, where, np.full(block, block ** (-1.0 / p)))
 
     if family.kind == "geometric":
         length = min(m, _TAIL_LENGTH)
         where = gen.choice(m, size=length, replace=False)
         mags = _geometric_magnitudes(p, 1.0, length)
-        x[where] = rademacher(gen, length) * mags
-        return x
+        return _sparse(m, where, rademacher(gen, length) * mags)
 
     if family.kind == "spike_plus_tail":
         k = family.count
@@ -119,10 +128,9 @@ def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> np.ndarray:
         if k + length > m or length < 1:
             raise ParameterError(f"spike_plus_tail:{k} does not fit dimension {m}")
         where = gen.choice(m, size=k + length, replace=False)
-        x[where[:k]] = rademacher(gen, k) * (0.5 / k) ** (1.0 / p)
+        spikes = rademacher(gen, k) * (0.5 / k) ** (1.0 / p)
         mags = _geometric_magnitudes(p, 0.5, length)
-        x[where[k:]] = rademacher(gen, length) * mags
-        return x
+        return _sparse(m, where, np.concatenate((spikes, rademacher(gen, length) * mags)))
 
     # uniform_ball: direction from the p-generalized normal, radius U^(1/m)
     y = gen.gamma(1.0 / p, size=m) ** (1.0 / p)

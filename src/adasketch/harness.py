@@ -4,8 +4,12 @@ comparisons of adaptive vs non-adaptive methods.
 Each trial draws a fresh vector from the family (a stream derived only from
 seed, family and trial index, so different methods see identical inputs),
 runs the method against a fresh oracle, and records the l_q error and the
-measured cost. Every trial hard-asserts the measured cost against the
-method's closed-form cap: the first trial over it raises
+measured cost. When the vector and the output are both ``SparseVector``s
+(a sparse family under ``adaptive``), the error is the l_q norm of their
+difference on the union of the two supports, so the trial does no O(m)
+work; leaving the zeros out can change the sum's rounding in the last
+bits. Every trial hard-asserts the measured cost against the method's
+closed-form cap: the first trial over it raises
 :class:`CapViolationError`, naming the trial and its per-stage costs.
 Identical configurations (including the seed) produce byte-identical CSV
 output.
@@ -24,7 +28,7 @@ from . import adaptive, nonadaptive
 from .discover import PRECONDITIONED, VARIANTS
 from .errors import CapViolationError, ParameterError
 from .families import VectorFamily, gen_vector
-from .oracle import MeasurementOracle, lp_norm
+from .oracle import MeasurementOracle, SparseVector, lp_norm
 from .rng import RngStream
 
 CSV_COLUMNS = [
@@ -53,7 +57,7 @@ class Method:
     levels: int | None = None
     reps: int | None = None
 
-    def run(self, oracle: MeasurementOracle, rng: RngStream) -> np.ndarray:
+    def run(self, oracle: MeasurementOracle, rng: RngStream) -> np.ndarray | SparseVector:
         return self.runner(oracle, rng)
 
 
@@ -171,6 +175,14 @@ def _trial_streams(seed: int, family: VectorFamily, method_name: str, t: int):
             trial.child(f"method-{method_name}"))
 
 
+def _error(x, out, q: float) -> float:
+    """||x - out||_q, on the union of the supports when both are sparse."""
+    if isinstance(x, SparseVector) and isinstance(out, SparseVector):
+        union = np.union1d(x.index, out.index)
+        return lp_norm(x[union] - out[union], q)
+    return lp_norm(np.asarray(x) - np.asarray(out), q)
+
+
 def _trials(cfg: ExperimentConfig):
     """Run the trials of ``cfg`` in order, yielding each one's l_q error and oracle;
     raises :class:`CapViolationError` at the first trial that cost more than the cap."""
@@ -184,7 +196,7 @@ def _trials(cfg: ExperimentConfig):
             raise CapViolationError(
                 f"{cfg.method.name}: trial {t} cost {oracle.cost} exceeds cap "
                 f"{cfg.method.cap} (stages {oracle.stage_costs()})")
-        yield lp_norm(x - out, cfg.q), oracle
+        yield _error(x, out, cfg.q), oracle
 
 
 def estimate_error(cfg: ExperimentConfig) -> ErrorEstimate:

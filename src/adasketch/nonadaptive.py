@@ -100,10 +100,14 @@ def countsketch_params(level: int, m: int) -> tuple[int, int]:
 
 
 def countsketch_level_for_budget(budget: int, m: int) -> int | None:
-    """Largest level whose cost reps * groups fits ``budget``, or None if even
-    level 0 misses; each level doubles level 0's groups at the same rounds."""
+    """Largest level whose cost reps * groups fits ``budget``, stopping at the
+    first level with 2^level >= m, or None if even level 0 misses; each level
+    doubles level 0's groups at the same rounds. At that first level the
+    top-2^level denoising keeps every coordinate, so deeper levels add cost
+    and memory, not accuracy (``adaptive.levels_for_budget`` stops at its
+    first saturated level the same way)."""
     reps, groups = countsketch_params(0, m)
-    level = (budget // reps // groups).bit_length() - 1
+    level = min((budget // reps // groups).bit_length() - 1, (m - 1).bit_length())
     return level if level >= 0 else None
 
 

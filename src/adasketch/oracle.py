@@ -12,6 +12,13 @@ ids, one functional per (row, group) pair, either one float row
 (`np.bincount`) or ±1 rows packed as sign bits, unpacked a cache-sized
 chunk of whole groups at a time and summed in support order.
 
+The hidden vector is a dense array or a :class:`SparseVector`, which the
+oracle keeps sparse: building it, its free support and every query shorter
+than m cost O(nnz), by binary search. A query of m or more entries (a
+count-sketch round, ``read_all``) densifies it once per oracle instead of
+searching all m coordinates per query. Both forms answer alike, bytes and
+ledger.
+
 The last section holds simulation affordances: the free `nonzero_indices`,
 which only speeds up exact fast paths, and the charged `gaussian_sketch`,
 which stands for n Gaussian functionals and samples their sketch from its
@@ -42,6 +49,51 @@ def as_vector(entries) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ParameterError("vector entries must be finite")
     return v
+
+
+def _lookup(index, values, key) -> np.ndarray:
+    """Entries at the in-range indices ``key`` of the vector that holds
+    ``values`` on the sorted ``index`` and 0.0 elsewhere."""
+    if not index.size:
+        return np.zeros(np.shape(key))
+    pos = np.minimum(np.searchsorted(index, key), index.size - 1)
+    return np.where(index[pos] == key, values[pos], 0.0)
+
+
+class SparseVector:
+    """A vector of dimension ``m`` held as a sorted, unique support ``index``
+    (intp) and its float64 ``values``.
+
+    It has exactly two operations: ``np.asarray`` densifies it (O(m)), and
+    an integer or integer-array subscript looks entries up by binary search,
+    0.0 off the support. The sparse families store nonzero values only; an
+    ``approximate`` output stores its reads, which may hold zeros.
+    """
+
+    __slots__ = ("m", "index", "values")
+
+    def __init__(self, m: int, index, values):
+        self.m = int(m)
+        self.index = np.asarray(index, dtype=np.intp)
+        self.values = np.asarray(values, dtype=np.float64)
+        if self.m < 1 or self.index.ndim != 1 or self.values.shape != self.index.shape:
+            raise DimensionError("a sparse vector needs m >= 1 and one value per index")
+        if self.index.size and (self.index[0] < 0 or self.index[-1] >= self.m
+                                or (self.index[1:] <= self.index[:-1]).any()):
+            raise DimensionError(f"a sparse support must be sorted, unique and in [0, {self.m})")
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.m)
+        dense[self.index] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        key = np.asarray(key)
+        if key.dtype.kind not in "iu":
+            raise IndexError("a sparse vector takes integer or integer-array subscripts")
+        if key.size and (key.min() < 0 or key.max() >= self.m):
+            raise IndexError(f"subscripts must lie in [0, {self.m})")
+        return _lookup(self.index, self.values, key)[()]
 
 
 def lp_norm(v, p) -> float:
@@ -135,14 +187,32 @@ class MeasurementOracle:
     """
 
     def __init__(self, hidden):
-        self._hidden = as_vector(hidden).copy()
-        self._hidden.setflags(write=False)
+        self._dense = self._sparse = self._nonzero = None
+        if isinstance(hidden, SparseVector):
+            # an O(nnz) copy, densified by the first query of >= m entries
+            if not np.isfinite(hidden.values).all():
+                raise ParameterError("vector entries must be finite")
+            self._dimension = hidden.m
+            self._sparse = SparseVector(hidden.m, hidden.index.copy(), hidden.values.copy())
+            self._nonzero = self._sparse.index[self._sparse.values != 0.0]
+            self._nonzero.setflags(write=False)
+        else:
+            self._dense = as_vector(hidden).copy()
+            self._dense.setflags(write=False)
+            self._dimension = self._dense.size
         self._ledger = _CostLedger()
-        self._nonzero = None
 
     @property
     def dimension(self) -> int:
-        return self._hidden.size
+        return self._dimension
+
+    def _entries(self, idx) -> np.ndarray:
+        """Hidden entries at the validated indices ``idx``, as a new array."""
+        if self._dense is None:
+            if idx.size < self._dimension:
+                return _lookup(self._sparse.index, self._sparse.values, idx)
+            self._dense = np.asarray(self._sparse)
+        return self._dense[idx]
 
     @property
     def cost(self) -> int:
@@ -174,7 +244,7 @@ class MeasurementOracle:
             if rows.ndim != 2 or rows.shape[1] != sup.size:
                 raise DimensionError("rows must be (count, len(support))")
             self._ledger.add(rows.shape[0], stage)
-            return rows @ self._hidden[sup]
+            return rows @ self._entries(sup)
         if groups is None or group_count is None:
             raise ParameterError("give groups and group_count together")
         packed = row_count is not None
@@ -194,7 +264,7 @@ class MeasurementOracle:
                                                 or groups.max() >= group_count)):
             raise ParameterError("group ids must lie in [0, group_count)")
         self._ledger.add(row_count * group_count, stage)
-        values = self._hidden[sup]
+        values = self._entries(sup)
         if packed:
             return _grouped_product(values, rows, groups, group_count, row_count)
         return np.bincount(groups, weights=rows[0] * values, minlength=group_count)[None]
@@ -202,7 +272,7 @@ class MeasurementOracle:
     def read_entries(self, indices, stage=None) -> np.ndarray:
         idx = _as_index_array(indices, self.dimension)
         self._ledger.add(idx.size, stage)
-        return self._hidden[idx].copy()
+        return self._entries(idx)
 
     def charge(self, count: int, stage=None):
         """Count ``count`` evaluations whose values are deterministically known.
@@ -226,7 +296,7 @@ class MeasurementOracle:
         distribution of any algorithm's output.
         """
         if self._nonzero is None:
-            self._nonzero = np.flatnonzero(self._hidden)
+            self._nonzero = np.flatnonzero(self._dense)
             self._nonzero.setflags(write=False)
         return self._nonzero
 
@@ -245,11 +315,12 @@ class MeasurementOracle:
         if n < 1:
             raise ParameterError("n must be >= 1")
         self._ledger.add(n, stage)
-        norm = lp_norm(self._hidden, 2)
+        x = np.asarray(self._sparse) if self._dense is None else self._dense
+        norm = lp_norm(x, 2)
         if norm == 0.0:
             return np.zeros(self.dimension)
         gen = rng.generator
         s = gen.chisquare(n)
         z = gen.standard_normal(self.dimension)
-        u = self._hidden / norm
+        u = x / norm
         return (norm / n) * (s * u + math.sqrt(s) * (z - (u @ z) * u))

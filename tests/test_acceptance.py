@@ -225,7 +225,7 @@ def test_criterion_08_homogeneity():
             base = approximate(MeasurementOracle(x), plan, stream(label))
             for t in (2.0, -3.0, 1e-3):
                 scaled = approximate(MeasurementOracle(t * x), plan, stream(label))
-                assert np.allclose(scaled, t * base, rtol=1e-12, atol=0.0)
+                assert np.allclose(scaled, t * np.asarray(base), rtol=1e-12, atol=0.0)
 
 
 def test_criterion_09_countsketch():

@@ -193,7 +193,7 @@ def test_support_correctness():
         x = gen.standard_normal(m) * (gen.random(m) < 0.03)
         x /= max(1.0, lp_norm(x, 1))
         oracle = MeasurementOracle(x)
-        out = approximate(oracle, plan, rng.child_at("trial", t))
+        out = np.asarray(approximate(oracle, plan, rng.child_at("trial", t)))
         mismatch = (out != 0.0) & (out != x)
         assert not mismatch.any()
 
@@ -229,7 +229,7 @@ def test_approximate_reads_the_union_of_its_passes(variant):
     assert read.dtype == union.dtype and np.array_equal(read, union)
     expected = np.zeros(m)
     expected[union] = x[union]
-    assert out.tobytes() == expected.tobytes()
+    assert np.asarray(out).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("t", [2.0, -3.0, 1e-3])
@@ -242,7 +242,7 @@ def test_homogeneity_under_coupled_randomness(t):
         rng_label = f"hom-{t}-{trial}"
         base = approximate(MeasurementOracle(x), plan, stream(rng_label))
         scaled = approximate(MeasurementOracle(t * x), plan, stream(rng_label))
-        assert np.allclose(scaled, t * base, rtol=1e-12, atol=1e-300)
+        assert np.allclose(scaled, t * np.asarray(base), rtol=1e-12, atol=1e-300)
 
 
 def test_cost_cap_on_random_instances():

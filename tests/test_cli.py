@@ -50,6 +50,21 @@ def test_adaptive_budget_mode(tmp_path):
     assert row["max_cost"] == "0"
 
 
+def test_huge_count_sketch_budget_stops_at_the_first_saturated_level(tmp_path):
+    # once 2^L >= m the top-2^L denoising keeps every coordinate, so a budget
+    # of 10^11 at m = 64 resolves L = 6 (1,024 groups), not L = 28 (2^32
+    # groups, a 32 GiB plan); the level is checked before any trial runs
+    for name in ("countsketch", "countsketch_denoised"):
+        assert make_method(name, 64, 1.0, 2.0, budget=10**11).levels == 6
+    out = tmp_path / "run.csv"
+    assert run(["nonadaptive", "--method", "countsketch_denoised", "--m", "64",
+                "--budget", "100000000000", "--family", "spikes:4", "--trials", "3",
+                "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert (row["L"], row["R"], row["max_cost"]) == ("6", "21", str(21 * 2**10))
+    assert float(row["qmoment_err"]) == 0.0
+
+
 def test_budgeted_adaptive_fits_at_the_given_R_and_stops_at_saturation(capsys):
     spikes = ["--family", "spikes:4", "--trials", "2", "--seed", "3"]
     # searched at R = 4, not the default 2: level 2 fits (cap 230,040), level 3 does not
@@ -268,11 +283,12 @@ def test_over_budget_and_conflicting_sizes_exit_2(capsys):
         (["adaptive", "--m", "1024", "--eps", "0.3", "--L", "3", *spikes], "--eps"),
         (["audit", "--method", "linsketch", "--m", "64", "--eps", "0.3",
           "--budget", "128", *spikes], "--eps"),
-        # more than 2^32 count-sketch groups, by level or by budget // 21 rounds
+        # more than 2^32 count-sketch groups, by level or by budget // 93 rounds
+        # (a budget reaches level 29 only where m > 2^28)
         (["nonadaptive", "--method", "countsketch", "--m", "64", "--L", "29", *spikes],
          "count-sketch level 29 needs 2^33 groups, above the cap of 2^32"),
-        (["nonadaptive", "--method", "countsketch_denoised", "--m", "64",
-          "--budget", str(21 * 2**33), *spikes], "above the cap of 2^32"),
+        (["nonadaptive", "--method", "countsketch_denoised", "--m", str(2**30),
+          "--budget", str(93 * 2**33), *spikes], "above the cap of 2^32"),
         (["audit", "--method", "countsketch_denoised", "--m", "64", "--L", "40", *spikes],
          "count-sketch level 40 needs 2^44 groups, above the cap of 2^32"),
     ):

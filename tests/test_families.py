@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import gennorm
 
 from adasketch.errors import ParameterError
 from adasketch.families import VectorFamily, gen_vector
-from adasketch.oracle import lp_norm
+from adasketch.oracle import SparseVector, lp_norm
 from adasketch.rng import RngStream
 
 
@@ -109,3 +111,28 @@ def test_generation_is_deterministic():
     a = gen_vector(fam, 64, stream("det"))
     b = gen_vector(fam, 64, stream("det"))
     assert np.array_equal(a, b)
+
+
+# sha256 of np.asarray(draw).tobytes() plus the next four raw words of the
+# draw's stream, over p in {1, 1.5} and (m, seed) in {(64, 1), (2^20, 7919)};
+# computed from the dense construction, which made the same stream calls
+PINNED_DRAWS = [
+    ("spikes:3", "13bc01d3246c9424a0adeb82abd79ae831ea5f6011cb8a5ad4258e01fd165f24"),
+    ("geometric", "bed048300c3a644d04a03e5ed4f720c8d326e401fbde5889d433d6637502b29a"),
+    ("spike_plus_tail:2", "e3f017cf973244910ba9146cd95eb9cde027bb4ccb23c42e8a07f68d7404c7e2"),
+    ("denoise_adversarial:2", "5cd2d2d241ba9448a608d08ccf22b719c605aa11cfa96dfab64b9205e13ffd18"),
+    ("zero", "b3c760df8073f03985cc103a70d07f1cc6de98009c2173a4718d5ebfb1f00895"),
+]
+
+
+@pytest.mark.parametrize("family, expected", PINNED_DRAWS)
+def test_sparse_family_draws_are_pinned(family, expected):
+    digest = hashlib.sha256()
+    for p in (1.0, 1.5):
+        for m, seed in ((64, 1), (2**20, 7919)):
+            rng = RngStream(seed).child("pinned-draw")
+            x = gen_vector(VectorFamily.parse(family, p), m, rng)
+            assert isinstance(x, SparseVector) and x.m == m
+            digest.update(np.asarray(x).tobytes())
+            digest.update(rng.generator.bit_generator.random_raw(4).tobytes())
+    assert digest.hexdigest() == expected

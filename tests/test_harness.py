@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adasketch import harness
+from adasketch.adaptive import AdaptivePlan
 from adasketch.discover import BASIC, PRECONDITIONED, DiscoverConfig, discover
 from adasketch.errors import CapViolationError, ParameterError
 from adasketch.families import VectorFamily
@@ -18,6 +21,8 @@ from adasketch.harness import (
     param_table,
     write_csv,
 )
+from adasketch.oracle import SparseVector, lp_norm
+from adasketch.rng import RngStream
 from adasketch.spotting import SpotParams, spot
 
 
@@ -250,26 +255,30 @@ def test_make_method_validation():
         with pytest.raises(ParameterError, match="does not read reps"):
             make_method(name, 64, 1.0, 2.0, budget=100, reps=2)
     # a count sketch names at most 2^32 groups (level 28), by --L or by budget;
-    # resolving the method rejects more before any trial runs
-    reps, _ = countsketch_params(0, 64)
+    # resolving the method rejects more before any trial runs. A budget
+    # reaches level 29 only where m > 2^28 (below, it stops at 2^level >= m)
+    m = 2**30
+    reps, _ = countsketch_params(0, m)
     for name in ("countsketch", "countsketch_denoised"):
-        assert make_method(name, 64, 1.0, 2.0, levels=28).cap == reps * 2**32
-        assert make_method(name, 64, 1.0, 2.0, budget=reps * 2**33 - 1).levels == 28
+        assert make_method(name, m, 1.0, 2.0, levels=28).cap == reps * 2**32
+        assert make_method(name, m, 1.0, 2.0, budget=reps * 2**33 - 1).levels == 28
         for knobs in ({"levels": 29}, {"levels": 60}, {"budget": reps * 2**33},
                       {"budget": 2**62}):
             with pytest.raises(ParameterError, match="above the cap of 2\\^32"):
-                make_method(name, 64, 1.0, 2.0, **knobs)
+                make_method(name, m, 1.0, 2.0, **knobs)
 
 
 def test_budgeted_countsketch_takes_the_largest_level_that_fits():
     # the level's definition, checked level by level: its cost fits the
-    # budget and the next level's does not; below level 0 it is the zero
-    # method, and past level 28 (2^32 groups) a parameter error
+    # budget and the next level's does not, unless it is the first level
+    # with 2^level >= m; below level 0 it is the zero method, and past
+    # level 28 (2^32 groups) a parameter error
     for m in (1, 3, 64, 4096, 10**9):
         reps, _ = countsketch_params(0, m)  # the rounds do not depend on the level
+        saturated = (m - 1).bit_length()
         for budget in [*range(0, 3000, 7), 10**6, reps * 2**33 - 1, reps * 2**33,
                        10**12, 10**18, 2**62]:
-            if budget // reps >= 2**33:
+            if budget // reps >= 2**33 and saturated > 28:
                 with pytest.raises(ParameterError, match="above the cap of 2\\^32"):
                     make_method("countsketch", m, 1.0, 2.0, budget=budget)
                 continue
@@ -280,7 +289,8 @@ def test_budgeted_countsketch_takes_the_largest_level_that_fits():
                 assert method.cap == reps * 2 ** (4 + level) <= budget
             else:
                 assert method.cap == 0
-            assert reps * 2 ** (5 + level) > budget
+            assert level == saturated or reps * 2 ** (5 + level) > budget
+            assert level <= saturated
 
 
 def test_every_method_on_tiny_dimensions_and_extreme_budgets():
@@ -302,3 +312,49 @@ def test_every_method_on_tiny_dimensions_and_extreme_budgets():
                         assert all(map(math.isfinite, (est.mean_err, est.qmoment_err,
                                                        est.ci, est.mean_cost))), \
                             (name, m, budget, p, q, family)
+
+
+@pytest.mark.parametrize("levels", [2, 6])
+def test_adaptive_runs_in_the_papers_regime_in_sparse_memory(levels):
+    # m = 2^30, where the cost cap is far below m (n << m); a dense vector
+    # would take 8 GiB, so the trials must stay O(nnz) end to end: the family
+    # draw, the oracle, the output and the error
+    m, trials = 2**30, 50
+    method = make_method("adaptive", m, 1.0, 2.0, levels=levels, reps=2)
+    plan = AdaptivePlan(m=m, p=1.0, q=2.0, levels=levels, reps=2)
+    assert method.cap * 400 < m  # n << m
+    tracemalloc.start()
+    try:
+        for family in ("spikes:4", "geometric"):
+            est = estimate_error(config(method, family=family, m=m, trials=trials, seed=30))
+            assert est.max_cost <= method.cap  # estimate_error also asserts it per trial
+            assert est.qmoment_err <= plan.error_bound(), (levels, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_union_support_error_matches_the_dense_norm():
+    # the error of two sparse vectors leaves their common zeros out of the
+    # sum, which may only change its rounding: within a few ulps of the
+    # dense norm at finite q, and equal at q = inf (a max has no order)
+    gen = RngStream(19).child("union-error").generator
+
+    def draw(m):
+        size = int(gen.integers(0, min(m, 70) + 1))
+        support = np.sort(gen.choice(m, size=size, replace=False))
+        return SparseVector(m, support, gen.standard_normal(size)
+                            * 10.0 ** gen.uniform(-3.0, 3.0, size=size))
+
+    for trial in range(200):
+        m = int(gen.integers(1, 300))
+        x, out = draw(m), draw(m)
+        if trial % 2:  # an output that reads x exactly on part of x's support
+            keep = x.index[gen.random(x.index.size) < 0.5]
+            out = SparseVector(m, keep, x[keep])
+        dense = np.asarray(x) - np.asarray(out)
+        for q in (1.5, 2.0, 3.0):
+            assert harness._error(x, out, q) == pytest.approx(lp_norm(dense, q), rel=1e-14, abs=0)
+        assert harness._error(x, out, math.inf) == lp_norm(dense, math.inf)
+        assert harness._error(x, np.asarray(out), 2.0) == lp_norm(dense, 2.0)

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from adasketch import oracle as oracle_module
 from adasketch.errors import DimensionError, ParameterError
-from adasketch.oracle import MeasurementOracle, lp_norm
+from adasketch.oracle import MeasurementOracle, SparseVector, lp_norm
 from adasketch.rng import RngStream, sign_bits, unpack_signs
 
 
@@ -257,6 +257,85 @@ def test_vector_validation():
         MeasurementOracle([np.inf])
     with pytest.raises(DimensionError):
         MeasurementOracle([])
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 3), st.integers(1, 2**12)), st.integers(0, 70),
+       st.integers(0, 2**32 - 1))
+@example(m=1, nnz=0, seed=0)
+@example(m=1, nnz=1, seed=1)
+@example(m=3, nnz=3, seed=2)
+@example(m=2**12, nnz=70, seed=3)
+def test_sparse_and_dense_hidden_vectors_answer_alike(m, nnz, seed):
+    # every entry point and affordance gives the same bytes and ledger on a
+    # SparseVector as on its dense copy, including queries of >= m entries,
+    # which read the densified copy the sparse oracle caches
+    gen = RngStream(seed).child("sparse-vs-dense").generator
+    nnz = min(nnz, m)
+    index = np.sort(gen.choice(m, size=nnz, replace=False))
+    values = gen.standard_normal(nnz) * 10.0 ** gen.uniform(-3.0, 3.0, size=nnz)
+    sparse = SparseVector(m, index, values)
+    dense = np.asarray(sparse)
+    assert dense.shape == (m,) and np.array_equal(np.flatnonzero(dense), index)
+    oracles = MeasurementOracle(sparse), MeasurementOracle(dense)
+
+    def both(call):
+        first, second = (call(oracle) for oracle in oracles)
+        assert _same(first, second)
+        return first
+
+    assert both(lambda o: o.nonzero_indices()).dtype == np.intp
+    assert both(lambda o: o.dimension) == m
+    for size in (0, 1, int(gen.integers(1, 2 * m + 1)), m):
+        query = gen.permutation(m) if size == m else gen.integers(0, m, size=size)
+        both(lambda o: o.read_entries(query, stage="reads"))
+        rows = gen.standard_normal((int(gen.integers(1, 4)), size))
+        both(lambda o: o.measure_rows(query, rows, stage="rows"))
+        group_count = int(gen.integers(1, 9))
+        groups = gen.integers(0, group_count, size=size)
+        both(lambda o: o.measure_rows(query, rows[:1], stage="group", groups=groups,
+                                      group_count=group_count))
+        k = int(gen.choice([1, 9, 701]))
+        bits = sign_bits(gen, size, k)
+        both(lambda o: o.measure_rows(query, bits, stage="packed", groups=groups,
+                                      group_count=group_count, row_count=k))
+    n = int(gen.integers(1, 50))
+    both(lambda o: o.gaussian_sketch(n, RngStream(seed).child("sketch"), stage="ls"))
+    sparse_oracle, dense_oracle = oracles
+    assert sparse_oracle.cost == dense_oracle.cost
+    assert sparse_oracle.stage_costs() == dense_oracle.stage_costs()
+    assert sparse_oracle._dense is not None  # the full-size queries densified it
+
+
+def test_sparse_vectors_are_validated_like_dense_ones():
+    with pytest.raises(DimensionError):  # out of range
+        SparseVector(4, [1, 4], [1.0, 2.0])
+    with pytest.raises(DimensionError):
+        SparseVector(4, [-1, 2], [1.0, 2.0])
+    with pytest.raises(DimensionError):  # duplicate
+        SparseVector(4, [2, 2], [1.0, 2.0])
+    with pytest.raises(DimensionError):  # unsorted
+        SparseVector(4, [3, 1], [1.0, 2.0])
+    with pytest.raises(DimensionError):  # one value per index
+        SparseVector(4, [1, 2], [1.0])
+    with pytest.raises(DimensionError):  # as_vector's length >= 1
+        SparseVector(0, [], [])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            MeasurementOracle(SparseVector(4, [1, 3], [1.0, bad]))
+    # an explicit zero is an entry, not part of the nonzero support
+    x = SparseVector(5, [0, 2, 4], [1.0, 0.0, -2.0])
+    assert np.array_equal(MeasurementOracle(x).nonzero_indices(), [0, 4])
+    assert x[2] == 0.0 and x[3] == 0.0 and x[4] == -2.0
+    assert np.array_equal(x[np.array([4, 1, 0])], [-2.0, 0.0, 1.0])
+    for key in (5, -1, [0, 5], 1.0, slice(0, 2)):
+        with pytest.raises(IndexError):
+            x[key]
 
 
 def test_lp_norm_examples():
