@@ -21,8 +21,11 @@ against a reference built from ``equi_hash``, ``precond`` per bucket and
 ``spot``.
 
 Both variants hold their candidate sets in one flat form, built by
-``_candidate_sets``: the sorted sets one after another in ``coords``, with
-boundaries ``cuts``. ``spot`` returns a set of at most one element
+``candidate_sets``: the sorted sets one after another in ``coords``, with
+boundaries ``cuts``. ``candidate_sets`` takes a list of passes ``(cfg,
+rng)`` and sign-filters preconditioned ones by one ``sign_filter`` call,
+which shares the oracle work of the batch; ``adaptive.approximate``
+batches its passes this way and hands each pass's sets to ``discover``. ``spot`` returns a set of at most one element
 unchanged, at no cost and without a draw, so those sets join the result in
 one slice and only larger ones go to ``spot``; every stream is consumed as
 by a per-set loop. At desk scale all basic-variant buckets are singletons:
@@ -165,30 +168,53 @@ def _spot_survivors(oracle, coords, cuts, params, spot_rng):
     return np.sort(np.concatenate(hits))
 
 
-def _candidate_sets(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream):
-    """The pass's candidate sets before ``spot``, as ``(coords, cuts)``: the
-    sorted sets one after another in ``coords``, with boundaries ``cuts``."""
-    if cfg.variant == BASIC:
-        if cfg.buckets == cfg.m:
-            # every bucket is a singleton, which spot keeps whatever the draw
-            return np.arange(cfg.m), np.arange(cfg.m + 1)
-        hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
-        # ascending inside each bucket; a stable sort of the values in the
-        # narrowest dtype holding them is the same permutation, radix-sorted
-        # by numpy up to 16 bits
-        coords = np.argsort(hashed.astype(np.min_scalar_type(cfg.buckets)), kind="stable")
-        return coords, _equi_bounds(cfg.m, cfg.buckets)
-    nonzero = oracle.nonzero_indices()
-    groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
-    return sign_filter(
-        oracle, nonzero, groups, np.diff(bounds), cfg.precond_size, rng.child("precond"),
-        lambda: np.setdiff1d(np.arange(cfg.m), nonzero, assume_unique=True),
-    )
+def _basic_sets(cfg: DiscoverConfig, rng: RngStream):
+    """A basic pass's buckets, as ``(coords, cuts)``."""
+    if cfg.buckets == cfg.m:
+        # every bucket is a singleton, which spot keeps whatever the draw
+        return np.arange(cfg.m), np.arange(cfg.m + 1)
+    hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
+    # ascending inside each bucket; a stable sort of the values in the
+    # narrowest dtype holding them is the same permutation, radix-sorted by
+    # numpy up to 16 bits
+    coords = np.argsort(hashed.astype(np.min_scalar_type(cfg.buckets)), kind="stable")
+    return coords, _equi_bounds(cfg.m, cfg.buckets)
 
 
-def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream) -> np.ndarray:
-    """Run one detection pass; returns the sorted set of detected coordinates."""
-    if oracle.dimension != cfg.m:
+def candidate_sets(oracle: MeasurementOracle, passes) -> list:
+    """The candidate sets before ``spot`` of each pass ``(cfg, rng)`` in the
+    list ``passes``, as one ``(coords, cuts)`` per pass: the sorted sets one
+    after another in ``coords``, with boundaries ``cuts``.
+
+    The passes must share their variant and filter size k. Preconditioned
+    passes are sign-filtered together, by one ``sign_filter`` call; each
+    still draws from its own streams exactly what it draws alone.
+    """
+    if len({(cfg.variant, cfg.precond_size) for cfg, _ in passes}) > 1:
+        raise ParameterError("a batch of passes must share its variant and filter size")
+    if any(cfg.m != oracle.dimension for cfg, _ in passes):
         raise DimensionError("oracle dimension does not match the configuration")
-    coords, cuts = _candidate_sets(oracle, cfg, rng)
-    return _spot_survivors(oracle, coords, cuts, cfg.spot_params, rng.child("spot"))
+    if not passes or passes[0][0].variant == BASIC:
+        return [_basic_sets(cfg, rng) for cfg, rng in passes]
+    nonzero = oracle.nonzero_indices()
+
+    def zero_pool():
+        return np.setdiff1d(np.arange(oracle.dimension), nonzero, assume_unique=True)
+
+    filter_inputs = []
+    for cfg, rng in passes:
+        groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
+        filter_inputs.append((nonzero, groups, np.diff(bounds), rng.child("precond"), zero_pool))
+    return sign_filter(oracle, filter_inputs, passes[0][0].precond_size)
+
+
+def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream,
+             sets=None) -> np.ndarray:
+    """Run one detection pass; returns the sorted set of detected coordinates.
+
+    ``sets`` are the pass's candidate sets when ``candidate_sets`` has
+    already built them in a batch of passes; by default they are built here.
+    """
+    if sets is None:
+        (sets,) = candidate_sets(oracle, [(cfg, rng)])
+    return _spot_survivors(oracle, *sets, cfg.spot_params, rng.child("spot"))

@@ -21,7 +21,6 @@ its law alike: a Monte Carlo check stacks single draws from one stream.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,21 +29,44 @@ from .errors import ParameterError
 from .rng import RngStream
 
 
-@lru_cache(maxsize=None)
-def next_prime(n: int) -> int:
-    """Smallest prime >= n (trial division; fine for the sizes used here)."""
-    n = max(int(n), 2)
-    candidate = n if n % 2 else n + 1
-    if n == 2:
-        return 2
-    while True:
-        limit = math.isqrt(candidate)
-        for d in range(3, limit + 1, 2):
-            if candidate % d == 0:
+# the first twelve primes as Miller-Rabin bases decide primality exactly
+# below 318,665,857,834,031,151,167,461 (about 3.2e23), the least composite
+# that passes all twelve (Sorenson and Webster, Math. Comp. 86, 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < ``_MILLER_RABIN_LIMIT``."""
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while not odd % 2:
+        odd, twos = odd // 2, twos + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
         else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def next_prime(n: int) -> int:
+    """Smallest prime >= n, by deterministic Miller-Rabin; exact below
+    ``_MILLER_RABIN_LIMIT``, and a ``ParameterError`` from there on."""
+    candidate = max(int(n), 2)
+    while candidate < _MILLER_RABIN_LIMIT:
+        if _is_prime(candidate):
             return candidate
-        candidate += 2
+        candidate += 1
+    raise ParameterError(f"next_prime is exact only below {_MILLER_RABIN_LIMIT:,}")
 
 
 def _check_bucket_args(m: int, buckets: int, require_le_m: bool):

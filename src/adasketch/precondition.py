@@ -10,30 +10,36 @@ a fixed price of k measurements.
 
 ``precond`` is the direct construction, the filter as the paper defines it
 on one candidate set: k sign bits for every candidate, zero or not. The
-tests use it as the reference. ``sign_filter`` is its fast path, the one a
-detection pass runs: the same filter on many disjoint candidate sets
-(segments, the buckets) at once. Two distribution-exact devices keep it
-fast:
+tests use it as the reference. ``sign_filter`` is its fast path, the one
+detection passes run: the same filter on many disjoint candidate sets
+(segments, the buckets) of one or more independent passes at once. A pass
+takes its k sign measurements before its adaptive ``spot`` stage and
+without regard to it, so the filters of several passes can be issued as
+one batch at the same information cost. Two distribution-exact devices
+keep it fast:
 
 * Sign columns are drawn only for live candidates, those whose hidden
   entry is nonzero, since zero entries cannot influence a measured sign.
-  The live columns of all segments are drawn as one block of packed sign
-  bits, one byte row per live candidate; those of the shared segments (two
-  or more live candidates) are measured by one ``measure_rows`` call
-  grouped by segment, and the correlations <a_j, s> are exact integer
-  popcounts of the same packed bits. A lone segment (one live candidate)
-  needs no arithmetic: its signs are its column's, so its candidate
-  survives; it takes only its sign bytes and its charge.
+  Each pass draws the live columns of all its segments from its own stream
+  as one block of packed sign bits, one byte row per live candidate. The
+  shared segments (two or more live candidates) of every pass are measured
+  by one ``measure_rows`` call grouped by segment, and the correlations
+  <a_j, s> are exact integer popcounts of the same packed bits. A lone
+  segment (one live candidate) needs no arithmetic: its signs are its
+  column's, so its candidate survives; it takes only its sign bytes and its
+  charge, which one ``charge`` call makes for every pass.
 * A zero candidate's retention is then an independent Binomial(k, 1/2)
   tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
-  k = 701). Their total over all segments is one Binomial draw. When it is
+  k = 701). Their total over a pass's segments is one Binomial draw from
+  the pass's stream, after its sign block. When it is
   positive, that many zero candidates are drawn without replacement from
   the zero pool and placed in uniformly drawn zero slots of the segments,
   which is their exact conditional law.
 
 ``tests/test_discover.py`` checks the fast path against ``precond`` at the
 level of whole detection passes, and ``tests/test_precondition.py`` on
-single candidate sets (``sign_filter`` with one segment).
+single candidate sets (``sign_filter`` with one segment); both check that a
+batch of passes gives each pass exactly its one-pass result.
 """
 
 from __future__ import annotations
@@ -94,36 +100,52 @@ def _run_starts(ids: np.ndarray) -> np.ndarray:
     return starts
 
 
-def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
-                rng: RngStream, zero_pool) -> tuple:
-    """Survivor sets of the k-measurement sign filter on disjoint segments.
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays one after another; a single array as it is. A dense pass
+    is a batch of its own, and copying its sign block (4,096 rows of 88
+    bytes at m = 2^12) made that pass about 6% slower."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
-    Segment d holds the live candidates ``live[segment_of == d]`` (nonzero
+
+def sign_filter(oracle: MeasurementOracle, passes, k: int) -> list:
+    """Survivor sets of the k-measurement sign filter on the disjoint
+    segments of one or more independent passes.
+
+    Each pass is a tuple ``(live, segment_of, sizes, rng, zero_pool)``. Its
+    segment d holds the live candidates ``live[segment_of == d]`` (nonzero
     hidden entries), ascending within each segment (``live`` ascending, as
     ``nonzero_indices`` returns it, suffices), and ``sizes[d]`` candidates
-    in all; the rest are zero candidates. ``zero_pool()`` returns every zero
-    candidate of every segment (their segment does not matter: it is drawn
-    here); it is called only when the Binomial tail keeps one. Each segment
-    costs exactly k measurements. Every live row takes its sign bytes, but
-    only the shared segments (two or more live candidates) are measured, by
-    one ``measure_rows`` call that takes their packed sign bytes as they are
-    and has one group per shared segment. The others are charged in bulk:
-    an idle segment measures 0.0, and a lone one measures x_j * a_j
-    exactly, so its j survives at distance 0. Returns
-    ``(coords, cuts)``: the non-empty survivor sets in ascending segment
-    order, set i being ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts``
-    starts at 0 and ends at ``coords.size``.
+    in all; the rest are zero candidates. ``zero_pool()`` returns every
+    zero candidate of every segment of the pass (their segment does not
+    matter: it is drawn here); it is called only when the Binomial tail
+    keeps one. Each segment costs exactly k measurements.
+
+    A pass draws from its own ``rng`` exactly what it would draw alone:
+    first one sign byte row per live row, in segment order, then its zero
+    tail. The oracle work of all passes is shared. Only the shared segments
+    (two or more live candidates) are measured, by one ``measure_rows``
+    call that takes their packed sign bytes as they are and has one group
+    per shared segment of every pass. The other segments of every pass are
+    charged by one ``charge``: an idle segment measures 0.0, and a lone one
+    measures x_j * a_j exactly, so its j survives at distance 0. Returns
+    one ``(coords, cuts)`` per pass, in order: the pass's non-empty
+    survivor sets in ascending segment order, set i being
+    ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts`` starts at 0 and ends
+    at ``coords.size``.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    segment_of = np.asarray(segment_of, dtype=np.intp)
-    gen = rng.generator
-    by_segment = np.argsort(segment_of, kind="stable")
-    live, segment_of = np.asarray(live, dtype=np.intp)[by_segment], segment_of[by_segment]
+    lives, segments, blocks, offsets = [], [], [], [0]
+    for live, segment_of, sizes, rng, _ in passes:
+        by_segment = np.argsort(segment_of, kind="stable")
+        lives.append(np.asarray(live, dtype=np.intp)[by_segment])
+        segments.append(np.asarray(segment_of, dtype=np.intp)[by_segment])
+        blocks.append(sign_bits(rng.generator, by_segment.size, k))  # row j is the column a_j
+        offsets.append(offsets[-1] + len(sizes))  # each pass's segments follow the last's
+    live, a_bits = _joined(lives), _joined(blocks)
+    segment_of = _joined([seg + first for seg, first in zip(segments, offsets)])
     head = _run_starts(segment_of)  # first live row of its segment
     lone = head.copy()
     lone[:-1] &= head[1:]  # the only live row of its segment
 
-    a_bits = sign_bits(gen, live.size, k)  # row j is the column a_j
     kept = np.ones(live.size, dtype=bool)
     measured = 0
     if not lone.all():
@@ -135,21 +157,26 @@ def sign_filter(oracle: MeasurementOracle, live, segment_of, sizes, k: int,
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
         distance = np.bitwise_count(bits ^ s_bits[groups]).sum(axis=1, dtype=np.int64)
         kept[rows] = sign_filter_mask(k - 2 * distance, k)
-    if sizes.size > measured:
-        oracle.charge(k * (sizes.size - measured), stage="precond")
-    coords, where = live[kept], segment_of[kept]
+    if offsets[-1] > measured:
+        oracle.charge(k * (offsets[-1] - measured), stage="precond")
 
-    n_zero = int(sizes.sum()) - live.size
-    extra = int(gen.binomial(n_zero, sign_tail_probability(k))) if n_zero else 0
-    if extra:
-        zero_slots = np.cumsum(sizes - np.bincount(segment_of, minlength=sizes.size))
-        slots = gen.choice(n_zero, size=extra, replace=False)
-        where = np.concatenate((where, np.searchsorted(zero_slots, slots, side="right")))
-        coords = np.concatenate((coords, gen.choice(zero_pool(), size=extra, replace=False)))
-        order = np.lexsort((coords, where))
-        coords, where = coords[order], where[order]
-    cuts = np.append(np.flatnonzero(_run_starts(where)), coords.size)
-    return coords, cuts
+    survivors, start = [], 0
+    for (_, _, sizes, rng, zero_pool), coords, seg in zip(passes, lives, segments):
+        keep = kept[start:start + seg.size]
+        start += seg.size
+        sizes, gen = np.asarray(sizes, dtype=np.int64), rng.generator
+        coords, where = coords[keep], seg[keep]
+        n_zero = int(sizes.sum()) - seg.size
+        extra = int(gen.binomial(n_zero, sign_tail_probability(k))) if n_zero else 0
+        if extra:
+            zero_slots = np.cumsum(sizes - np.bincount(seg, minlength=sizes.size))
+            slots = gen.choice(n_zero, size=extra, replace=False)
+            where = np.concatenate((where, np.searchsorted(zero_slots, slots, side="right")))
+            coords = np.concatenate((coords, gen.choice(zero_pool(), size=extra, replace=False)))
+            order = np.lexsort((coords, where))
+            coords, where = coords[order], where[order]
+        survivors.append((coords, np.append(np.flatnonzero(_run_starts(where)), coords.size)))
+    return survivors
 
 
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream):

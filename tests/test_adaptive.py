@@ -1,4 +1,6 @@
+import contextlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -199,37 +201,142 @@ def test_support_correctness():
 
 
 class ReadLog(MeasurementOracle):
-    """An oracle that keeps the index array of every direct read."""
+    """An oracle that keeps the index array of every direct read and the
+    stage of every ``measure_rows`` call."""
 
     def __init__(self, hidden):
         super().__init__(hidden)
-        self.reads = []
+        self.reads, self.measured = [], []
+
+    def measure_rows(self, support, rows, stage=None, groups=None, group_count=None,
+                     row_count=None):
+        self.measured.append(stage)
+        return super().measure_rows(support, rows, stage, groups, group_count, row_count)
 
     def read_entries(self, indices, stage=None):
         self.reads.append(indices)
         return super().read_entries(indices, stage)
 
 
-@pytest.mark.parametrize("variant", [BASIC, PRECONDITIONED])
-def test_approximate_reads_the_union_of_its_passes(variant):
-    # approximate reads np.unique of the per-pass discover outputs, each pass
-    # on its own child stream, in one call; here the passes overlap
-    m = 2**10
-    plan = AdaptivePlan(m=m, p=1, q=2, levels=3, reps=2, variant=variant)
-    x = gen_vector(VectorFamily("spikes", count=4), m, stream("union-x"))
-    rng = stream("union")
-    passes = [discover(MeasurementOracle(x), cfg, rng.child(f"discover-l{level}-r{rep}"))
-              for level, cfg in enumerate(plan.configs, start=1)
-              for rep in range(1, plan.reps + 1)]
-    union = np.unique(np.concatenate(passes))
-    assert sum(found.size for found in passes) > union.size
-    oracle = ReadLog(x)
-    out = approximate(oracle, plan, rng)
-    (read,) = oracle.reads
-    assert read.dtype == union.dtype and np.array_equal(read, union)
-    expected = np.zeros(m)
-    expected[union] = x[union]
+@contextlib.contextmanager
+def materialized_streams():
+    """Collects every generator materialized inside the block, by the entropy
+    words of its stream."""
+    made = {}
+    materialize = RngStream.generator.fget
+
+    def generator(self):
+        gen = materialize(self)
+        made.setdefault(self._words, gen)
+        return gen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RngStream, "generator", property(generator))
+        yield made
+
+
+def next_draws(made):
+    """The next draw of each collected generator; empties the collection."""
+    draws = {words: int(gen.integers(2**63)) for words, gen in made.items()}
+    made.clear()
+    return draws
+
+
+def assert_approximate_replays_its_passes(x, plan, rng):
+    """``approximate`` filters its passes in batches, but its output bytes,
+    stage costs and the next draw of every stream it materializes equal a
+    replay by one-pass ``discover`` calls, each on its own oracle, followed
+    by one read of their union. Returns (per-pass outputs, the oracle)."""
+    with materialized_streams() as made:
+        found, costs = [], Counter()
+        for level, cfg in enumerate(plan.configs, start=1):
+            for rep in range(1, plan.reps + 1):
+                alone = MeasurementOracle(x)
+                found.append(discover(alone, cfg, rng.child(f"discover-l{level}-r{rep}")))
+                costs.update(alone.stage_costs())
+        replayed = next_draws(made)
+        oracle = ReadLog(x)
+        out = approximate(oracle, plan, rng)
+        assert next_draws(made) == replayed
+    union = np.unique(np.concatenate(found)) if found else np.empty(0, dtype=np.intp)
+    if union.size:
+        costs["reads"] += union.size
+        (read,) = oracle.reads
+        assert read.dtype == union.dtype and np.array_equal(read, union)
+    else:
+        assert oracle.reads == []
+    assert oracle.stage_costs() == dict(costs)
+    expected = np.zeros(plan.m)
+    expected[union] = np.asarray(x)[union]
     assert np.asarray(out).tobytes() == expected.tobytes()
+    return found, oracle
+
+
+@pytest.mark.parametrize("variant, family, levels, precond_calls", [
+    pytest.param(BASIC, "spikes:4", 3, 0, id=BASIC),
+    pytest.param(PRECONDITIONED, "spikes:4", 3, 1, id=PRECONDITIONED),
+    # 64 nonzeros: passes l1-r1 to l4-r2 fill one 512-row chunk, l5-r1 to
+    # l6-r2 the next
+    pytest.param(PRECONDITIONED, "spikes:64", 6, 2, id="two-batches"),
+    pytest.param(PRECONDITIONED, "geometric", 4, 1, id="geometric"),
+    # 1,024 nonzeros: every pass is a batch of its own
+    pytest.param(PRECONDITIONED, "uniform_ball", 2, 4, id="batch-per-pass"),
+])
+def test_approximate_reads_the_union_of_its_passes(variant, family, levels, precond_calls):
+    # approximate reads np.unique of the per-pass discover outputs, each pass
+    # on its own child stream, in one call; a batch of passes makes one
+    # sign-filter measurement
+    m = 2**10
+    plan = AdaptivePlan(m=m, p=1, q=2, levels=levels, reps=2, variant=variant)
+    x = gen_vector(VectorFamily.parse(family, 1.0), m, stream(f"union-x-{family}"))
+    found, oracle = assert_approximate_replays_its_passes(x, plan, stream(f"union-{family}"))
+    assert oracle.measured.count("precond") == precond_calls
+    if family == "spikes:4":  # the passes overlap
+        assert sum(hits.size for hits in found) > np.unique(np.concatenate(found)).size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    p=st.sampled_from([1.0, 3.0]),
+    levels=st.integers(0, 3),
+    variant=st.sampled_from([BASIC, PRECONDITIONED]),
+    family=st.sampled_from(["zero", "spikes:1", "uniform_ball"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_approximate_replays_its_passes_at_tiny_m(m, p, levels, variant, family, seed):
+    plan = AdaptivePlan(m=m, p=p, q=p + 1.0, levels=levels, reps=repetitions(p, p + 1.0),
+                        variant=variant)
+    x = gen_vector(VectorFamily.parse(family, p), m, RngStream(seed).child("x"))
+    _, oracle = assert_approximate_replays_its_passes(x, plan, RngStream(seed).child("run"))
+    if family == "zero" and variant == PRECONDITIONED:
+        # no live row: nothing to measure, and k per bucket
+        filter_cost = sum(plan.reps * cfg.precond_size * cfg.buckets for cfg in plan.configs)
+        assert oracle.measured == []
+        assert oracle.stage_costs() == ({"precond": filter_cost} if levels else {})
+
+
+def test_filter_batches_fill_one_product_chunk():
+    # every pass filters all live rows, and a batch takes as many passes as
+    # fit them into one 512-row chunk of the grouped product: the 12 passes
+    # of 8 nonzeros are one batch, and at 4,096 nonzeros every pass is a
+    # batch of its own
+    m = 2**16
+    plan = AdaptivePlan(m=m, p=1, q=2, levels=6, reps=2)
+    for t in range(3):
+        x = gen_vector(VectorFamily.parse("spikes:8", 1.0), m, stream("batch-x").child_at("x", t))
+        oracle = ReadLog(x)
+        approximate(oracle, plan, stream("batch").child_at("trial", t))
+        assert oracle.measured.count("precond") == 1
+    oracle = ReadLog(gen_vector(VectorFamily.parse("zero", 1.0), m, stream("batch-zero")))
+    approximate(oracle, plan, stream("batch-zero"))
+    assert oracle.measured == []
+    assert oracle.cost == sum(plan.reps * cfg.precond_size * cfg.buckets for cfg in plan.configs)
+    dense = AdaptivePlan(m=2**12, p=1, q=2, levels=2, reps=2)
+    oracle = ReadLog(gen_vector(VectorFamily.parse("uniform_ball", 1.0), 2**12,
+                                stream("batch-dense")))
+    approximate(oracle, dense, stream("batch-dense"))
+    assert oracle.measured.count("precond") == dense.levels * dense.reps
 
 
 @pytest.mark.parametrize("t", [2.0, -3.0, 1e-3])

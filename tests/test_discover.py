@@ -12,8 +12,8 @@ from adasketch.discover import (
     PRECOND_MEASUREMENTS,
     PRECONDITIONED,
     DiscoverConfig,
-    _candidate_sets,
     bucket_count,
+    candidate_sets,
     discover,
     discover_cost_cap,
 )
@@ -220,7 +220,7 @@ def test_basic_candidate_sets_are_the_stable_argsort_of_the_hash(buckets):
     # them; these counts cross each dtype boundary of np.min_scalar_type
     m = 2**17
     cfg = DiscoverConfig.with_buckets(0.25, m, buckets, BASIC)
-    coords, _ = _candidate_sets(MeasurementOracle(np.zeros(m)), cfg, stream("argsort"))
+    ((coords, _),) = candidate_sets(MeasurementOracle(np.zeros(m)), [(cfg, stream("argsort"))])
     hashed = equi_hash(m, buckets, stream("argsort").child("hash"))
     expected = np.argsort(hashed, kind="stable")
     assert coords.dtype == expected.dtype and np.array_equal(coords, expected)
@@ -239,7 +239,7 @@ def test_saturated_basic_pass_draws_no_hash():
     m = 64
     cfg = DiscoverConfig.with_buckets(0.25, m, m, BASIC)
     x = stream("saturated-x").generator.standard_normal(m) * (np.arange(m) % 3 == 0)
-    coords, cuts = _candidate_sets(MeasurementOracle(x), cfg, LabelLog(5))
+    ((coords, cuts),) = candidate_sets(MeasurementOracle(x), [(cfg, LabelLog(5))])
     assert labels == []
     assert np.array_equal(coords, np.arange(m)) and np.array_equal(cuts, np.arange(m + 1))
     oracle = MeasurementOracle(x)
@@ -254,7 +254,7 @@ def sets_of(coords, cuts):
 def per_set_pass(oracle, cfg, rng):
     """``discover`` with its candidate sets handed to ``spot`` one by one, in
     ascending set order, singletons included. Returns (found, set sizes)."""
-    sets = sets_of(*_candidate_sets(oracle, cfg, rng))
+    sets = sets_of(*candidate_sets(oracle, [(cfg, rng)])[0])
     spot_rng = rng.child("spot")
     hits = [spot(oracle, s, cfg.spot_params, spot_rng) for s in sets]
     found = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.intp)
@@ -332,7 +332,7 @@ def _pass_records(x, cfg, trials, label, fast):
         rng = root.child_at("trial", t)
         if fast:
             found = discover(oracle, cfg, rng)
-            sets = sets_of(*_candidate_sets(MeasurementOracle(x), cfg, rng))
+            sets = sets_of(*candidate_sets(MeasurementOracle(x), [(cfg, rng)])[0])
         else:
             found, sets = reference_pass(oracle, cfg, rng)
         assert oracle.stage_costs()["precond"] == cfg.precond_size * cfg.buckets
@@ -419,3 +419,32 @@ def test_fast_pass_matches_reference_when_the_zero_tail_fires():
     n = trials * np.count_nonzero(x == 0.0)
     rate = zero_kept.sum() / n
     assert abs(rate - tail) <= 4.0 * math.sqrt(tail * (1.0 - tail) / n)
+
+
+def test_a_batch_of_passes_replays_each_pass_when_the_zero_tail_fires():
+    # candidate_sets filters three passes by one sign_filter call; at k = 6
+    # the zero tail fires in nearly every pass, and each pass must still
+    # take from its own streams the sets and the charge of a one-pass call
+    m = 2**10
+    cfg = dataclasses.replace(
+        DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
+    x = np.zeros(m)
+    x[[5, 100, 377, 640, 1001]] = [0.35, -0.25, 0.2, -0.12, 0.08]
+    root, fired = stream("batch-tail"), 0
+    for t in range(10):
+        batch = MeasurementOracle(x)
+        passes = [(cfg, root.child_at("trial", 3 * t + i)) for i in range(3)]
+        cost = 0
+        for (coords, cuts), one_pass in zip(candidate_sets(batch, passes), passes):
+            alone = MeasurementOracle(x)
+            ((alone_coords, alone_cuts),) = candidate_sets(alone, [one_pass])
+            assert coords.dtype == alone_coords.dtype and np.array_equal(coords, alone_coords)
+            assert cuts.dtype == alone_cuts.dtype and np.array_equal(cuts, alone_cuts)
+            assert alone.stage_costs() == {"precond": cfg.precond_size * cfg.buckets}
+            cost += alone.cost
+            fired += np.any(x[coords] == 0.0)
+        assert batch.stage_costs() == {"precond": cost}
+    assert fired >= 27  # of 30 passes
+    other_k = dataclasses.replace(cfg, precond_size=7)
+    with pytest.raises(ParameterError, match="filter size"):
+        candidate_sets(MeasurementOracle(x), [(cfg, stream("k6")), (other_k, stream("k7"))])

@@ -32,6 +32,47 @@ def test_next_prime():
     assert [next_prime(n) for n in (1, 2, 3, 4, 10, 64, 100)] == [2, 2, 3, 5, 11, 67, 101]
 
 
+def divisible(n, limit):
+    """Whether n has a divisor in [2, limit], by trial division."""
+    divisors = np.arange(2, limit + 1, dtype=np.int64)
+    return bool(np.any(n % divisors == 0))
+
+
+def test_next_prime_equals_trial_division():
+    # every n < 10^5, against trial division of all n < 100,004 at once
+    n = np.arange(100_004)
+    prime = n >= 2
+    for d in range(2, math.isqrt(n.size) + 1):
+        prime &= (n % d != 0) | (n == d)
+    primes = np.flatnonzero(prime)
+    expected = primes[np.searchsorted(primes, np.arange(100_000))]
+    uncached = next_prime.__wrapped__  # keeps 10^5 entries out of the cache
+    assert [uncached(n) for n in range(100_000)] == expected.tolist()
+    # near 2^40, where spot's label primes live at large m: 2^40 - 87 and
+    # 2^40 + 15 are prime, and nothing between them and the start is
+    for start, prime in ((2**40 - 100, 2**40 - 87), (2**40, 2**40 + 15)):
+        assert next_prime(start) == prime
+        assert not divisible(prime, math.isqrt(prime))
+        assert all(divisible(n, 1000) for n in range(start, prime))
+
+
+def test_next_prime_is_exact_up_to_its_limit():
+    # 2^61 - 1 (a Mersenne prime) and 2^61 + 15 are the primes next to 2^61
+    assert next_prime(2**61 - 2) == next_prime(2**61 - 1) == 2**61 - 1
+    assert next_prime(2**61) == 2**61 + 15
+    # a strong pseudoprime to the first nine prime bases is skipped
+    pseudoprime = 149491 * 747451 * 34233211
+    assert pseudoprime == 3825123056546413051
+    assert next_prime(pseudoprime) > pseudoprime
+    # the least composite that passes all twelve bases is the limit
+    limit = 399165290221 * 798330580441
+    assert limit == 318665857834031151167461
+    assert next_prime(limit - 30) == limit - 20  # the last prime below it
+    for n in (limit - 19, limit):
+        with pytest.raises(ParameterError, match="318,665,857,834,031,151,167,461"):
+            next_prime(n)
+
+
 def test_equi_hash_bucket_size_law_examples():
     # np.bincount(h)[1:] counts the occurrences of each hash value 1..D
     h = equi_hash(10, 3, stream("a"))

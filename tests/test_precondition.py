@@ -30,8 +30,8 @@ def one_segment_filter(oracle, candidates, k, rng):
     idx = np.asarray(candidates, dtype=np.intp)
     live_mask = np.isin(idx, oracle.nonzero_indices())
     live = idx[live_mask]
-    kept, _ = sign_filter(oracle, live, np.zeros(live.size, np.intp), [idx.size], k, rng,
-                          lambda: idx[~live_mask])
+    ((kept, _),) = sign_filter(
+        oracle, [(live, np.zeros(live.size, np.intp), [idx.size], rng, lambda: idx[~live_mask])], k)
     return kept
 
 
@@ -127,7 +127,7 @@ def replay_sign_filter(hidden, live, segment_of, segments, k, label):
     live, segment_of = np.asarray(live, dtype=np.intp), np.asarray(segment_of, dtype=np.intp)
     sizes = np.bincount(segment_of, minlength=segments)
     oracle = MeasurementOracle(hidden)
-    coords, cuts = sign_filter(oracle, live, segment_of, sizes, k, stream(label), None)
+    ((coords, cuts),) = sign_filter(oracle, [(live, segment_of, sizes, stream(label), None)], k)
     assert cuts[0] == 0 and cuts[-1] == coords.size
     got = [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
@@ -250,14 +250,63 @@ def test_sign_filter_measures_only_shared_segments():
                 "single-shared": [1], "none-live": []}
     for label, live, segment_of, segments in LONE_AND_SHARED:
         oracle, segment_of = MeasureLog(hidden), np.array(segment_of, dtype=np.intp)
-        sign_filter(oracle, live, segment_of, np.bincount(segment_of, minlength=segments), 60,
-                    stream(label), None)
+        sizes = np.bincount(segment_of, minlength=segments)
+        sign_filter(oracle, [(live, segment_of, sizes, stream(label), None)], 60)
         assert oracle.group_counts == expected[label], label
         assert oracle.cost == 60 * segments, label
     oracle = MeasureLog(hidden)
-    sign_filter(oracle, np.arange(9), [0, 0, 1, 1, 1, 2, 2, 3, 3], [2, 3, 2, 2, 5], 60,
-                stream("all-shared"), lambda: np.arange(9, 40))
+    sign_filter(oracle, [(np.arange(9), [0, 0, 1, 1, 1, 2, 2, 3, 3], [2, 3, 2, 2, 5],
+                          stream("all-shared"), lambda: np.arange(9, 40))], 60)
     assert oracle.group_counts == [4] and oracle.cost == 5 * 60
+
+
+def random_pass(gen, live, m):
+    """A pass's sign-filter input on the hidden vector of nonzero support
+    ``live`` (ascending) in [0, m): 1-12 segments that partition [0, m),
+    each live candidate in a uniform one."""
+    segments = int(gen.integers(1, 13))
+    segment_of = gen.integers(0, segments, size=live.size)
+    zeros = gen.multinomial(m - live.size, np.full(segments, 1.0 / segments))
+    return segment_of, np.bincount(segment_of, minlength=segments) + zeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 24, 701]), st.integers(1, 4))
+def test_sign_filter_on_several_passes_replays_each_pass_alone(seed, k, count):
+    # a batch of passes on one hidden vector is filtered by at most one
+    # measure_rows call, grouped by the shared segments of every pass, yet
+    # each pass's survivor sets, cost and stream equal its one-pass call;
+    # at k <= 7 the zero tail fires in every pass
+    gen = RngStream(seed).child("batch").generator
+    m = 300
+    hidden = np.zeros(m)
+    live = np.sort(gen.choice(m, size=int(gen.integers(0, 41)), replace=False))
+    hidden[live] = gen.standard_normal(live.size) * 10.0 ** gen.uniform(-3.0, 3.0, live.size)
+    layouts = [random_pass(gen, live, m) for _ in range(count)]
+
+    def zero_pool():
+        return np.flatnonzero(hidden == 0.0)
+
+    def passes():  # new streams on every call
+        return [(live, segment_of, sizes, stream(f"batch-{seed}-{i}"), zero_pool)
+                for i, (segment_of, sizes) in enumerate(layouts)]
+
+    batch, together = MeasureLog(hidden), passes()
+    got = sign_filter(batch, together, k)
+    group_counts, cost = [], 0
+    for (coords, cuts), one_pass, first in zip(got, passes(), together):
+        alone = MeasureLog(hidden)
+        ((alone_coords, alone_cuts),) = sign_filter(alone, [one_pass], k)
+        assert coords.dtype == alone_coords.dtype and np.array_equal(coords, alone_coords)
+        assert cuts.dtype == alone_cuts.dtype and np.array_equal(cuts, alone_cuts)
+        assert alone.cost == k * one_pass[2].size
+        assert first[3].generator.integers(2**63) == one_pass[3].generator.integers(2**63)
+        if k <= 7:  # at least 260 zero candidates, each kept w.p. >= 1/8
+            assert np.any(hidden[coords] == 0.0)
+        group_counts += alone.group_counts
+        cost += alone.cost
+    assert batch.cost == cost
+    assert batch.group_counts == ([sum(group_counts)] if group_counts else [])
 
 
 def test_zero_vector_retention_rate_both_paths():
