@@ -24,11 +24,15 @@ Both variants hold their candidate sets in one flat form, built by
 ``candidate_sets``: the sorted sets one after another in ``coords``, with
 boundaries ``cuts``. ``candidate_sets`` takes a list of passes ``(cfg,
 rng)`` and sign-filters preconditioned ones by one ``sign_filter`` call,
-which shares the oracle work of the batch; ``adaptive.approximate``
-batches its passes this way and hands each pass's sets to ``discover``. ``spot`` returns a set of at most one element
+which shares the oracle work of the batch and sorts and splits the live
+rows of all its passes at once; ``adaptive.approximate`` batches its passes
+this way and hands each pass's sets to ``discover``. A configuration
+computes its bucket bounds, bucket sizes and ``spot`` parameters once, for
+every pass that uses it. ``spot`` returns a set of at most one element
 unchanged, at no cost and without a draw, so those sets join the result in
-one slice and only larger ones go to ``spot``; every stream is consumed as
-by a per-set loop. At desk scale all basic-variant buckets are singletons:
+one slice and only larger ones go to ``spot``; a pass whose sets are all
+singletons is just their sorted union. Every stream is consumed as by a
+per-set loop. At desk scale all basic-variant buckets are singletons:
 such a pass returns [0, m) whatever the hash, so it neither draws the hash
 (its stream is private to the pass) nor calls ``spot``.
 
@@ -43,11 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .hashing import _equi_bounds, equi_buckets_of, equi_hash
+from .hashing import equi_bounds, equi_buckets_of, equi_hash
 from .oracle import MeasurementOracle
 from .precondition import precond_measurements, sign_filter
 from .rng import RngStream
@@ -141,14 +146,29 @@ class DiscoverConfig:
         """Failure probability that ``spot`` is run at."""
         return DELTA2[self.variant]
 
-    @property
+    @cached_property
     def depth(self) -> int:
         """``spot``'s shrink depth for buckets of size ceil(m / buckets)."""
         return shrink_depth(self.m / self.buckets)
 
-    @property
+    @cached_property
     def spot_params(self) -> SpotParams:
         return SpotParams(self.delta2, self.depth)
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Rank bounds of the equi-hash buckets (read-only): bucket d holds
+        the ranks [bounds[d], bounds[d+1])."""
+        bounds = equi_bounds(self.m, self.buckets)
+        bounds.flags.writeable = False
+        return bounds
+
+    @cached_property
+    def bucket_sizes(self) -> np.ndarray:
+        """Member count of each equi-hash bucket (read-only)."""
+        sizes = np.diff(self.bounds)
+        sizes.flags.writeable = False
+        return sizes
 
 
 def discover_cost_cap(cfg: DiscoverConfig) -> int:
@@ -159,6 +179,8 @@ def discover_cost_cap(cfg: DiscoverConfig) -> int:
 def _spot_survivors(oracle, coords, cuts, params, spot_rng):
     """Union of ``spot`` over the sets ``coords[cuts[d]:cuts[d+1]]``, calling
     it only on sets of two or more elements, in ascending set order."""
+    if cuts.size == coords.size + 1:  # every set is a singleton, which spot keeps
+        return np.sort(coords)
     sizes = np.diff(cuts)
     hits = [coords[cuts[:-1][sizes == 1]]]
     for d in np.flatnonzero(sizes > 1):
@@ -178,7 +200,7 @@ def _basic_sets(cfg: DiscoverConfig, rng: RngStream):
     # narrowest dtype holding them is the same permutation, radix-sorted by
     # numpy up to 16 bits
     coords = np.argsort(hashed.astype(np.min_scalar_type(cfg.buckets)), kind="stable")
-    return coords, _equi_bounds(cfg.m, cfg.buckets)
+    return coords, cfg.bounds
 
 
 def candidate_sets(oracle: MeasurementOracle, passes) -> list:
@@ -201,10 +223,8 @@ def candidate_sets(oracle: MeasurementOracle, passes) -> list:
     def zero_pool():
         return np.setdiff1d(np.arange(oracle.dimension), nonzero, assume_unique=True)
 
-    filter_inputs = []
-    for cfg, rng in passes:
-        groups, bounds = equi_buckets_of(cfg.m, cfg.buckets, nonzero.size, rng.child("hash"))
-        filter_inputs.append((nonzero, groups, np.diff(bounds), rng.child("precond"), zero_pool))
+    filter_inputs = [(nonzero, equi_buckets_of(cfg.bounds, nonzero.size, rng.child("hash")),
+                      cfg.bucket_sizes, rng.child("precond"), zero_pool) for cfg, rng in passes]
     return sign_filter(oracle, filter_inputs, passes[0][0].precond_size)
 
 

@@ -82,7 +82,7 @@ def equi_hash(m: int, buckets: int, rng: RngStream) -> np.ndarray:
     """Hash values ceil(rank * D / m) for a uniform random ranking of [0, m).
 
     Hash value d + 1 holds the coordinates of 0-based rank r in
-    [bounds[d], bounds[d+1]) for ``bounds = _equi_bounds(m, D)``:
+    [bounds[d], bounds[d+1]) for ``bounds = equi_bounds(m, D)``:
     ceil((r+1) D / m) = d + 1 exactly when
     floor(d m / D) <= r < floor((d+1) m / D).
     """
@@ -91,27 +91,28 @@ def equi_hash(m: int, buckets: int, rng: RngStream) -> np.ndarray:
     return (ranks * buckets + m - 1) // m
 
 
-def _equi_bounds(m: int, buckets: int) -> np.ndarray:
+def equi_bounds(m: int, buckets: int) -> np.ndarray:
     """Equi-hash bucket d (hash value d + 1) holds the ranks [bounds[d], bounds[d+1])."""
     return (np.arange(buckets + 1, dtype=np.int64) * m) // buckets
 
 
-def equi_buckets_of(m: int, buckets: int, count: int, rng: RngStream):
-    """Buckets of ``count`` designated coordinates under one equi-hash draw.
+def equi_buckets_of(bounds: np.ndarray, count: int, rng: RngStream) -> np.ndarray:
+    """Buckets of ``count`` designated coordinates of [0, m) under one
+    equi-hash draw into D buckets, given their rank bounds
+    ``bounds = equi_bounds(m, D)`` (so m is ``bounds[-1]``).
 
     Their ranks under a uniform permutation are an ordered uniform sample
     of [0, m), which ``Generator.choice`` draws in O(count) (Floyd's
-    sampling, Bentley & Floyd, CACM 1987) instead of O(m). Returns
-    ``(groups, bounds)``: ``groups[i]`` is the 0-based bucket of the i-th
-    designated coordinate and ``bounds`` are the rank bounds of the buckets,
-    as in :func:`equi_hash`.
+    sampling, Bentley & Floyd, CACM 1987) instead of O(m). Returns the
+    0-based bucket of each designated coordinate, in order, as in
+    :func:`equi_hash`.
     """
-    _check_bucket_args(m, buckets, require_le_m=True)
+    m = int(bounds[-1])
+    _check_bucket_args(m, bounds.size - 1, require_le_m=True)
     if not 0 <= count <= m:
         raise ParameterError("designated coordinate count must lie in [0, m]")
-    bounds = _equi_bounds(m, buckets)
     ranks = rng.generator.choice(m, size=count, replace=False)
-    return np.searchsorted(bounds[1:], ranks, side="right"), bounds
+    return np.searchsorted(bounds[1:], ranks, side="right")
 
 
 def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarray:

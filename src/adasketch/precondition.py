@@ -36,6 +36,14 @@ keep it fast:
   the zero pool and placed in uniformly drawn zero slots of the segments,
   which is their exact conditional law.
 
+Apart from each pass's own draws, a batch's bookkeeping is done once for
+the batch. One stable sort of segment ids, offset per pass, puts the live
+rows of every pass in segment order, pass after pass. After the shared
+measurement one split cuts the kept rows of every pass into survivor sets,
+and each pass takes its slice of them. When a tail keeps zero candidates,
+they join the kept rows, which are sorted again by segment and coordinate
+before the split (at k = 701, about 3.7e-76 per zero candidate).
+
 ``tests/test_discover.py`` checks the fast path against ``precond`` at the
 level of whole detection passes, and ``tests/test_precondition.py`` on
 single candidate sets (``sign_filter`` with one segment); both check that a
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,26 +131,32 @@ def sign_filter(oracle: MeasurementOracle, passes, k: int) -> list:
 
     A pass draws from its own ``rng`` exactly what it would draw alone:
     first one sign byte row per live row, in segment order, then its zero
-    tail. The oracle work of all passes is shared. Only the shared segments
-    (two or more live candidates) are measured, by one ``measure_rows``
-    call that takes their packed sign bytes as they are and has one group
-    per shared segment of every pass. The other segments of every pass are
-    charged by one ``charge``: an idle segment measures 0.0, and a lone one
-    measures x_j * a_j exactly, so its j survives at distance 0. Returns
-    one ``(coords, cuts)`` per pass, in order: the pass's non-empty
-    survivor sets in ascending segment order, set i being
+    tail. Everything else is done once for the batch. Pass i's segments
+    take the batch-wide ids that follow pass i-1's, so one stable sort puts
+    every pass's live rows in segment order, pass after pass, as each
+    pass's own stable sort would. Only the shared segments (two or more
+    live candidates) are measured, by one ``measure_rows`` call that takes
+    their packed sign bytes as they are and has one group per shared
+    segment of every pass. The other segments of every pass are charged by
+    one ``charge``: an idle segment measures 0.0, and a lone one measures
+    x_j * a_j exactly, so its j survives at distance 0. The kept rows of
+    the batch, with the zero candidates any tail keeps, are split into sets
+    and the sets into passes once for the batch. Returns one
+    ``(coords, cuts)`` per pass, in order: the pass's non-empty survivor
+    sets in ascending segment order, set i being
     ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts`` starts at 0 and ends
     at ``coords.size``.
     """
-    lives, segments, blocks, offsets = [], [], [], [0]
-    for live, segment_of, sizes, rng, _ in passes:
-        by_segment = np.argsort(segment_of, kind="stable")
-        lives.append(np.asarray(live, dtype=np.intp)[by_segment])
-        segments.append(np.asarray(segment_of, dtype=np.intp)[by_segment])
-        blocks.append(sign_bits(rng.generator, by_segment.size, k))  # row j is the column a_j
-        offsets.append(offsets[-1] + len(sizes))  # each pass's segments follow the last's
-    live, a_bits = _joined(lives), _joined(blocks)
-    segment_of = _joined([seg + first for seg, first in zip(segments, offsets)])
+    lives, segments, sizes, rngs, zero_pools = zip(*passes)
+    rows = [len(live) for live in lives]
+    first = list(accumulate(map(len, sizes), initial=0))  # pass i: ids [first[i], first[i+1])
+    live = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in lives])
+    segment_of = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in segments])
+    segment_of += np.repeat(first[:-1], rows)
+    by_segment = np.argsort(segment_of, kind="stable")
+    live, segment_of = live[by_segment], segment_of[by_segment]
+    a_bits = _joined([sign_bits(rng.generator, n, k)  # row j is the column a_j
+                      for rng, n in zip(rngs, rows)])
     head = _run_starts(segment_of)  # first live row of its segment
     lone = head.copy()
     lone[:-1] &= head[1:]  # the only live row of its segment
@@ -149,34 +164,44 @@ def sign_filter(oracle: MeasurementOracle, passes, k: int) -> list:
     kept = np.ones(live.size, dtype=bool)
     measured = 0
     if not lone.all():
-        rows = ~lone
-        groups, bits = np.cumsum(head[rows]) - 1, a_bits[rows]
+        shared = ~lone
+        groups, bits = np.cumsum(head[shared]) - 1, a_bits[shared]
         measured = int(groups[-1]) + 1
-        y = oracle.measure_rows(live[rows], bits, stage="precond", groups=groups,
+        y = oracle.measure_rows(live[shared], bits, stage="precond", groups=groups,
                                 group_count=measured, row_count=k)
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
         distance = np.bitwise_count(bits ^ s_bits[groups]).sum(axis=1, dtype=np.int64)
-        kept[rows] = sign_filter_mask(k - 2 * distance, k)
-    if offsets[-1] > measured:
-        oracle.charge(k * (offsets[-1] - measured), stage="precond")
+        kept[shared] = sign_filter_mask(k - 2 * distance, k)
+    if first[-1] > measured:
+        oracle.charge(k * (first[-1] - measured), stage="precond")
 
-    survivors, start = [], 0
-    for (_, _, sizes, rng, zero_pool), coords, seg in zip(passes, lives, segments):
-        keep = kept[start:start + seg.size]
-        start += seg.size
-        sizes, gen = np.asarray(sizes, dtype=np.int64), rng.generator
-        coords, where = coords[keep], seg[keep]
-        n_zero = int(sizes.sum()) - seg.size
-        extra = int(gen.binomial(n_zero, sign_tail_probability(k))) if n_zero else 0
-        if extra:
-            zero_slots = np.cumsum(sizes - np.bincount(seg, minlength=sizes.size))
+    tail = sign_tail_probability(k)
+    extra_coords, extra_where = [], []  # the zero candidates each tail keeps
+    for i, (rng, pass_sizes, zero_pool) in enumerate(zip(rngs, sizes, zero_pools)):
+        gen, pass_sizes = rng.generator, np.asarray(pass_sizes, dtype=np.int64)
+        n_zero = int(pass_sizes.sum()) - rows[i]
+        extra = int(gen.binomial(n_zero, tail)) if n_zero else 0
+        if extra:  # each goes to a uniformly drawn zero slot of the pass
+            live_counts = np.bincount(segment_of, minlength=first[-1])[first[i]:first[i + 1]]
+            zero_slots = np.cumsum(pass_sizes - live_counts)
             slots = gen.choice(n_zero, size=extra, replace=False)
-            where = np.concatenate((where, np.searchsorted(zero_slots, slots, side="right")))
-            coords = np.concatenate((coords, gen.choice(zero_pool(), size=extra, replace=False)))
-            order = np.lexsort((coords, where))
-            coords, where = coords[order], where[order]
-        survivors.append((coords, np.append(np.flatnonzero(_run_starts(where)), coords.size)))
-    return survivors
+            extra_where.append(np.searchsorted(zero_slots, slots, side="right") + first[i])
+            extra_coords.append(gen.choice(zero_pool(), size=extra, replace=False))
+
+    coords, where = live[kept], segment_of[kept]
+    if extra_coords:
+        coords = np.concatenate((coords, *extra_coords))
+        where = np.concatenate((where, *extra_where))
+        order = np.lexsort((coords, where))
+        coords, where = coords[order], where[order]
+    heads = np.flatnonzero(_run_starts(where))
+    cuts = np.append(heads, coords.size)  # set i of the batch is coords[cuts[i]:cuts[i+1]]
+    # pass i has the sets [set_at[i], set_at[i+1]) and the kept rows
+    # [kept_at[i], kept_at[i+1]) of the batch
+    set_at = np.searchsorted(where[heads], first).tolist()
+    kept_at = cuts[set_at].tolist()
+    return [(coords[kept_at[i]:kept_at[i + 1]], cuts[set_at[i]:set_at[i + 1] + 1] - kept_at[i])
+            for i in range(len(passes))]
 
 
 def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream):

@@ -69,4 +69,8 @@ def test_every_workload_cell_runs_one_trial_within_its_gates(bench, tracing):
                [(repr(t.err), t.cost, t.stages) for t in plain], workload
         values, _ = tracer.metrics(0.0)
         filter_measurements[workload] = values["precondition.measure_rows_calls"]
+        # one traced discover call per detection pass (L * R per adaptive trial)
+        passes = sum(c.method.levels * c.method.reps for c in cells
+                     if c.method.name == "adaptive")
+        assert values["discover.passes"] == pytest.approx(passes / len(cells)), workload
     assert filter_measurements["adaptive-sparse"] > 0

@@ -265,31 +265,37 @@ def per_set_pass(oracle, cfg, rng):
 def test_bulk_spot_replays_the_per_set_loop(buckets):
     # discover resolves sets of at most one element without calling spot;
     # spot draws nothing on them, so one stream must give the per-set loop's
-    # output and stage costs exactly. None: the preconditioned pass with a
-    # weak filter (k = 6), whose survivor sets often hold several elements.
+    # output and stage costs exactly. Each trial builds three passes' sets
+    # by one candidate_sets call and runs discover per pass. None: the
+    # preconditioned pass with a weak filter (k = 6), whose survivor sets
+    # often hold several elements, batched around a pass of m singleton
+    # buckets, so a batch holds passes that call spot and one that does not.
     if buckets is None:
         m, density = 2**10, 0.05
         cfg = dataclasses.replace(
             DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
+        configs = (cfg, dataclasses.replace(cfg, buckets=m), cfg)
     else:
         m, density = 50, 0.6
-        cfg = DiscoverConfig.with_buckets(0.25, m, buckets, BASIC)
+        configs = (DiscoverConfig.with_buckets(0.25, m, buckets, BASIC),) * 3
     gen = stream(f"bulk-x-{buckets}").generator
     rng = stream(f"bulk-{buckets}")
     sizes = []
     for t in range(30):
         x = gen.standard_normal(m) * (gen.random(m) < density)
         fast, loop = MeasurementOracle(x), MeasurementOracle(x)
-        found = discover(fast, cfg, rng.child_at("trial", t))
-        expected, set_sizes = per_set_pass(loop, cfg, rng.child_at("trial", t))
-        assert np.array_equal(found, expected)
-        assert found.dtype == expected.dtype
+        passes = [(c, rng.child_at("trial", 3 * t + i)) for i, c in enumerate(configs)]
+        for (c, pass_rng), sets in zip(passes, candidate_sets(fast, passes)):
+            found = discover(fast, c, pass_rng, sets)
+            expected, set_sizes = per_set_pass(loop, c, pass_rng)
+            assert np.array_equal(found, expected)
+            assert found.dtype == expected.dtype
+            sizes.append(set_sizes)
         assert fast.stage_costs() == loop.stage_costs()
-        sizes += set_sizes
-    if buckets == 50:
-        assert max(sizes) == 1
-    else:
-        assert sum(size >= 2 for size in sizes) >= 30
+    largest = np.array([max(s, default=0) for s in sizes]).reshape(30, 3)
+    singletons = np.array([c.buckets == m for c in configs])
+    assert np.all(largest[:, singletons] <= 1)
+    assert np.all(largest[:, ~singletons] >= 2)  # each such pass calls spot
 
 
 # -- the preconditioned pass against its direct reference --------------------

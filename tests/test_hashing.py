@@ -6,6 +6,7 @@ import pytest
 from adasketch.discover import bucket_count
 from adasketch.errors import ParameterError
 from adasketch.hashing import (
+    equi_bounds,
     equi_buckets_of,
     equi_hash,
     next_prime,
@@ -117,9 +118,10 @@ def test_equi_buckets_of_follows_the_restricted_law():
     # designated, exactly s_d members in bucket d
     m, d, draws = 10, 3, 20_000
     root = stream("sparse-law")
+    bounds = equi_bounds(m, d)
     groups = np.empty((draws, 3), dtype=np.int64)
     for t in range(draws):
-        groups[t], bounds = equi_buckets_of(m, d, 3, root.child_at("t", t))
+        groups[t] = equi_buckets_of(bounds, 3, root.child_at("t", t))
     sizes = np.diff(bounds)
     assert list(sizes) == [3, 3, 4]
     for column in groups.T:
@@ -127,11 +129,13 @@ def test_equi_buckets_of_follows_the_restricted_law():
         assert np.allclose(freq, sizes / m, atol=4 * math.sqrt(0.25 / draws))
     collide = np.mean(groups[:, 0] == groups[:, 1])
     assert abs(collide - 24 / 90) <= 4 * math.sqrt(0.25 / draws)
-    full, _ = equi_buckets_of(m, d, m, stream("sparse-full"))
+    full = equi_buckets_of(bounds, m, stream("sparse-full"))
     assert list(np.bincount(full, minlength=d)) == [3, 3, 4]
-    assert equi_buckets_of(m, d, 0, stream("sparse-none"))[0].size == 0
+    assert equi_buckets_of(bounds, 0, stream("sparse-none")).size == 0
     with pytest.raises(ParameterError):
-        equi_buckets_of(m, d, m + 1, stream("sparse-bad"))
+        equi_buckets_of(bounds, m + 1, stream("sparse-bad"))
+    with pytest.raises(ParameterError):
+        equi_buckets_of(equi_bounds(5, 6), 1, stream("sparse-bad"))
 
 
 def test_pairwise_hash_degenerate_cases():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -262,21 +262,27 @@ def test_sign_filter_measures_only_shared_segments():
 
 def random_pass(gen, live, m):
     """A pass's sign-filter input on the hidden vector of nonzero support
-    ``live`` (ascending) in [0, m): 1-12 segments that partition [0, m),
-    each live candidate in a uniform one."""
+    ``live`` (ascending) in [0, m): 1-12 segments, each live candidate in a
+    uniform one. One time in three the segments hold no zero candidate;
+    otherwise they partition [0, m)."""
     segments = int(gen.integers(1, 13))
     segment_of = gen.integers(0, segments, size=live.size)
-    zeros = gen.multinomial(m - live.size, np.full(segments, 1.0 / segments))
-    return segment_of, np.bincount(segment_of, minlength=segments) + zeros
+    sizes = np.bincount(segment_of, minlength=segments)
+    if gen.random() < 1 / 3:
+        return segment_of, sizes
+    return segment_of, sizes + gen.multinomial(m - live.size, np.full(segments, 1.0 / segments))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 24, 701]), st.integers(1, 4))
+@example(12, 7, 4).via("passes 1 and 3 have no zero candidate")
+@example(13, 1, 4).via("passes 0 and 1 have no zero candidate")
 def test_sign_filter_on_several_passes_replays_each_pass_alone(seed, k, count):
     # a batch of passes on one hidden vector is filtered by at most one
     # measure_rows call, grouped by the shared segments of every pass, yet
     # each pass's survivor sets, cost and stream equal its one-pass call;
-    # at k <= 7 the zero tail fires in every pass
+    # at k <= 7 the zero tail fires in every pass that has zero candidates,
+    # so a batch can mix passes whose tail fires with passes that have none
     gen = RngStream(seed).child("batch").generator
     m = 300
     hidden = np.zeros(m)
@@ -301,7 +307,9 @@ def test_sign_filter_on_several_passes_replays_each_pass_alone(seed, k, count):
         assert cuts.dtype == alone_cuts.dtype and np.array_equal(cuts, alone_cuts)
         assert alone.cost == k * one_pass[2].size
         assert first[3].generator.integers(2**63) == one_pass[3].generator.integers(2**63)
-        if k <= 7:  # at least 260 zero candidates, each kept w.p. >= 1/8
+        if one_pass[2].sum() == live.size:
+            assert not np.any(hidden[coords] == 0.0)
+        elif k <= 7:  # at least 260 zero candidates, each kept w.p. >= 1/8
             assert np.any(hidden[coords] == 0.0)
         group_counts += alone.group_counts
         cost += alone.cost
