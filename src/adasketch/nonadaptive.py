@@ -15,6 +15,11 @@ the words, in order, that per-round ``integers(0, G, m)`` and
 ``rademacher(m)`` calls take: numpy's bounded draw (Lemire's rule) keeps
 the top bits of a word and never rejects one when G is a power of two, so
 G must be 2^b with b <= 32; at G = 1 a round draws no group words.
+The plan keeps that block as drawn, one row per round, and
+``CountSketchPlan.round`` decodes a round's group ids and signs from its
+row when the round is measured. The round's estimates fill one column of a
+coordinate-major (m, reps) block, so each coordinate's median comes from
+one in-place sort of its contiguous row.
 
 The Gaussian-sketch methods (``denoised_linsketch`` here, the harness's
 ``linsketch``) sample the sketch's output from its exact law through
@@ -69,15 +74,33 @@ def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountSketchPlan:
-    """All functionals of a count-sketch run, fixed before any measurement."""
+    """All functionals of a count-sketch run, fixed before any measurement.
 
-    groups: np.ndarray  # (reps, m) group id of each coordinate per round
-    signs: np.ndarray   # (reps, m) ±1 coefficient of each coordinate per round
+    ``words`` is the plan's one draw: row r holds round r's m group words
+    (none when G = 1), then its ceil(m/32) sign words. ``round(r)`` decodes
+    round r's functionals from its row alone, so a run never holds a
+    (reps, m) block of group ids or signs.
+    """
+
+    words: np.ndarray  # (reps, W) uint32, W = m + ceil(m/32), or ceil(m/32) at G = 1
+    dimension: int
     group_count: int
 
     @property
     def reps(self) -> int:
-        return self.groups.shape[0]
+        return self.words.shape[0]
+
+    def round(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Round r's group id (intp) and ±1 sign (float64) of each coordinate."""
+        m, row = self.dimension, self.words[r]
+        if self.group_count > 1:  # Lemire's rule at G = 2^b keeps the word's top b bits
+            groups = row[:m].astype(np.intp)
+            groups >>= 33 - self.group_count.bit_length()
+            row = row[m:]
+        else:
+            groups = np.zeros(m, dtype=np.intp)
+        sign_bytes = row.astype("<u4", copy=False).view(np.uint8)
+        return groups, unpack_signs(sign_bytes[None], m)[0]
 
 
 def countsketch_params(level: int, m: int) -> tuple[int, int]:
@@ -121,22 +144,20 @@ def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> Cou
     group_words = m if group_count > 1 else 0
     words = rng.generator.integers(0, 2**32, size=(reps, group_words + -(-m // 32)),
                                    dtype=np.uint32)
-    if group_words:  # Lemire's rule at G = 2^b keeps the word's top b bits
-        groups = (words[:, :m] >> (33 - group_count.bit_length())).astype(np.int64)
-    else:
-        groups = np.zeros((reps, m), dtype=np.int64)
-    sign_bytes = words[:, group_words:].astype("<u4", copy=False).view(np.uint8)
-    return CountSketchPlan(groups, unpack_signs(sign_bytes, m), group_count)
+    return CountSketchPlan(words, m, group_count)
 
 
 def countsketch_estimates(oracle: MeasurementOracle, plan: CountSketchPlan) -> np.ndarray:
-    """Per-round unbiased estimates sign * Y[group] of every coordinate, shape (reps, m)."""
-    est = np.empty_like(plan.signs)
-    support = np.arange(oracle.dimension)
+    """Per-round unbiased estimates sign * Y[group] of every coordinate,
+    coordinate-major: shape (m, reps), column r from round r."""
+    m = oracle.dimension
+    est = np.empty((m, plan.reps))
+    support = np.arange(m)
     for r in range(plan.reps):
-        y = oracle.measure_rows(support, plan.signs[r][None], stage="countsketch",
-                                groups=plan.groups[r], group_count=plan.group_count)
-        est[r] = plan.signs[r] * y[0, plan.groups[r]]
+        groups, signs = plan.round(r)
+        y = oracle.measure_rows(support, signs[None], stage="countsketch",
+                                groups=groups, group_count=plan.group_count)
+        np.multiply(signs, y[0].take(groups), out=est[:, r])
     return est
 
 
@@ -144,12 +165,12 @@ def countsketch(oracle: MeasurementOracle, reps: int, group_count: int,
                 rng: RngStream) -> np.ndarray:
     """Componentwise median of the per-round estimates; cost reps * group_count."""
     plan = countsketch_plan(oracle.dimension, reps, group_count, rng)
-    # reps is odd, so the median is the middle order statistic; + 0.0 turns
-    # -0.0 into +0.0 as np.median's mean of one element does
-    middle = reps // 2
     est = countsketch_estimates(oracle, plan)
-    est.partition(middle, axis=0)
-    return est[middle] + 0.0
+    # each coordinate's rounds are one contiguous row; reps is odd, so the
+    # median is the middle of the sorted row; + 0.0 turns -0.0 into +0.0 as
+    # np.median's mean of one element does
+    est.sort()
+    return est[:, reps // 2] + 0.0
 
 
 # -- denoising ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from adasketch.nonadaptive import (
     linsketch_keep_count,
     linsketch_matrix,
 )
-from adasketch.oracle import MeasurementOracle, lp_norm
+from adasketch.oracle import MeasurementOracle, SparseVector, lp_norm
 from adasketch.rng import RngStream, rademacher
 
 
@@ -196,8 +196,8 @@ def test_countsketch_is_the_np_median_of_its_round_estimates(reps):
         label = f"med-{name}-{reps}"
         out = countsketch(MeasurementOracle(x), reps, groups, stream(label))
         plan = countsketch_plan(x.size, reps, groups, stream(label))
-        est = countsketch_estimates(MeasurementOracle(x), plan)
-        assert out.tobytes() == np.median(est, axis=0).tobytes()
+        est = countsketch_estimates(MeasurementOracle(x), plan)  # (m, reps)
+        assert out.tobytes() == np.median(est, axis=1).tobytes()
 
 
 def reference_plan(m, reps, group_count, gen):
@@ -223,16 +223,57 @@ def test_countsketch_plan_replays_the_per_round_draws(m):
             for _ in range(4):
                 plan = countsketch_plan(m, reps, group_count, rng)
                 groups, signs = reference_plan(m, reps, group_count, gen)
-                assert plan.groups.tobytes() == groups.tobytes(), label
-                assert plan.signs.tobytes() == signs.tobytes(), label
+                assert plan.reps == reps, label
+                for r in range(reps):
+                    plan_groups, plan_signs = plan.round(r)
+                    assert plan_groups.tobytes() == groups[r].tobytes(), label
+                    assert plan_signs.tobytes() == signs[r].tobytes(), label
             after = rng.generator.integers(0, 1000, size=3)
             assert after.tobytes() == gen.integers(0, 1000, size=3).tobytes(), label
 
 
+def _rounds_digest(plan):
+    """sha256 of the plan's group ids, then its signs, stacked round by round."""
+    groups, signs = zip(*(plan.round(r) for r in range(plan.reps)))
+    return hashlib.sha256(np.stack(groups).tobytes() + np.stack(signs).tobytes()).hexdigest()
+
+
 def test_countsketch_plan_is_pinned():
     plan = countsketch_plan(4096, 39, 512, stream("plan-pin"))
-    digest = hashlib.sha256(plan.groups.tobytes() + plan.signs.tobytes()).hexdigest()
-    assert digest == "12af6128414c8fa1b5dd05b2a725e6c03e8818a9c99835d6f36ce6ea3653d523"
+    assert _rounds_digest(plan) == (
+        "12af6128414c8fa1b5dd05b2a725e6c03e8818a9c99835d6f36ce6ea3653d523")
+    # at G = 2^32 a round's group ids are its whole words; no output can be
+    # pinned there, as the oracle's per-round group sums would need 32 GiB
+    plan = countsketch_plan(3, 39, 2**32, stream("pin-g32"))
+    assert _rounds_digest(plan) == (
+        "546c6da0fe963b3d84d0b929718588efb6b745ed410a7b7ff4c5527dcd319d82")
+
+
+def _digest(array):
+    return hashlib.sha256(np.asarray(array).tobytes()).hexdigest()
+
+
+def test_countsketch_outputs_are_pinned():
+    # output bytes of the benchmark's cell (m = 2^12, level 5, uniform_ball),
+    # one group, and spikes:8 through a SparseVector oracle (G = 2^32 is
+    # pinned by its plan alone, in test_countsketch_plan_is_pinned)
+    ball = gen_vector(VectorFamily("uniform_ball"), 4096, stream("pin-ball-x"))
+    reps, groups = countsketch_params(5, 4096)
+    assert _digest(countsketch(MeasurementOracle(ball), reps, groups, stream("pin-ball"))) == (
+        "b30f974be3afa3a5a8e714c990604168cbab9af04b41f1bd1ba6daae6793297f")
+    assert _digest(denoised_countsketch(MeasurementOracle(ball), 5, stream("pin-ball"))) == (
+        "9a7b93883b565c6c241fe9d73c0553b6c25582699fe4ba741829ea2bd87a2480")
+    x = stream("pin-g1-x").generator.standard_normal(1000)
+    assert _digest(countsketch(MeasurementOracle(x), 5, 1, stream("pin-g1"))) == (
+        "9a903361888d3950c57f2999535603829c75aa6fd8fb85e87d3081c47e927da9")
+    spikes = gen_vector(VectorFamily.parse("spikes:8", 1.0), 2**16, stream("pin-sparse-x"))
+    assert isinstance(spikes, SparseVector)
+    reps, groups = countsketch_params(2, 2**16)
+    assert _digest(countsketch(MeasurementOracle(spikes), reps, groups,
+                               stream("pin-sparse"))) == (
+        "6fb25fe299a22b8996cb34b218222da600b28a44c4581b3a3c1fc849a12023c7")
+    assert _digest(denoised_countsketch(MeasurementOracle(spikes), 2, stream("pin-sparse"))) == (
+        "0a1a28efa66114e20ee14b021f527b2ce927b43f40b2250f4078c2821bf054f3")
 
 
 def test_countsketch_plan_rejects_group_counts_off_the_word_draw():
@@ -267,7 +308,7 @@ def test_countsketch_round_estimates_are_unbiased():
     for t in range(trials):
         plan = countsketch_plan(m, 1, 16, rng)
         est = countsketch_estimates(MeasurementOracle(x), plan)
-        values[t] = est[0, i]
+        values[t] = est[i, 0]
     sem = values.std(ddof=1) / math.sqrt(trials)
     assert abs(values.mean() - x[i]) <= 3 * sem + 1e-12
 
@@ -317,12 +358,13 @@ def test_countsketch_non_adaptive_replay():
 
     replay = MeasurementOracle(x)
     for r in range(reps):
+        round_groups, round_signs = plan.round(r)
         for g in range(groups):
-            members = np.flatnonzero(plan.groups[r] == g)
-            value = replay.measure_rows(members, plan.signs[r][members][None])[0]
-            mask = plan.groups[r] == g
-            est_rg = plan.signs[r][mask] * value
-            assert np.allclose(est[r][mask], est_rg, rtol=1e-12, atol=1e-14)
+            members = np.flatnonzero(round_groups == g)
+            value = replay.measure_rows(members, round_signs[members][None])[0]
+            mask = round_groups == g
+            est_rg = round_signs[mask] * value
+            assert np.allclose(est[mask, r], est_rg, rtol=1e-12, atol=1e-14)
     assert replay.cost == oracle.cost
 
 

@@ -317,6 +317,45 @@ def test_sign_filter_on_several_passes_replays_each_pass_alone(seed, k, count):
     assert batch.group_counts == ([sum(group_counts)] if group_counts else [])
 
 
+@pytest.mark.parametrize("k", [1, 7, 24, 701])
+def test_sign_filter_batch_of_passes_with_their_own_live_sets(k):
+    # passes of one batch over different candidate sets of one hidden
+    # vector: their nonzero sets, segment counts and zero counts all differ,
+    # and each pass's survivor sets, cost and stream still equal its
+    # one-pass call
+    m = 300
+    gen = stream(f"own-live-{k}-x").generator
+    hidden = np.zeros(m)
+    nonzero = np.sort(gen.choice(m, size=40, replace=False))
+    hidden[nonzero] = gen.standard_normal(nonzero.size)
+    layouts = []
+    for candidates, segments in ((60, 1), (150, 3), (240, 7), (300, 12)):
+        pool = np.sort(gen.choice(m, size=candidates, replace=False))
+        live, zeros = pool[hidden[pool] != 0.0], pool[hidden[pool] == 0.0]
+        segment_of = gen.integers(0, segments, size=live.size)
+        sizes = np.bincount(segment_of, minlength=segments) + gen.multinomial(
+            zeros.size, np.full(segments, 1.0 / segments))
+        layouts.append((live, segment_of, sizes, zeros))
+    assert len({live.size for live, *_ in layouts}) == len(layouts)
+    assert len({zeros.size for *_, zeros in layouts}) == len(layouts)
+
+    def passes():  # new streams on every call
+        return [(live, segment_of, sizes, stream(f"own-live-{k}-{i}"), lambda zeros=zeros: zeros)
+                for i, (live, segment_of, sizes, zeros) in enumerate(layouts)]
+
+    batch, together = MeasurementOracle(hidden), passes()
+    got = sign_filter(batch, together, k)
+    cost = 0
+    for (coords, cuts), one_pass, first, layout in zip(got, passes(), together, layouts):
+        alone = MeasurementOracle(hidden)
+        ((alone_coords, alone_cuts),) = sign_filter(alone, [one_pass], k)
+        assert np.array_equal(coords, alone_coords) and np.array_equal(cuts, alone_cuts)
+        assert np.isin(coords, np.concatenate((layout[0], layout[3]))).all()
+        assert first[3].generator.integers(2**63) == one_pass[3].generator.integers(2**63)
+        cost += alone.cost
+    assert batch.cost == cost
+
+
 def test_zero_vector_retention_rate_both_paths():
     # on a zero bucket every candidate's retention is the Binomial tail event;
     # rate must (a) stay below the 2*exp(-k/36) guarantee and (b) agree with
