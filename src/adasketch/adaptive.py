@@ -9,11 +9,10 @@ reps = ceil(q / min(2, p)) the q-th moment error on the unit l_p ball
 decays like 3^(1/q) * 2^(-(1/p' )(1-p/q) L).
 
 The passes are independent and each takes its sign measurements before its
-adaptive ``spot`` stage, so the preconditioned variant sign-filters them in
-plan order in batches, one grouped measurement per batch, as many passes as
-fit their live rows into one chunk of the grouped product. Only the order
-of oracle calls across passes differs from a pass-by-pass run; outputs,
-costs and streams are the same.
+adaptive ``spot`` stage, so ``discover.candidate_sets``, which owns the
+batch, sign-filters the preconditioned passes in plan order, one grouped
+measurement per batch. Only the order of oracle calls across passes differs
+from a pass-by-pass run; outputs, costs and streams are the same.
 
 Every adaptive decision inside the pipeline depends only on ratios and
 signs of measurements, so with coupled randomness the whole algorithm is
@@ -37,7 +36,7 @@ from .discover import (
     discover_cost_cap,
 )
 from .errors import DimensionError, ParameterError
-from .oracle import _CHUNK_ROWS, MeasurementOracle, SparseVector
+from .oracle import MeasurementOracle, SparseVector
 from .rng import RngStream
 
 
@@ -147,18 +146,11 @@ def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -
     passes = [(cfg, rng.child(f"discover-l{level}-r{rep}"))
               for level, cfg in enumerate(plan.configs, start=1)
               for rep in range(1, plan.reps + 1)]
-    batch = 1
-    if plan.variant == PRECONDITIONED:
-        # every pass filters all live rows; a batch holds as many passes as
-        # fit them into one chunk of the grouped product, and at least one
-        batch = max(1, _CHUNK_ROWS // max(1, oracle.nonzero_indices().size))
     pieces = []
-    for start in range(0, len(passes), batch):
-        chunk = passes[start:start + batch]
-        for (cfg, pass_rng), sets in zip(chunk, candidate_sets(oracle, chunk)):
-            found = discover(oracle, cfg, pass_rng, sets)
-            if found.size:
-                pieces.append(found)
+    for (cfg, pass_rng), sets in zip(passes, candidate_sets(oracle, passes)):
+        found = discover(oracle, cfg, pass_rng, sets)
+        if found.size:
+            pieces.append(found)
     if not pieces:
         return SparseVector(plan.m, [], [])
     detected = np.sort(np.concatenate(pieces))  # passes can repeat a coordinate

@@ -6,7 +6,7 @@ flat key=value config file via ``--config``, whose values are parsed exactly
 like flags (explicit flags override the file). Results are written as
 UTF-8 CSV with a header row; the exit code is 0 on success, 1 on a cost-cap
 violation (the first trial over its method's cap stops the run), 2 on a
-parameter error.
+parameter error or an allocation over the process's memory limit.
 """
 
 from __future__ import annotations
@@ -234,7 +234,8 @@ def main(argv=None) -> int:
         args = _parse(argv)
         _require(args.m, "--m")  # every subcommand needs it
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, argparse.ArgumentError) as exc:  # ParameterError is a ValueError
+    # ParameterError is a ValueError, and numpy's failed allocation a MemoryError
+    except (ValueError, OSError, MemoryError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapViolationError as exc:

@@ -22,19 +22,19 @@ against a reference built from ``equi_hash``, ``precond`` per bucket and
 
 Both variants hold their candidate sets in one flat form, built by
 ``candidate_sets``: the sorted sets one after another in ``coords``, with
-boundaries ``cuts``. ``candidate_sets`` takes a list of passes ``(cfg,
-rng)`` and sign-filters preconditioned ones by one ``sign_filter`` call,
-which shares the oracle work of the batch and sorts and splits the live
-rows of all its passes at once; ``adaptive.approximate`` batches its passes
-this way and hands each pass's sets to ``discover``. A configuration
-computes its bucket bounds, bucket sizes and ``spot`` parameters once, for
-every pass that uses it. ``spot`` returns a set of at most one element
-unchanged, at no cost and without a draw, so those sets join the result in
-one slice and only larger ones go to ``spot``; a pass whose sets are all
-singletons is just their sorted union. Every stream is consumed as by a
-per-set loop. At desk scale all basic-variant buckets are singletons:
-such a pass returns [0, m) whatever the hash, so it neither draws the hash
-(its stream is private to the pass) nor calls ``spot``.
+boundaries ``cuts``. ``candidate_sets`` owns the batch: it takes every pass
+``(cfg, rng)`` of a run and sign-filters consecutive preconditioned passes,
+as many as fit their live rows into one ``oracle.CHUNK_ROWS`` chunk, by one
+``sign_filter`` call when its iterator reaches the batch's first pass;
+``adaptive.approximate`` hands each pass's sets to ``discover``. A
+configuration computes its bucket bounds, bucket sizes and ``spot``
+parameters once, for every pass that uses it. ``spot`` returns a set of at
+most one element unchanged, at no cost and without a draw, so those sets
+join the result in one slice and only larger ones go to ``spot``; a pass
+whose sets are all singletons is just their sorted union. Every stream is
+consumed as by a per-set loop. At desk scale all basic-variant buckets are
+singletons: such a pass returns [0, m) whatever the hash, so it neither
+draws the hash (its stream is private to the pass) nor calls ``spot``.
 
 The three random components (hashing, filtering, spotting) draw from
 children of ``rng`` with fixed labels, so they are independent of each
@@ -48,12 +48,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .hashing import equi_bounds, equi_buckets_of, equi_hash
-from .oracle import MeasurementOracle
+from .oracle import CHUNK_ROWS, MeasurementOracle
 from .precondition import precond_measurements, sign_filter
 from .rng import RngStream
 from .spotting import (
@@ -203,29 +204,35 @@ def _basic_sets(cfg: DiscoverConfig, rng: RngStream):
     return coords, cfg.bounds
 
 
-def candidate_sets(oracle: MeasurementOracle, passes) -> list:
-    """The candidate sets before ``spot`` of each pass ``(cfg, rng)`` in the
-    list ``passes``, as one ``(coords, cuts)`` per pass: the sorted sets one
-    after another in ``coords``, with boundaries ``cuts``.
-
-    The passes must share their variant and filter size k. Preconditioned
-    passes are sign-filtered together, by one ``sign_filter`` call; each
-    still draws from its own streams exactly what it draws alone.
+def candidate_sets(oracle: MeasurementOracle, passes):
+    """An iterator over the candidate sets before ``spot`` of each pass
+    ``(cfg, rng)`` in the list ``passes``, as one ``(coords, cuts)`` per
+    pass: the sorted sets one after another in ``coords``, with boundaries
+    ``cuts``. The passes must share their variant and filter size k
+    (checked at the call). Preconditioned passes are sign-filtered in
+    batches, each by one ``sign_filter`` call when the iterator reaches its
+    first pass; each pass still draws from its own streams exactly what it
+    draws alone.
     """
     if len({(cfg.variant, cfg.precond_size) for cfg, _ in passes}) > 1:
-        raise ParameterError("a batch of passes must share its variant and filter size")
+        raise ParameterError("the passes must share their variant and filter size")
     if any(cfg.m != oracle.dimension for cfg, _ in passes):
         raise DimensionError("oracle dimension does not match the configuration")
     if not passes or passes[0][0].variant == BASIC:
-        return [_basic_sets(cfg, rng) for cfg, rng in passes]
+        return (_basic_sets(cfg, rng) for cfg, rng in passes)
     nonzero = oracle.nonzero_indices()
+    # each pass filters every live row; a batch fills one chunk, or is one pass
+    batch = max(1, CHUNK_ROWS // max(1, nonzero.size))
 
     def zero_pool():
         return np.setdiff1d(np.arange(oracle.dimension), nonzero, assume_unique=True)
 
-    filter_inputs = [(nonzero, equi_buckets_of(cfg.bounds, nonzero.size, rng.child("hash")),
-                      cfg.bucket_sizes, rng.child("precond"), zero_pool) for cfg, rng in passes]
-    return sign_filter(oracle, filter_inputs, passes[0][0].precond_size)
+    def filtered(chunk):
+        inputs = [(equi_buckets_of(cfg.bounds, nonzero.size, rng.child("hash")),
+                   cfg.bucket_sizes, rng.child("precond")) for cfg, rng in chunk]
+        return sign_filter(oracle, nonzero, inputs, passes[0][0].precond_size, zero_pool)
+
+    return chain.from_iterable(filtered(passes[i:i + batch]) for i in range(0, len(passes), batch))
 
 
 def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream,
@@ -233,7 +240,7 @@ def discover(oracle: MeasurementOracle, cfg: DiscoverConfig, rng: RngStream,
     """Run one detection pass; returns the sorted set of detected coordinates.
 
     ``sets`` are the pass's candidate sets when ``candidate_sets`` has
-    already built them in a batch of passes; by default they are built here.
+    already built them; by default they are built here.
     """
     if sets is None:
         (sets,) = candidate_sets(oracle, [(cfg, rng)])

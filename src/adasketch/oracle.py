@@ -126,15 +126,15 @@ def _as_index_array(indices, m: int) -> np.ndarray:
 # only 30-40 us. The per-call buffer must also stay large enough to keep
 # glibc's heap top mapped across calls: 256-row chunks (a 1.4 MB buffer)
 # took 1,300-1,500 minor page faults per dense trial, 512 rows (2.9 MB)
-# about one.
-_CHUNK_ROWS = 512
+# about one. ``discover.candidate_sets`` fills one chunk per filter batch.
+CHUNK_ROWS = 512
 
 
 def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.ndarray:
     """(k, group_count) sums y[:, g] = sum of values_j * a_j over group g.
 
     Row j of ``packed`` holds the k signs a_j as ``rng.sign_bits`` packs
-    them. Groups are taken in order in chunks of at most ``_CHUNK_ROWS``
+    them. Groups are taken in order in chunks of at most ``CHUNK_ROWS``
     rows (a larger group is a chunk of its own); each chunk's rows are
     unpacked into one reused float64 buffer and its groups summed by the
     csr kernel: one axpy y[g] += x_j * a_j per row, in support order within
@@ -147,7 +147,7 @@ def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.nda
     data = values[order]
     cuts = [0]  # chunk i holds groups cuts[i]:cuts[i+1]
     while cuts[-1] < group_count:
-        end = int(np.searchsorted(indptr, indptr[cuts[-1]] + _CHUNK_ROWS, side="right")) - 1
+        end = int(np.searchsorted(indptr, indptr[cuts[-1]] + CHUNK_ROWS, side="right")) - 1
         cuts.append(max(cuts[-1] + 1, end))
     starts = indptr[cuts].tolist()  # chunk i holds support rows starts[i]:starts[i+1]
     buffer = np.empty((max(b - a for a, b in zip(starts, starts[1:])), k))

@@ -15,8 +15,9 @@ detection passes run: the same filter on many disjoint candidate sets
 (segments, the buckets) of one or more independent passes at once. A pass
 takes its k sign measurements before its adaptive ``spot`` stage and
 without regard to it, so the filters of several passes can be issued as
-one batch at the same information cost. Two distribution-exact devices
-keep it fast:
+one batch at the same information cost. ``discover.candidate_sets`` decides
+which passes form a batch; every pass of a batch filters the same live
+set. Two distribution-exact devices keep it fast:
 
 * Sign columns are drawn only for live candidates, those whose hidden
   entry is nonzero, since zero entries cannot influence a measured sign.
@@ -116,18 +117,17 @@ def _joined(arrays: list) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def sign_filter(oracle: MeasurementOracle, passes, k: int) -> list:
+def sign_filter(oracle: MeasurementOracle, live, passes, k: int, zero_pool) -> list:
     """Survivor sets of the k-measurement sign filter on the disjoint
-    segments of one or more independent passes.
+    segments of one or more independent passes over one candidate set.
 
-    Each pass is a tuple ``(live, segment_of, sizes, rng, zero_pool)``. Its
-    segment d holds the live candidates ``live[segment_of == d]`` (nonzero
-    hidden entries), ascending within each segment (``live`` ascending, as
-    ``nonzero_indices`` returns it, suffices), and ``sizes[d]`` candidates
-    in all; the rest are zero candidates. ``zero_pool()`` returns every
-    zero candidate of every segment of the pass (their segment does not
-    matter: it is drawn here); it is called only when the Binomial tail
-    keeps one. Each segment costs exactly k measurements.
+    ``live`` holds the live candidates (nonzero hidden entries), ascending,
+    as ``nonzero_indices`` returns them; ``zero_pool()`` returns the zero
+    candidates, and is called only when a Binomial tail keeps one. Each
+    pass is a tuple ``(segment_of, sizes, rng)``: its segment d holds the
+    live candidates ``live[segment_of == d]`` and ``sizes[d]`` candidates
+    in all; the rest are zero candidates (their segment does not matter: it
+    is drawn here). Each segment costs exactly k measurements.
 
     A pass draws from its own ``rng`` exactly what it would draw alone:
     first one sign byte row per live row, in segment order, then its zero
@@ -147,16 +147,15 @@ def sign_filter(oracle: MeasurementOracle, passes, k: int) -> list:
     ``coords[cuts[i]:cuts[i+1]]`` (sorted); ``cuts`` starts at 0 and ends
     at ``coords.size``.
     """
-    lives, segments, sizes, rngs, zero_pools = zip(*passes)
-    rows = [len(live) for live in lives]
+    segments, sizes, rngs = zip(*passes)
+    rows = len(live)  # live rows of each pass
     first = list(accumulate(map(len, sizes), initial=0))  # pass i: ids [first[i], first[i+1])
-    live = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in lives])
     segment_of = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in segments])
     segment_of += np.repeat(first[:-1], rows)
     by_segment = np.argsort(segment_of, kind="stable")
-    live, segment_of = live[by_segment], segment_of[by_segment]
-    a_bits = _joined([sign_bits(rng.generator, n, k)  # row j is the column a_j
-                      for rng, n in zip(rngs, rows)])
+    live = np.tile(np.asarray(live, dtype=np.intp), len(passes))[by_segment]
+    segment_of = segment_of[by_segment]
+    a_bits = _joined([sign_bits(rng.generator, rows, k) for rng in rngs])  # row j: column a_j
     head = _run_starts(segment_of)  # first live row of its segment
     lone = head.copy()
     lone[:-1] &= head[1:]  # the only live row of its segment
@@ -177,9 +176,9 @@ def sign_filter(oracle: MeasurementOracle, passes, k: int) -> list:
 
     tail = sign_tail_probability(k)
     extra_coords, extra_where = [], []  # the zero candidates each tail keeps
-    for i, (rng, pass_sizes, zero_pool) in enumerate(zip(rngs, sizes, zero_pools)):
+    for i, (rng, pass_sizes) in enumerate(zip(rngs, sizes)):
         gen, pass_sizes = rng.generator, np.asarray(pass_sizes, dtype=np.int64)
-        n_zero = int(pass_sizes.sum()) - rows[i]
+        n_zero = int(pass_sizes.sum()) - rows
         extra = int(gen.binomial(n_zero, tail)) if n_zero else 0
         if extra:  # each goes to a uniformly drawn zero slot of the pass
             live_counts = np.bincount(segment_of, minlength=first[-1])[first[i]:first[i + 1]]
@@ -211,12 +210,12 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream):
     Returns the sorted surviving indices; an empty candidate set returns
     empty at zero cost.
     """
-    idx = np.sort(np.asarray(candidates, dtype=np.intp))
-    if idx.size == 0:
-        return _EMPTY
     k = int(k)
     if k < 1:
         raise ParameterError("k must be >= 1")
+    idx = np.sort(np.asarray(candidates, dtype=np.intp))
+    if idx.size == 0:
+        return _EMPTY
     matrix = rademacher(rng.generator, (k, idx.size))
     y = oracle.measure_rows(idx, matrix, stage="precond")
     return idx[sign_filter_mask(signs_of(y) @ matrix, k)]

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import types
@@ -421,3 +422,18 @@ def test_library_import_leaves_scipy_stats_unloaded():
     module_file, stats_loaded = done.stdout.split()
     assert Path(module_file).parent.parent == src
     assert stats_loaded == "False"
+
+
+def test_an_allocation_over_the_memory_limit_exits_2():
+    # level 26 asks for 2^30 count-sketch groups, an 8 GiB np.bincount per
+    # round; under a 3 GiB address-space limit main reports numpy's
+    # MemoryError as one error line, with no traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "adasketch.cli", "nonadaptive", "--method", "countsketch",
+         "--m", "3", "--L", "26", "--family", "spikes:1", "--trials", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30,) * 2))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

@@ -19,7 +19,7 @@ from adasketch.discover import (
 )
 from adasketch.errors import ParameterError
 from adasketch.hashing import equi_hash
-from adasketch.oracle import MeasurementOracle
+from adasketch.oracle import CHUNK_ROWS, MeasurementOracle
 from adasketch.precondition import precond, precond_measurements, sign_tail_probability
 from adasketch.rng import RngStream
 from adasketch.spotting import shrink_depth, spot, spot_heavy_hitter_constant
@@ -254,7 +254,7 @@ def sets_of(coords, cuts):
 def per_set_pass(oracle, cfg, rng):
     """``discover`` with its candidate sets handed to ``spot`` one by one, in
     ascending set order, singletons included. Returns (found, set sizes)."""
-    sets = sets_of(*candidate_sets(oracle, [(cfg, rng)])[0])
+    sets = sets_of(*next(candidate_sets(oracle, [(cfg, rng)])))
     spot_rng = rng.child("spot")
     hits = [spot(oracle, s, cfg.spot_params, spot_rng) for s in sets]
     found = np.unique(np.concatenate(hits)) if hits else np.empty(0, dtype=np.intp)
@@ -338,7 +338,7 @@ def _pass_records(x, cfg, trials, label, fast):
         rng = root.child_at("trial", t)
         if fast:
             found = discover(oracle, cfg, rng)
-            sets = sets_of(*candidate_sets(MeasurementOracle(x), [(cfg, rng)])[0])
+            sets = sets_of(*next(candidate_sets(MeasurementOracle(x), [(cfg, rng)])))
         else:
             found, sets = reference_pass(oracle, cfg, rng)
         assert oracle.stage_costs()["precond"] == cfg.precond_size * cfg.buckets
@@ -454,3 +454,22 @@ def test_a_batch_of_passes_replays_each_pass_when_the_zero_tail_fires():
     other_k = dataclasses.replace(cfg, precond_size=7)
     with pytest.raises(ParameterError, match="filter size"):
         candidate_sets(MeasurementOracle(x), [(cfg, stream("k6")), (other_k, stream("k7"))])
+
+
+def test_candidate_sets_filters_a_batch_when_its_first_pass_is_reached():
+    # two passes of 200 nonzeros fit one 512-row chunk of the grouped
+    # product, so three passes are filtered as two batches, passes 0-1 and
+    # pass 2: nothing is measured at the call, and the second batch only
+    # when the iterator reaches pass 2
+    m, nnz = 2**10, 200
+    assert CHUNK_ROWS // nnz == 2
+    cfg = dataclasses.replace(
+        DiscoverConfig.for_sensitivity(1.0, 0.25, m, PRECONDITIONED), precond_size=6)
+    x = np.zeros(m)
+    x[stream("lazy-x").generator.choice(m, size=nnz, replace=False)] = 1.0
+    oracle, stages = MeasurementOracle(x), []
+    measure = oracle.measure_rows
+    oracle.measure_rows = lambda *args, **kw: stages.append(kw["stage"]) or measure(*args, **kw)
+    sets = candidate_sets(oracle, [(cfg, stream(f"lazy-{i}")) for i in range(3)])
+    calls = [len(stages)] + [len(stages) for _ in sets]  # at the call, then after each pass
+    assert calls == [0, 1, 1, 2] and stages == ["precond"] * 2

@@ -138,7 +138,7 @@ def _unchunked_product(hidden, support, rows, groups, group_count):
 def _grouped_layout(gen, layout):
     """Support size, group count and unsorted group ids, one group left empty
     ("one-group": a single group of a few rows up to several chunks)."""
-    chunk = oracle_module._CHUNK_ROWS
+    chunk = oracle_module.CHUNK_ROWS
     if layout == "one-group":
         size = int(gen.integers(1, 3 * chunk))
         return size, 1, np.zeros(size, dtype=np.intp)
@@ -189,7 +189,7 @@ def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "csr_array", spy)
     gen = RngStream(11).child("chunks").generator
-    big = oracle_module._CHUNK_ROWS + 188
+    big = oracle_module.CHUNK_ROWS + 188
     hidden = gen.standard_normal(10 + big)
     support, groups = np.arange(10 + big), np.repeat([0, 1], [10, big])
     bits = sign_bits(gen, support.size, 9)

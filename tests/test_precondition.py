@@ -31,7 +31,7 @@ def one_segment_filter(oracle, candidates, k, rng):
     live_mask = np.isin(idx, oracle.nonzero_indices())
     live = idx[live_mask]
     ((kept, _),) = sign_filter(
-        oracle, [(live, np.zeros(live.size, np.intp), [idx.size], rng, lambda: idx[~live_mask])], k)
+        oracle, live, [(np.zeros(live.size, np.intp), [idx.size], rng)], k, lambda: idx[~live_mask])
     return kept
 
 
@@ -106,6 +106,8 @@ def test_singleton_bucket_always_survives():
 def test_empty_candidates_are_free():
     oracle = MeasurementOracle([1.0, 2.0])
     assert precond(oracle, [], 60, stream("e")).size == 0
+    with pytest.raises(ParameterError):  # k is checked on an empty set too
+        precond(oracle, [], 0, stream("e"))
     assert oracle.cost == 0
 
 
@@ -127,7 +129,7 @@ def replay_sign_filter(hidden, live, segment_of, segments, k, label):
     live, segment_of = np.asarray(live, dtype=np.intp), np.asarray(segment_of, dtype=np.intp)
     sizes = np.bincount(segment_of, minlength=segments)
     oracle = MeasurementOracle(hidden)
-    ((coords, cuts),) = sign_filter(oracle, [(live, segment_of, sizes, stream(label), None)], k)
+    ((coords, cuts),) = sign_filter(oracle, live, [(segment_of, sizes, stream(label))], k, None)
     assert cuts[0] == 0 and cuts[-1] == coords.size
     got = [coords[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
@@ -251,12 +253,12 @@ def test_sign_filter_measures_only_shared_segments():
     for label, live, segment_of, segments in LONE_AND_SHARED:
         oracle, segment_of = MeasureLog(hidden), np.array(segment_of, dtype=np.intp)
         sizes = np.bincount(segment_of, minlength=segments)
-        sign_filter(oracle, [(live, segment_of, sizes, stream(label), None)], 60)
+        sign_filter(oracle, live, [(segment_of, sizes, stream(label))], 60, None)
         assert oracle.group_counts == expected[label], label
         assert oracle.cost == 60 * segments, label
     oracle = MeasureLog(hidden)
-    sign_filter(oracle, [(np.arange(9), [0, 0, 1, 1, 1, 2, 2, 3, 3], [2, 3, 2, 2, 5],
-                          stream("all-shared"), lambda: np.arange(9, 40))], 60)
+    sign_filter(oracle, np.arange(9), [([0, 0, 1, 1, 1, 2, 2, 3, 3], [2, 3, 2, 2, 5],
+                                        stream("all-shared"))], 60, lambda: np.arange(9, 40))
     assert oracle.group_counts == [4] and oracle.cost == 5 * 60
 
 
@@ -294,20 +296,20 @@ def test_sign_filter_on_several_passes_replays_each_pass_alone(seed, k, count):
         return np.flatnonzero(hidden == 0.0)
 
     def passes():  # new streams on every call
-        return [(live, segment_of, sizes, stream(f"batch-{seed}-{i}"), zero_pool)
+        return [(segment_of, sizes, stream(f"batch-{seed}-{i}"))
                 for i, (segment_of, sizes) in enumerate(layouts)]
 
     batch, together = MeasureLog(hidden), passes()
-    got = sign_filter(batch, together, k)
+    got = sign_filter(batch, live, together, k, zero_pool)
     group_counts, cost = [], 0
     for (coords, cuts), one_pass, first in zip(got, passes(), together):
         alone = MeasureLog(hidden)
-        ((alone_coords, alone_cuts),) = sign_filter(alone, [one_pass], k)
+        ((alone_coords, alone_cuts),) = sign_filter(alone, live, [one_pass], k, zero_pool)
         assert coords.dtype == alone_coords.dtype and np.array_equal(coords, alone_coords)
         assert cuts.dtype == alone_cuts.dtype and np.array_equal(cuts, alone_cuts)
-        assert alone.cost == k * one_pass[2].size
-        assert first[3].generator.integers(2**63) == one_pass[3].generator.integers(2**63)
-        if one_pass[2].sum() == live.size:
+        assert alone.cost == k * one_pass[1].size
+        assert first[2].generator.integers(2**63) == one_pass[2].generator.integers(2**63)
+        if one_pass[1].sum() == live.size:
             assert not np.any(hidden[coords] == 0.0)
         elif k <= 7:  # at least 260 zero candidates, each kept w.p. >= 1/8
             assert np.any(hidden[coords] == 0.0)
@@ -315,45 +317,6 @@ def test_sign_filter_on_several_passes_replays_each_pass_alone(seed, k, count):
         cost += alone.cost
     assert batch.cost == cost
     assert batch.group_counts == ([sum(group_counts)] if group_counts else [])
-
-
-@pytest.mark.parametrize("k", [1, 7, 24, 701])
-def test_sign_filter_batch_of_passes_with_their_own_live_sets(k):
-    # passes of one batch over different candidate sets of one hidden
-    # vector: their nonzero sets, segment counts and zero counts all differ,
-    # and each pass's survivor sets, cost and stream still equal its
-    # one-pass call
-    m = 300
-    gen = stream(f"own-live-{k}-x").generator
-    hidden = np.zeros(m)
-    nonzero = np.sort(gen.choice(m, size=40, replace=False))
-    hidden[nonzero] = gen.standard_normal(nonzero.size)
-    layouts = []
-    for candidates, segments in ((60, 1), (150, 3), (240, 7), (300, 12)):
-        pool = np.sort(gen.choice(m, size=candidates, replace=False))
-        live, zeros = pool[hidden[pool] != 0.0], pool[hidden[pool] == 0.0]
-        segment_of = gen.integers(0, segments, size=live.size)
-        sizes = np.bincount(segment_of, minlength=segments) + gen.multinomial(
-            zeros.size, np.full(segments, 1.0 / segments))
-        layouts.append((live, segment_of, sizes, zeros))
-    assert len({live.size for live, *_ in layouts}) == len(layouts)
-    assert len({zeros.size for *_, zeros in layouts}) == len(layouts)
-
-    def passes():  # new streams on every call
-        return [(live, segment_of, sizes, stream(f"own-live-{k}-{i}"), lambda zeros=zeros: zeros)
-                for i, (live, segment_of, sizes, zeros) in enumerate(layouts)]
-
-    batch, together = MeasurementOracle(hidden), passes()
-    got = sign_filter(batch, together, k)
-    cost = 0
-    for (coords, cuts), one_pass, first, layout in zip(got, passes(), together, layouts):
-        alone = MeasurementOracle(hidden)
-        ((alone_coords, alone_cuts),) = sign_filter(alone, [one_pass], k)
-        assert np.array_equal(coords, alone_coords) and np.array_equal(cuts, alone_cuts)
-        assert np.isin(coords, np.concatenate((layout[0], layout[3]))).all()
-        assert first[3].generator.integers(2**63) == one_pass[3].generator.integers(2**63)
-        cost += alone.cost
-    assert batch.cost == cost
 
 
 def test_zero_vector_retention_rate_both_paths():
