@@ -9,8 +9,9 @@ per call and charge one unit apiece, which keeps Monte Carlo experiments
 fast without changing the cost model. `measure_rows` has one product per
 row type: float rows on the whole support (a dense product); with group
 ids, one functional per (row, group) pair, either one float row
-(`np.bincount`) or ±1 rows packed as sign bits, unpacked a cache-sized
-chunk of whole groups at a time and summed in support order.
+(`np.bincount`, also for one packed ±1 row) or k >= 2 ±1 rows packed as
+sign bits, unpacked a cache-sized block of equal-sized groups at a time
+and summed in support order by `np.einsum`.
 
 The hidden vector is a dense array or a :class:`SparseVector`, which the
 oracle keeps sparse: building it, its free support and every query shorter
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import DimensionError, ParameterError
 from .rng import unpack_signs
@@ -62,7 +62,7 @@ def _lookup(index, values, key) -> np.ndarray:
 
 class SparseVector:
     """A vector of dimension ``m`` held as a sorted, unique support ``index``
-    (intp) and its float64 ``values``.
+    (intp) and its float64 ``values``, read-only copies of the inputs.
 
     It has exactly two operations: ``np.asarray`` densifies it (O(m)), and
     an integer or integer-array subscript looks entries up by binary search,
@@ -74,13 +74,15 @@ class SparseVector:
 
     def __init__(self, m: int, index, values):
         self.m = int(m)
-        self.index = np.asarray(index, dtype=np.intp)
-        self.values = np.asarray(values, dtype=np.float64)
+        self.index = np.array(index, dtype=np.intp)
+        self.values = np.array(values, dtype=np.float64)
         if self.m < 1 or self.index.ndim != 1 or self.values.shape != self.index.shape:
             raise DimensionError("a sparse vector needs m >= 1 and one value per index")
         if self.index.size and (self.index[0] < 0 or self.index[-1] >= self.m
                                 or (self.index[1:] <= self.index[:-1]).any()):
             raise DimensionError(f"a sparse support must be sorted, unique and in [0, {self.m})")
+        self.index.setflags(write=False)
+        self.values.setflags(write=False)
 
     def __array__(self, dtype=None, copy=None):
         dense = np.zeros(self.m)
@@ -119,51 +121,48 @@ def _as_index_array(indices, m: int) -> np.ndarray:
     return idx
 
 
-# Support rows per chunk of the grouped product, chosen by measurement on a
-# dense pass (4,096 rows, k = 701, 27-215 groups): chunks of 256, 512 and
-# 1,024 rows all took 4-5 ms against 10-12 ms for one float64 block, since
-# a chunk is read back from cache, not memory, and its csr set-up costs
-# only 30-40 us. The per-call buffer must also stay large enough to keep
-# glibc's heap top mapped across calls: 256-row chunks (a 1.4 MB buffer)
-# took 1,300-1,500 minor page faults per dense trial, 512 rows (2.9 MB)
-# about one. ``discover.candidate_sets`` fills one chunk per filter batch.
+# Support rows per block of the grouped product. A block is read back from
+# cache, not memory: on a dense pass (4,096 rows, k = 701) one float64
+# block of all rows took twice as long, and blocks of 256, 512 and 1,024
+# rows took 48-54 ms per adaptive-dense trial alike (2-core machine).
+# ``discover.candidate_sets`` fills one block per filter batch.
 CHUNK_ROWS = 512
 
 
 def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.ndarray:
     """(k, group_count) sums y[:, g] = sum of values_j * a_j over group g.
 
-    Row j of ``packed`` holds the k signs a_j as ``rng.sign_bits`` packs
-    them. Groups are taken in order in chunks of at most ``CHUNK_ROWS``
-    rows (a larger group is a chunk of its own); each chunk's rows are
-    unpacked into one reused float64 buffer and its groups summed by the
-    csr kernel: one axpy y[g] += x_j * a_j per row, in support order within
-    the group. A group is never split, so every sum takes the same
-    additions in the same order as one csr product over all groups.
+    Row j of ``packed`` holds the k >= 2 signs a_j as ``rng.sign_bits``
+    packs them. The groups are taken in order of size, those of one size
+    in blocks of at most ``CHUNK_ROWS`` rows (a larger group is a block of
+    its own). Each block is unpacked into one reused float64 buffer and
+    summed over its size axis by one ``np.einsum``, whose inner loop runs
+    over the k rows: y[g] += x_j * a_j per support row, in support order
+    within the group, the additions of a csr product.
     """
-    order = np.argsort(groups, kind="stable")
-    indptr = np.zeros(group_count + 1, dtype=np.intp)
-    np.cumsum(np.bincount(groups, minlength=group_count), out=indptr[1:])
-    data = values[order]
-    cuts = [0]  # chunk i holds groups cuts[i]:cuts[i+1]
-    while cuts[-1] < group_count:
-        end = int(np.searchsorted(indptr, indptr[cuts[-1]] + CHUNK_ROWS, side="right")) - 1
-        cuts.append(max(cuts[-1] + 1, end))
-    starts = indptr[cuts].tolist()  # chunk i holds support rows starts[i]:starts[i+1]
-    buffer = np.empty((max(b - a for a, b in zip(starts, starts[1:])), k))
-    cols = np.arange(buffer.shape[0])
-    # one chunk returns its own product: a second (groups x k) array can
-    # push the freed heap top past glibc's trim threshold, and the next
-    # call faults it back in (570 minor faults per call at 200 rows in 90
-    # groups, none without)
-    y = np.empty((group_count, k)) if len(cuts) > 2 else None
-    for g0, g1, s0, s1 in zip(cuts, cuts[1:], starts, starts[1:]):
-        block = unpack_signs(packed[order[s0:s1]], k, out=buffer[:s1 - s0])
-        chunk = csr_array((data[s0:s1], cols[:s1 - s0], indptr[g0:g1 + 1] - s0),
-                          shape=(g1 - g0, s1 - s0))
-        if y is None:
-            return (chunk @ block).T
-        y[g0:g1] = chunk @ block
+    sizes = np.bincount(groups, minlength=group_count)
+    by_size = np.argsort(sizes, kind="stable")
+    order = np.lexsort((groups, sizes[groups]))  # rows group by group, as in by_size
+    sizes, data = sizes[by_size], values[order]
+    g = int(np.searchsorted(sizes, 1))  # the empty groups before g measure 0.0
+    rows = max(CHUNK_ROWS, int(sizes[-1]))
+    # one allocation of one size on most calls for the block, its sums and
+    # y, carved by glibc from the same heap top: a block-sized buffer and a
+    # separate y took 2.6 minor faults per adaptive-sparse trial, this 0.09
+    scratch = np.empty((rows + CHUNK_ROWS + group_count) * k)
+    y = scratch[(rows + CHUNK_ROWS) * k:].reshape(group_count, k)
+    y[by_size[:g]] = 0.0
+    r = 0
+    while g < group_count:
+        s = int(sizes[g])
+        n = min(max(1, CHUNK_ROWS // s), int(np.searchsorted(sizes, s, side="right")) - g)
+        block = unpack_signs(packed[order[r:r + n * s]], k,
+                             out=scratch[:n * s * k].reshape(n * s, k))
+        sums = scratch[rows * k:(rows + n) * k].reshape(n, k)
+        np.einsum("gs,gsk->gk", data[r:r + n * s].reshape(n, s), block.reshape(n, s, k),
+                  out=sums)
+        y[by_size[g:g + n]] = sums
+        g, r = g + n, r + n * s
     return y.T
 
 
@@ -189,12 +188,11 @@ class MeasurementOracle:
     def __init__(self, hidden):
         self._dense = self._sparse = self._nonzero = None
         if isinstance(hidden, SparseVector):
-            # an O(nnz) copy, densified by the first query of >= m entries
+            # read-only already, densified by the first query of >= m entries
             if not np.isfinite(hidden.values).all():
                 raise ParameterError("vector entries must be finite")
-            self._dimension = hidden.m
-            self._sparse = SparseVector(hidden.m, hidden.index.copy(), hidden.values.copy())
-            self._nonzero = self._sparse.index[self._sparse.values != 0.0]
+            self._dimension, self._sparse = hidden.m, hidden
+            self._nonzero = hidden.index[hidden.values != 0.0]
             self._nonzero.setflags(write=False)
         else:
             self._dense = as_vector(hidden).copy()
@@ -234,9 +232,9 @@ class MeasurementOracle:
         Grouped rows are either one float row, summed per group by
         ``np.bincount``, or, with ``row_count`` = k, k ±1 rows packed as
         ``rng.sign_bits`` returns them: one byte row per support entry, bit
-        1 for +1, padding bits ignored. Packed rows are unpacked chunk by
-        chunk (see ``_grouped_product``), never as the whole
-        (len(support), k) float64 block.
+        1 for +1, padding bits ignored. One packed row takes the float
+        row's kernel, and k >= 2 are unpacked block by block (see
+        ``_grouped_product``), never as one (len(support), k) float64 block.
         """
         sup = _as_index_array(support, self.dimension)
         if groups is None and group_count is None and row_count is None:
@@ -265,8 +263,10 @@ class MeasurementOracle:
             raise ParameterError("group ids must lie in [0, group_count)")
         self._ledger.add(row_count * group_count, stage)
         values = self._entries(sup)
-        if packed:
+        if row_count > 1:
             return _grouped_product(values, rows, groups, group_count, row_count)
+        if packed:  # one ±1 row
+            rows = unpack_signs(rows, 1).T
         return np.bincount(groups, weights=rows[0] * values, minlength=group_count)[None]
 
     def read_entries(self, indices, stage=None) -> np.ndarray:

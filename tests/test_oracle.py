@@ -156,7 +156,7 @@ def _grouped_layout(gen, layout):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 8, 9, 701]),
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 8, 9, 701]),
        st.sampled_from(["one-group", "few", "chunks", "big-group"]))
 def test_packed_grouped_rows_equal_the_float_product_bytewise(seed, k, layout):
     gen = RngStream(seed).child("packed").generator
@@ -179,15 +179,15 @@ def test_packed_grouped_rows_equal_the_float_product_bytewise(seed, k, layout):
 
 
 def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
-    # groups of 10 and chunk + 188 rows: two chunks, and no empty csr product
-    # after the large last group
+    # groups of 10 and chunk + 188 rows: two blocks, each unpacked once, and
+    # no empty block after the large last group
     shapes = []
 
-    def spy(arg, shape):
-        shapes.append(shape)
-        return csr_array(arg, shape=shape)
+    def spy(packed, k, out):
+        shapes.append(out.shape)
+        return unpack_signs(packed, k, out=out)
 
-    monkeypatch.setattr(oracle_module, "csr_array", spy)
+    monkeypatch.setattr(oracle_module, "unpack_signs", spy)
     gen = RngStream(11).child("chunks").generator
     big = oracle_module.CHUNK_ROWS + 188
     hidden = gen.standard_normal(10 + big)
@@ -195,7 +195,7 @@ def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
     bits = sign_bits(gen, support.size, 9)
     values = MeasurementOracle(hidden).measure_rows(support, bits, groups=groups,
                                                     group_count=2, row_count=9)
-    assert shapes == [(1, 10), (1, big)]
+    assert shapes == [(10, 9), (big, 9)]
     expected = _unchunked_product(hidden, support, unpack_signs(bits, 9).T, groups, 2)
     assert np.array_equal(values, expected)
 
@@ -336,6 +336,23 @@ def test_sparse_vectors_are_validated_like_dense_ones():
     for key in (5, -1, [0, 5], 1.0, slice(0, 2)):
         with pytest.raises(IndexError):
             x[key]
+
+
+def test_a_sparse_vector_holds_read_only_copies_of_its_inputs():
+    # the oracle keeps the vector's arrays without copying them, so writes to
+    # the caller's inputs must reach neither the vector nor the oracle
+    index, values = np.array([1, 3, 6]), np.array([2.0, -1.0, 0.5])
+    x = SparseVector(8, index, values)
+    oracle = MeasurementOracle(x)
+    index[:], values[:] = [0, 2, 7], 9.0
+    assert np.array_equal(x.index, [1, 3, 6]) and np.array_equal(x.values, [2.0, -1.0, 0.5])
+    for held in (x.index, x.values):
+        with pytest.raises(ValueError):
+            held[0] = 0
+    assert np.array_equal(oracle.nonzero_indices(), [1, 3, 6])
+    assert np.array_equal(oracle.measure_rows([1, 6, 7], np.ones((1, 3))), [2.5])
+    assert np.array_equal(oracle.read_entries(np.arange(8)),  # m entries densify it
+                          [0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.5, 0.0])
 
 
 def test_lp_norm_examples():
