@@ -143,10 +143,6 @@ def _parse(argv) -> argparse.Namespace:
         # a file value its flag rejects raises ArgumentError, which main reports
         parser.exit_on_error = sub.exit_on_error = False
         args = parser.parse_args(argv)
-    for flag, spec in _FLAGS.items():  # a flag the subcommand does not take reads as its default
-        default = spec.get("default")
-        vars(args).setdefault(spec.get("dest", flag),
-                              spec["type"](default) if isinstance(default, str) else default)
     return args
 
 
@@ -170,14 +166,16 @@ def _family(args) -> VectorFamily:
 
 
 def _method(args, name):
-    levels = args.levels
-    if args.eps is not None:
+    """The method ``name`` from the flags; ``nonadaptive`` takes no --eps, --R or --variant."""
+    levels, eps = args.levels, getattr(args, "eps", None)
+    if eps is not None:
         if name != "adaptive" or levels is not None:
             raise ParameterError("--eps sets adaptive's level count and takes no --L")
-        levels = levels_for_accuracy(_single(args.eps, "--eps"), args.p, args.q)
+        levels = levels_for_accuracy(_single(eps, "--eps"), args.p, args.q)
     return make_method(name, args.m, args.p, args.q,
                        budget=_single(args.budget, "--budget"),
-                       levels=levels, reps=args.reps, variant=args.variant)
+                       levels=levels, reps=getattr(args, "reps", None),
+                       variant=getattr(args, "variant", PRECONDITIONED))
 
 
 def _cmd_estimate(args) -> int:

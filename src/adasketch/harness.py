@@ -61,8 +61,8 @@ class Method:
         return self.runner(oracle, rng)
 
 
-def _zero(oracle: MeasurementOracle, rng: RngStream) -> np.ndarray:
-    return np.zeros(oracle.dimension)
+def _zero(oracle: MeasurementOracle, rng: RngStream) -> SparseVector:
+    return SparseVector(oracle.dimension, [], [])
 
 
 def make_method(name: str, m: int, p: float, q: float, budget: int | None = None,

@@ -92,8 +92,16 @@ def equi_hash(m: int, buckets: int, rng: RngStream) -> np.ndarray:
 
 
 def equi_bounds(m: int, buckets: int) -> np.ndarray:
-    """Equi-hash bucket d (hash value d + 1) holds the ranks [bounds[d], bounds[d+1])."""
-    return (np.arange(buckets + 1, dtype=np.int64) * m) // buckets
+    """Equi-hash bucket d (hash value d + 1) holds the ranks [bounds[d], bounds[d+1]).
+
+    bounds[d] = floor(d m / D), computed as d (m // D) + d (m % D) // D so
+    that no product leaves int64 while D^2 < 2^63; a larger D is a
+    ``ParameterError`` (its bounds alone would take over 24 GB).
+    """
+    if buckets * buckets >= 2**63:
+        raise ParameterError(f"equi-hash bounds need D^2 < 2^63, got D = {buckets}")
+    d = np.arange(buckets + 1, dtype=np.int64)
+    return d * (m // buckets) + d * (m % buckets) // buckets
 
 
 def equi_buckets_of(bounds: np.ndarray, count: int, rng: RngStream) -> np.ndarray:
@@ -116,18 +124,16 @@ def equi_buckets_of(bounds: np.ndarray, count: int, rng: RngStream) -> np.ndarra
 
 
 def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarray:
-    """((a*i + b) mod prime) folded to [1, buckets] by floor(residue*D/prime)+1."""
+    """((a*i + b) mod prime) folded to [1, buckets] by floor(residue*D/prime)+1.
+
+    One expression on int64 while P*D and (max i + 1)*a stay below 2^62,
+    and on exact Python integers (an object array) past that; a residue
+    below P folds to at most D either way.
+    """
     idx = np.asarray(indices, dtype=np.int64)
-    if prime * buckets < 2**62 and (int(idx.max(initial=0)) + 1) * a < 2**62:
-        residues = (a * idx + b) % prime
-        vals = residues * buckets // prime + 1
-    else:
-        # exact arbitrary-precision fallback for extreme bucket counts
-        vals = np.array(
-            [((a * int(i) + b) % prime) * buckets // prime + 1 for i in idx],
-            dtype=np.int64,
-        )
-    return np.minimum(vals, buckets)
+    if prime * buckets >= 2**62 or (int(idx.max(initial=0)) + 1) * a >= 2**62:
+        idx = idx.astype(object)
+    return ((a * idx + b) % prime * buckets // prime + 1).astype(np.int64, copy=False)
 
 
 def pairwise_hash(indices, m: int, buckets: int, rng: RngStream) -> np.ndarray:

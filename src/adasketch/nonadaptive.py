@@ -39,35 +39,25 @@ from .errors import ParameterError
 from .oracle import MeasurementOracle
 from .rng import RngStream, unpack_signs
 
-_LINSKETCH_BLOCK_ROWS = 128  # fixed so blocked and one-shot draws agree
-_MAX_GROUP_COUNT = 2**32    # group ids are the top bits of one 32-bit word
+_MAX_GROUP_COUNT = 2**32  # group ids are the top bits of one 32-bit word
 
 
 # -- Gaussian linear sketch ---------------------------------------------------
 
-def _linsketch_blocks(m: int, n: int, rng: RngStream):
-    """The n x m Gaussian measurement matrix, drawn row-block by row-block."""
-    gen = rng.generator
-    for start in range(0, n, _LINSKETCH_BLOCK_ROWS):
-        yield gen.standard_normal((min(_LINSKETCH_BLOCK_ROWS, n - start), m))
-
-
 def linsketch_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
-    """The whole n x m Gaussian measurement matrix that ``linsketch`` applies."""
-    return np.vstack([np.empty((0, m)), *_linsketch_blocks(m, n, rng)])
+    """The n x m Gaussian measurement matrix that ``linsketch`` applies, in one draw."""
+    return rng.generator.standard_normal((n, m))
 
 
 def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream) -> np.ndarray:
-    """Output (1/n) N^T N x from n Gaussian measurements (a linear method)."""
+    """Output (1/n) N^T N x from n Gaussian measurements (a linear method):
+    one ``linsketch_matrix`` draw, measured by one ``measure_rows`` call."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     m = oracle.dimension
-    support = np.arange(m)
-    acc = np.zeros(m)
-    for rows in _linsketch_blocks(m, n, rng):  # streamed: bounded memory
-        y = oracle.measure_rows(support, rows, stage="linsketch")
-        acc += y @ rows
-    return acc / n
+    matrix = linsketch_matrix(m, n, rng)
+    y = oracle.measure_rows(np.arange(m), matrix, stage="linsketch")
+    return y @ matrix / n
 
 
 # -- count sketch -------------------------------------------------------------

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import itertools
 import math
 from collections import Counter
 
@@ -337,6 +339,35 @@ def test_filter_batches_fill_one_product_chunk():
                                 stream("batch-dense")))
     approximate(oracle, dense, stream("batch-dense"))
     assert oracle.measured.count("precond") == dense.levels * dense.reps
+
+
+def test_approximate_outputs_ledgers_and_streams_are_pinned():
+    """``approximate`` over a small grid, pinned by one sha256.
+
+    Each run adds its output's index and value bytes, its sorted stage
+    costs and the next draw of every stream it materialized. A refactor
+    that consumes every random stream as before leaves the digest
+    unchanged; a change that declares a stream change updates it.
+    """
+    digest = hashlib.sha256()
+    for m in (64, 4096, 2**16):
+        families = ("spikes:1", "spikes:8", "geometric",
+                    *(("uniform_ball",) if m <= 4096 else ()))
+        for family, variant, levels in itertools.product(families, (BASIC, PRECONDITIONED),
+                                                         (1, 3)):
+            plan = AdaptivePlan(m=m, p=1.0, q=2.0, levels=levels, reps=2, variant=variant)
+            cell = stream(f"pin-{m}-{family}-{variant}-{levels}")
+            for t in range(3):
+                x = gen_vector(VectorFamily.parse(family, 1.0), m, cell.child_at("x", t))
+                oracle = MeasurementOracle(x)
+                with materialized_streams() as made:
+                    out = approximate(oracle, plan, cell.child_at("run", t))
+                    draws = next_draws(made)
+                digest.update(out.index.astype(np.int64).tobytes())
+                digest.update(out.values.tobytes())
+                digest.update(repr(sorted(oracle.stage_costs().items())).encode())
+                digest.update(repr(sorted(draws.items())).encode())
+    assert digest.hexdigest() == "430d6be4988ee1b878b0173ade2e1b0a552d3c5d906199ad906fbe0b093e67b7"
 
 
 @pytest.mark.parametrize("t", [2.0, -3.0, 1e-3])

@@ -39,6 +39,16 @@ def test_adaptive_subcommand_writes_csv(tmp_path):
     assert float(rows[0]["max_cost"]) > 0
 
 
+def test_adaptive_runs_at_m_2_to_the_60(tmp_path):
+    # the equi-hash bounds of m = 2^60 (D = 27 at level 1) stay exact past
+    # int64's d * m, so the run costs what it costs at m = 2^16
+    out = tmp_path / "run.csv"
+    assert run(["adaptive", "--m", str(2**60), "--p", "1", "--q", "2", "--L", "2",
+                "--family", "spikes:4", "--trials", "3", "--out", str(out)]) == 0
+    (row,) = read_rows(out)
+    assert row["mean_err"] == "0.0" and row["mean_cost"] == "113566.0"
+
+
 def test_adaptive_budget_mode(tmp_path):
     out = tmp_path / "run.csv"
     code = run([

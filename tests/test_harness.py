@@ -8,7 +8,7 @@ from adasketch import harness
 from adasketch.adaptive import AdaptivePlan
 from adasketch.discover import BASIC, PRECONDITIONED, DiscoverConfig, discover
 from adasketch.errors import CapViolationError, ParameterError
-from adasketch.families import VectorFamily
+from adasketch.families import VectorFamily, gen_vector
 from adasketch.nonadaptive import countsketch_params
 from adasketch.harness import (
     CSV_COLUMNS,
@@ -19,6 +19,7 @@ from adasketch.harness import (
     estimate_error,
     make_method,
     param_table,
+    _trial_streams,
     write_csv,
 )
 from adasketch.oracle import SparseVector, lp_norm
@@ -92,9 +93,6 @@ def test_ci_matches_reference_computation():
     cfg = config(method, family="uniform_ball", m=64, trials=40)
     est = estimate_error(cfg)
     # recompute the per-trial errors independently
-    from adasketch.families import gen_vector
-    from adasketch.harness import _trial_streams
-    from adasketch.oracle import lp_norm
     errs = []
     for t in range(40):
         vec_rng, _ = _trial_streams(11, cfg.family, "zero", t)
@@ -316,23 +314,45 @@ def test_every_method_on_tiny_dimensions_and_extreme_budgets():
 
 @pytest.mark.parametrize("levels", [2, 6])
 def test_adaptive_runs_in_the_papers_regime_in_sparse_memory(levels):
-    # m = 2^30, where the cost cap is far below m (n << m); a dense vector
-    # would take 8 GiB, so the trials must stay O(nnz) end to end: the family
-    # draw, the oracle, the output and the error
-    m, trials = 2**30, 50
-    method = make_method("adaptive", m, 1.0, 2.0, levels=levels, reps=2)
-    plan = AdaptivePlan(m=m, p=1.0, q=2.0, levels=levels, reps=2)
-    assert method.cap * 400 < m  # n << m
+    # m = 2^30 and 2^60, where the cost cap is far below m (n << m); a dense
+    # vector would take 8 GiB at 2^30, so the trials must stay O(nnz) end to
+    # end: the family draw, the oracle, the output and the error. At 2^60 the
+    # products d * m of the equi-hash bounds leave int64
     tracemalloc.start()
     try:
-        for family in ("spikes:4", "geometric"):
-            est = estimate_error(config(method, family=family, m=m, trials=trials, seed=30))
-            assert est.max_cost <= method.cap  # estimate_error also asserts it per trial
-            assert est.qmoment_err <= plan.error_bound(), (levels, family)
+        for m in (2**30, 2**60):
+            method = make_method("adaptive", m, 1.0, 2.0, levels=levels, reps=2)
+            plan = AdaptivePlan(m=m, p=1.0, q=2.0, levels=levels, reps=2)
+            assert method.cap * 400 < m  # n << m
+            for family in ("spikes:4", "geometric"):
+                est = estimate_error(config(method, family=family, m=m, trials=50, seed=30))
+                assert est.max_cost <= method.cap  # estimate_error also asserts it per trial
+                assert est.qmoment_err <= plan.error_bound(), (m, levels, family)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+def test_zero_method_runs_in_the_papers_regime_in_sparse_memory():
+    # the zero output is a sparse zero, so a zero row on a sparse family is
+    # O(nnz) at m = 2^30: its error is exactly ||x||_q and it costs nothing
+    m, trials = 2**30, 3
+    method = make_method("zero", m, 1.0, 2.0)
+    for family in ("spikes:4", "geometric"):
+        cfg = config(method, family=family, m=m, trials=trials, seed=30)
+        tracemalloc.start()
+        try:
+            est = estimate_error(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (family, peak)
+        norms = []
+        for t in range(trials):
+            vec_rng, _ = _trial_streams(30, cfg.family, "zero", t)
+            norms.append(lp_norm(gen_vector(cfg.family, m, vec_rng).values, 2.0))
+        assert est.mean_err == np.mean(norms) and est.max_cost == est.mean_cost == 0
 
 
 def test_union_support_error_matches_the_dense_norm():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from adasketch.discover import bucket_count
 from adasketch.errors import ParameterError
 from adasketch.hashing import (
+    affine_values,
     equi_bounds,
     equi_buckets_of,
     equi_hash,
@@ -136,6 +138,34 @@ def test_equi_buckets_of_follows_the_restricted_law():
         equi_buckets_of(bounds, m + 1, stream("sparse-bad"))
     with pytest.raises(ParameterError):
         equi_buckets_of(equi_bounds(5, 6), 1, stream("sparse-bad"))
+
+
+def test_equi_bounds_are_exact_past_int64_products():
+    # bounds[d] = floor(d m / D) in Python integers, where d * m itself
+    # leaves int64; a D with D^2 >= 2^63 is refused before any allocation
+    for m, d in ((2**62, 3), (2**60, 27), (10**18 + 7, 1_234_567)):
+        assert equi_bounds(m, d).tolist() == [i * m // d for i in range(d + 1)]
+    with pytest.raises(ParameterError, match="D\\^2 < 2\\^63"):
+        equi_bounds(2**62, 2**32)
+
+
+def test_affine_values_equal_python_integer_arithmetic():
+    # random (a, b, P, D, indices) with P, D and the indices up to 2^62, on
+    # both sides of the int64 guard, against the formula in Python integers
+    gen = stream("affine-exact").generator
+    sides = Counter()
+    for _ in range(1200):
+        prime, buckets = (int(gen.integers(2, 2 ** int(gen.integers(2, 63))))
+                          for _ in range(2))
+        a, b = int(gen.integers(1, prime)), int(gen.integers(0, prime))
+        top = int(gen.integers(1, 2 ** int(gen.integers(1, 63))))
+        idx = gen.integers(0, top, size=int(gen.integers(0, 9)))
+        labels = affine_values(idx, a, b, prime, buckets)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [(a * i + b) % prime * buckets // prime + 1
+                                   for i in idx.tolist()]
+        sides[prime * buckets < 2**62 and (int(idx.max(initial=0)) + 1) * a < 2**62] += 1
+    assert min(sides[True], sides[False]) >= 100, sides
 
 
 def test_pairwise_hash_degenerate_cases():

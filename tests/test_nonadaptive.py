@@ -51,7 +51,7 @@ def test_linsketch_zero_input():
 
 def test_linsketch_cost_is_exactly_n():
     for sketch in GAUSSIAN_SKETCHES.values():
-        for n in (1, 64, 130, 300):  # crosses the internal block size
+        for n in (1, 64, 130, 300):
             oracle = MeasurementOracle(np.ones(8))
             sketch(oracle, n, stream(f"c{n}"))
             assert oracle.cost == n and oracle.stage_costs() == {"linsketch": n}
@@ -81,6 +81,18 @@ def test_linsketch_matrix_matches_execution_draws():
     oracle = MeasurementOracle(x)
     out = linsketch(oracle, n, stream("mat"))
     assert np.allclose(out, mat.T @ (mat @ x) / n, rtol=1e-12, atol=1e-14)
+
+
+def test_linsketch_matrix_draw_is_pinned():
+    """The bytes of one seeded ``linsketch_matrix`` draw, pinned by their sha256.
+
+    The matrix is one standard_normal((n, m)) draw, row-major; drawing it
+    in row blocks takes the same words in the same order.
+    """
+    mat = linsketch_matrix(16, 300, stream("mat-pin"))
+    assert mat.shape == (300, 16)
+    digest = hashlib.sha256(mat.tobytes()).hexdigest()
+    assert digest == "26961b3db33672e248c3775d853309536e6c252d2e1e23976ef8963b1641ea7e"
 
 
 def test_linsketch_linearity_under_coupled_draws():
