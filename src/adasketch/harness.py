@@ -153,6 +153,8 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
+        if not 1 <= self.m < 2**63:  # numpy draws coordinates as int64
+            raise ParameterError("dimension m must lie in [1, 2^63)")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if not self.q > 1.0:

@@ -13,12 +13,13 @@ ids, one functional per (row, group) pair, either one float row
 sign bits, unpacked a cache-sized block of equal-sized groups at a time
 and summed in support order by `np.einsum`.
 
-The hidden vector is a dense array or a :class:`SparseVector`, which the
-oracle keeps sparse: building it, its free support and every query shorter
-than m cost O(nnz), by binary search. A query of m or more entries (a
-count-sketch round, ``read_all``) densifies it once per oracle instead of
-searching all m coordinates per query. Both forms answer alike, bytes and
-ledger.
+The hidden vector is a dense array, checked by `as_vector`, or a
+:class:`SparseVector`, which checks itself. The oracle finds the nonzero
+support once, at construction: O(nnz) for the sparse form, one O(m) scan
+for the dense one. It keeps a sparse vector sparse: every query shorter
+than m costs O(nnz), by binary search, and a query of m or more entries (a
+count-sketch round, ``read_all``) densifies it once per oracle. Both forms
+answer alike, bytes and ledger.
 
 The last section holds simulation affordances: the free `nonzero_indices`,
 which only speeds up exact fast paths, and the charged `gaussian_sketch`,
@@ -33,7 +34,6 @@ thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,7 @@ def _lookup(index, values, key) -> np.ndarray:
 
 class SparseVector:
     """A vector of dimension ``m`` held as a sorted, unique support ``index``
-    (intp) and its float64 ``values``, read-only copies of the inputs.
+    (intp) and its finite float64 ``values``, read-only copies of the inputs.
 
     It has exactly two operations: ``np.asarray`` densifies it (O(m)), and
     an integer or integer-array subscript looks entries up by binary search,
@@ -74,13 +74,14 @@ class SparseVector:
 
     def __init__(self, m: int, index, values):
         self.m = int(m)
-        self.index = np.array(index, dtype=np.intp)
-        self.values = np.array(values, dtype=np.float64)
-        if self.m < 1 or self.index.ndim != 1 or self.values.shape != self.index.shape:
+        index, self.values = np.asarray(index), np.array(values, dtype=np.float64)
+        if self.m < 1 or index.ndim != 1 or self.values.shape != index.shape:
             raise DimensionError("a sparse vector needs m >= 1 and one value per index")
-        if self.index.size and (self.index[0] < 0 or self.index[-1] >= self.m
-                                or (self.index[1:] <= self.index[:-1]).any()):
-            raise DimensionError(f"a sparse support must be sorted, unique and in [0, {self.m})")
+        self.index = _as_index_array(index, self.m).copy()
+        if (self.index[1:] <= self.index[:-1]).any():
+            raise DimensionError("a sparse support must be sorted and unique")
+        if not np.isfinite(self.values).all():
+            raise ParameterError("vector entries must be finite")
         self.index.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -115,7 +116,12 @@ def lp_norm(v, p) -> float:
 
 
 def _as_index_array(indices, m: int) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.intp).ravel()
+    """``indices`` as a flat intp array in [0, m). An empty list (float64 to
+    numpy) passes; any other non-integer dtype raises instead of truncating."""
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu" and idx.size:
+        raise DimensionError("coordinate indices must be integers")
+    idx = idx.astype(np.intp, copy=False).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise DimensionError(f"coordinate indices must lie in [0, {m})")
     return idx
@@ -166,17 +172,6 @@ def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.nda
     return y.T
 
 
-@dataclass
-class _CostLedger:
-    total: int = 0
-    by_stage: dict = field(default_factory=dict)
-
-    def add(self, count: int, stage):
-        self.total += count
-        if stage is not None:
-            self.by_stage[stage] = self.by_stage.get(stage, 0) + count
-
-
 class MeasurementOracle:
     """Answers linear-functional evaluations on a hidden vector, counting each.
 
@@ -186,19 +181,18 @@ class MeasurementOracle:
     """
 
     def __init__(self, hidden):
-        self._dense = self._sparse = self._nonzero = None
+        self._dense = self._sparse = None
         if isinstance(hidden, SparseVector):
-            # read-only already, densified by the first query of >= m entries
-            if not np.isfinite(hidden.values).all():
-                raise ParameterError("vector entries must be finite")
+            # finite and read-only already, densified by the first query of >= m entries
             self._dimension, self._sparse = hidden.m, hidden
             self._nonzero = hidden.index[hidden.values != 0.0]
-            self._nonzero.setflags(write=False)
         else:
             self._dense = as_vector(hidden).copy()
             self._dense.setflags(write=False)
             self._dimension = self._dense.size
-        self._ledger = _CostLedger()
+            self._nonzero = np.flatnonzero(self._dense)
+        self._nonzero.setflags(write=False)
+        self._cost, self._stage_costs = 0, {}
 
     @property
     def dimension(self) -> int:
@@ -214,10 +208,15 @@ class MeasurementOracle:
 
     @property
     def cost(self) -> int:
-        return self._ledger.total
+        return self._cost
 
     def stage_costs(self) -> dict:
-        return dict(self._ledger.by_stage)
+        return dict(self._stage_costs)
+
+    def _charge(self, count: int, stage):  # the one writer of the ledger
+        self._cost += count
+        if stage is not None:
+            self._stage_costs[stage] = self._stage_costs.get(stage, 0) + count
 
     # -- measurement entry points -------------------------------------------
 
@@ -241,7 +240,7 @@ class MeasurementOracle:
             rows = np.asarray(rows, dtype=np.float64)
             if rows.ndim != 2 or rows.shape[1] != sup.size:
                 raise DimensionError("rows must be (count, len(support))")
-            self._ledger.add(rows.shape[0], stage)
+            self._charge(rows.shape[0], stage)
             return rows @ self._entries(sup)
         if groups is None or group_count is None:
             raise ParameterError("give groups and group_count together")
@@ -261,7 +260,7 @@ class MeasurementOracle:
         if group_count < 1 or (groups.size and (groups.min() < 0
                                                 or groups.max() >= group_count)):
             raise ParameterError("group ids must lie in [0, group_count)")
-        self._ledger.add(row_count * group_count, stage)
+        self._charge(row_count * group_count, stage)
         values = self._entries(sup)
         if row_count > 1:
             return _grouped_product(values, rows, groups, group_count, row_count)
@@ -271,7 +270,7 @@ class MeasurementOracle:
 
     def read_entries(self, indices, stage=None) -> np.ndarray:
         idx = _as_index_array(indices, self.dimension)
-        self._ledger.add(idx.size, stage)
+        self._charge(idx.size, stage)
         return self._entries(idx)
 
     def charge(self, count: int, stage=None):
@@ -284,7 +283,7 @@ class MeasurementOracle:
         count = int(count)
         if count < 0:
             raise ParameterError("charge count must be non-negative")
-        self._ledger.add(count, stage)
+        self._charge(count, stage)
 
     # -- simulation affordances ----------------------------------------------
 
@@ -295,9 +294,6 @@ class MeasurementOracle:
         not count toward the information cost and is never used to alter the
         distribution of any algorithm's output.
         """
-        if self._nonzero is None:
-            self._nonzero = np.flatnonzero(self._dense)
-            self._nonzero.setflags(write=False)
         return self._nonzero
 
     def gaussian_sketch(self, n: int, rng, stage=None) -> np.ndarray:
@@ -314,7 +310,7 @@ class MeasurementOracle:
         """
         if n < 1:
             raise ParameterError("n must be >= 1")
-        self._ledger.add(n, stage)
+        self._charge(n, stage)
         x = np.asarray(self._sparse) if self._dense is None else self._dense
         norm = lp_norm(x, 2)
         if norm == 0.0:

@@ -49,6 +49,19 @@ def test_adaptive_runs_at_m_2_to_the_60(tmp_path):
     assert row["mean_err"] == "0.0" and row["mean_cost"] == "113566.0"
 
 
+def test_a_dimension_of_2_to_the_63_or_more_exits_2(capsys):
+    # numpy draws coordinates as int64, so every Monte Carlo run takes
+    # m < 2^63; m = 2^63 - 1 still runs, and params draws nothing
+    tail = ["--L", "2", "--family", "spikes:4", "--trials", "1"]
+    assert run(["adaptive", "--m", str(2**63), *tail]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert run(["adaptive", "--m", str(2**63 - 1), *tail]) == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["mean_err"] == "0.0" and row["mean_cost"] == "113566.0"
+    assert run(["params", "--m", str(2**63), "--eps", "0.5"]) == 0
+
+
 def test_adaptive_budget_mode(tmp_path):
     out = tmp_path / "run.csv"
     code = run([

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adasketch import harness
-from adasketch.adaptive import AdaptivePlan
+from adasketch.adaptive import AdaptivePlan, repetitions
 from adasketch.discover import BASIC, PRECONDITIONED, DiscoverConfig, discover
 from adasketch.errors import CapViolationError, ParameterError
 from adasketch.families import VectorFamily, gen_vector
@@ -332,6 +332,27 @@ def test_adaptive_runs_in_the_papers_regime_in_sparse_memory(levels):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+def test_adaptive_error_at_p_3_is_nonzero_within_the_bound_and_falls_with_L():
+    # a Monte Carlo gate at p > 2 with a nonzero error: uniform_ball at
+    # m = 2^12 is dense enough that level 1 leaves an error (0.218 at the
+    # fixed seed), and levels 2 and 3 bring it down (0.117, 0.021), each under
+    # error_bound() (1.010, 0.849, 0.714). Fixed: p = 3, q = 6, preconditioned,
+    # R = repetitions(3, 6) = 3, 20 trials, seed 5
+    m, p, q = 2**12, 3.0, 6.0
+    reps = repetitions(p, q)
+    assert reps == 3
+    errors = []
+    for levels in (1, 2, 3):
+        method = make_method("adaptive", m, p, q, levels=levels, reps=reps)
+        plan = AdaptivePlan(m=m, p=p, q=q, levels=levels, reps=reps)
+        est = estimate_error(config(method, family="uniform_ball", m=m, p=p, q=q,
+                                    trials=20, seed=5))
+        assert est.qmoment_err <= plan.error_bound(), (levels, est.qmoment_err)
+        errors.append(est.qmoment_err)
+    assert errors[0] > 0.0
+    assert errors[0] >= errors[1] >= errors[2], errors
 
 
 def test_zero_method_runs_in_the_papers_regime_in_sparse_memory():

@@ -224,6 +224,12 @@ def test_charge_and_stage_accounting():
     oracle.read_entries([1], stage="a")
     assert oracle.cost == 12
     assert oracle.stage_costs() == {"a": 2, "b": 10}
+    # unlabelled charges count in the total only, and the breakdown is a copy
+    oracle.charge(3)
+    oracle.read_entries([0, 1])
+    oracle.stage_costs()["a"] = 0
+    assert oracle.cost == 17
+    assert oracle.stage_costs() == {"a": 2, "b": 10}
 
 
 def test_dimension_errors():
@@ -247,7 +253,20 @@ def test_dimension_errors():
         oracle.measure_rows([0, 1], np.zeros((2, 2), dtype=np.uint8), row_count=9)
     with pytest.raises(DimensionError):  # grouped float rows are one row
         oracle.measure_rows([0, 1], np.ones((2, 2)), **one_group)
+    # a non-integer index raises instead of being truncated, integral or not
+    with pytest.raises(DimensionError):
+        oracle.read_entries([1.7])
+    with pytest.raises(DimensionError):
+        oracle.measure_rows([0.5, 1.0], [[1.0, 1.0]])
+    with pytest.raises(DimensionError):
+        oracle.measure_rows(np.array([0.0, 1.0]), [[1.0, 1.0]], **one_group)
+    for index in ([1.5, 3.9], [1.0, 3.0]):
+        with pytest.raises(DimensionError):
+            SparseVector(10, index, [1.0, 2.0])
     assert oracle.cost == 0
+    # an empty list is float64 to numpy and stays the empty index
+    assert oracle.read_entries([]).size == 0
+    assert SparseVector(10, [], []).index.dtype == np.intp
 
 
 def test_vector_validation():
@@ -257,6 +276,23 @@ def test_vector_validation():
         MeasurementOracle([np.inf])
     with pytest.raises(DimensionError):
         MeasurementOracle([])
+    # a sparse vector checks its own entries, before any oracle holds it
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError):
+            SparseVector(4, [1, 3], [1.0, bad])
+
+
+def test_the_nonzero_support_is_built_at_construction_and_read_only():
+    # zeros and -0.0 are not in the support, in either form of the vector
+    dense = np.array([0.0, -0.0, 2.0, 0.0, -1.5, -0.0])
+    sparse = SparseVector(6, [1, 2, 3, 4], [-0.0, 2.0, 0.0, -1.5])
+    for hidden in (dense, sparse):
+        oracle = MeasurementOracle(hidden)
+        support = oracle.nonzero_indices()
+        assert np.array_equal(support, np.flatnonzero(dense)) and support.dtype == np.intp
+        assert oracle.nonzero_indices() is support  # a plain read of one array
+        with pytest.raises(ValueError):
+            support[0] = 0
 
 
 def _same(a, b):
