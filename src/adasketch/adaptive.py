@@ -36,6 +36,7 @@ from .discover import (
     discover_cost_cap,
 )
 from .errors import DimensionError, ParameterError
+from .hashing import run_starts
 from .oracle import MeasurementOracle, SparseVector
 from .rng import RngStream
 
@@ -154,5 +155,5 @@ def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -
     if not pieces:
         return SparseVector(plan.m, [], [])
     detected = np.sort(np.concatenate(pieces))  # passes can repeat a coordinate
-    candidates = detected[np.concatenate(([True], detected[1:] != detected[:-1]))]
+    candidates = detected[run_starts(detected)]
     return SparseVector(plan.m, candidates, oracle.read_entries(candidates, stage="reads"))

@@ -10,15 +10,15 @@ variant and D * (703 + 2*depth) for the preconditioned one.
 
 Each random layer has one direct construction and one fast path:
 hashing is ``equi_hash`` and its fast path ``equi_buckets_of``, filtering
-is ``precond`` and its fast path ``sign_filter``. The basic variant runs
-the direct ``equi_hash``, because ``spot`` sees the labels of every member
-of a bucket, zero or not. The preconditioned variant runs both fast paths:
-it draws only the buckets of the nonzero coordinates and filters all
-buckets in one segmented pass; a zero coordinate reaches ``spot`` only
-through the filter's Binomial tail, where the filter draws it from its
-exact law. ``tests/test_discover.py`` checks this pass statistically
-against a reference built from ``equi_hash``, ``precond`` per bucket and
-``spot``.
+is ``precond`` and its fast path ``sign_filter``. The basic variant orders
+[0, m) by the direct ``equi_hash`` with ``hashing.bucket_order``, because
+``spot`` labels every member of a bucket, zero or not. The preconditioned
+variant runs both fast paths: it draws only the buckets of the nonzero
+coordinates and filters all buckets in one segmented pass; a zero
+coordinate reaches ``spot`` only through the filter's Binomial tail, where
+the filter draws it from its exact law. ``tests/test_discover.py`` checks
+this pass statistically against a reference built from ``equi_hash``,
+``precond`` per bucket and ``spot``.
 
 Both variants hold their candidate sets in one flat form, built by
 ``candidate_sets``: the sorted sets one after another in ``coords``, with
@@ -53,7 +53,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .hashing import equi_bounds, equi_buckets_of, equi_hash
+from .hashing import bucket_order, equi_bounds, equi_buckets_of, equi_hash
 from .oracle import CHUNK_ROWS, MeasurementOracle
 from .precondition import precond_measurements, sign_filter
 from .rng import RngStream
@@ -196,12 +196,8 @@ def _basic_sets(cfg: DiscoverConfig, rng: RngStream):
     if cfg.buckets == cfg.m:
         # every bucket is a singleton, which spot keeps whatever the draw
         return np.arange(cfg.m), np.arange(cfg.m + 1)
-    hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))
-    # ascending inside each bucket; a stable sort of the values in the
-    # narrowest dtype holding them is the same permutation, radix-sorted by
-    # numpy up to 16 bits
-    coords = np.argsort(hashed.astype(np.min_scalar_type(cfg.buckets)), kind="stable")
-    return coords, cfg.bounds
+    hashed = equi_hash(cfg.m, cfg.buckets, rng.child("hash"))  # values in [1, D]
+    return bucket_order(hashed, cfg.buckets + 1), cfg.bounds
 
 
 def candidate_sets(oracle: MeasurementOracle, passes):

@@ -1,10 +1,10 @@
-"""Random bucketings of the coordinate set [0, m).
+"""Random bucketings of [0, m) and the bucket rules of every detection pass.
 
 Hash vectors are plain int64 arrays with values in [1, D]. Two families:
 
 * ``equi_hash`` ranks the coordinates by a uniform permutation and cuts the
-  ranks into D near-equal slabs, so every value occurs floor(m/D) or
-  ceil(m/D) times and buckets are never larger than ceil(m/D). It is the
+  ranks into D near-equal slabs at ``equi_bounds``, the one rank-to-bucket
+  rule, so every value occurs floor(m/D) or ceil(m/D) times. It is the
   direct construction: the basic detection pass and the tests use it.
   ``equi_buckets_of`` is its fast path, the one the preconditioned detection
   pass runs: it draws the same hash on a few designated coordinates only
@@ -17,6 +17,8 @@ Hash vectors are plain int64 arrays with values in [1, D]. Two families:
 
 Each family has one draw path, used by the algorithms and by the tests of
 its law alike: a Monte Carlo check stacks single draws from one stream.
+Every pass orders its rows by bucket with ``bucket_order`` and marks where
+each bucket's run starts with ``run_starts``.
 """
 
 from __future__ import annotations
@@ -79,16 +81,10 @@ def _check_bucket_args(m: int, buckets: int, require_le_m: bool):
 
 
 def equi_hash(m: int, buckets: int, rng: RngStream) -> np.ndarray:
-    """Hash values ceil(rank * D / m) for a uniform random ranking of [0, m).
-
-    Hash value d + 1 holds the coordinates of 0-based rank r in
-    [bounds[d], bounds[d+1]) for ``bounds = equi_bounds(m, D)``:
-    ceil((r+1) D / m) = d + 1 exactly when
-    floor(d m / D) <= r < floor((d+1) m / D).
-    """
+    """Hash values of a uniform ranking of [0, m), cut at ``equi_bounds(m, D)``."""
     _check_bucket_args(m, buckets, require_le_m=True)
-    ranks = rng.generator.permutation(m) + 1
-    return (ranks * buckets + m - 1) // m
+    labels = np.repeat(np.arange(1, buckets + 1, dtype=np.int64), np.diff(equi_bounds(m, buckets)))
+    return rng.generator.permutation(labels)  # labels[permutation(m)]: the same swaps, no gather
 
 
 def equi_bounds(m: int, buckets: int) -> np.ndarray:
@@ -121,6 +117,20 @@ def equi_buckets_of(bounds: np.ndarray, count: int, rng: RngStream) -> np.ndarra
         raise ParameterError("designated coordinate count must lie in [0, m]")
     ranks = rng.generator.choice(m, size=count, replace=False)
     return np.searchsorted(bounds[1:], ranks, side="right")
+
+
+def bucket_order(ids: np.ndarray, count: int) -> np.ndarray:
+    """The stable order that groups items by their bucket ids in [0, count):
+    the same permutation in every integer dtype, so the ids are sorted in the
+    narrowest one that holds them, which numpy radix-sorts up to 16 bits."""
+    return np.argsort(ids.astype(np.min_scalar_type(count - 1)), kind="stable")
+
+
+def run_starts(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries that start a run of equal ids."""
+    starts = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+    return starts
 
 
 def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarray:

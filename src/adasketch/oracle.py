@@ -105,7 +105,7 @@ def lp_norm(v, p) -> float:
     if p == math.inf:
         return float(np.max(np.abs(v))) if v.size else 0.0
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # NaN too
         raise ParameterError(f"norm index must satisfy p >= 1, got {p}")
     a = np.abs(v)
     top = float(a.max()) if a.size else 0.0
@@ -266,7 +266,8 @@ class MeasurementOracle:
             return _grouped_product(values, rows, groups, group_count, row_count)
         if packed:  # one ±1 row
             rows = unpack_signs(rows, 1).T
-        return np.bincount(groups, weights=rows[0] * values, minlength=group_count)[None]
+        sums = np.bincount(groups, weights=rows[0] * values, minlength=group_count)
+        return sums.astype(np.float64, copy=False)[None]  # int64 on an empty support
 
     def read_entries(self, indices, stage=None) -> np.ndarray:
         idx = _as_index_array(indices, self.dimension)

@@ -38,12 +38,12 @@ set. Two distribution-exact devices keep it fast:
   which is their exact conditional law.
 
 Apart from each pass's own draws, a batch's bookkeeping is done once for
-the batch. One stable sort of segment ids, offset per pass, puts the live
-rows of every pass in segment order, pass after pass. After the shared
-measurement one split cuts the kept rows of every pass into survivor sets,
-and each pass takes its slice of them. When a tail keeps zero candidates,
-they join the kept rows, which are sorted again by segment and coordinate
-before the split (at k = 701, about 3.7e-76 per zero candidate).
+the batch. One ``hashing.bucket_order`` of segment ids, offset per pass,
+puts the live rows of every pass in segment order, pass after pass. After
+the shared measurement one split at the ``hashing.run_starts`` of the kept
+rows cuts them into the survivor sets of every pass. A tail's zero
+candidates join the kept rows, which are sorted again by segment and
+coordinate before the split (at k = 701, about 3.7e-76 per zero candidate).
 
 ``tests/test_discover.py`` checks the fast path against ``precond`` at the
 level of whole detection passes, and ``tests/test_precondition.py`` on
@@ -60,6 +60,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ParameterError
+from .hashing import bucket_order, run_starts
 from .oracle import MeasurementOracle
 from .rng import RngStream, rademacher, sign_bits
 
@@ -101,13 +102,6 @@ def sign_filter_mask(corr: np.ndarray, k: int) -> np.ndarray:
 def signs_of(values: np.ndarray) -> np.ndarray:
     """Sign vector with sign(0) := +1."""
     return np.where(values >= 0.0, 1.0, -1.0)
-
-
-def _run_starts(ids: np.ndarray) -> np.ndarray:
-    """Mask of the entries that start a run of equal ids."""
-    starts = np.ones(ids.size, dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
-    return starts
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -152,11 +146,11 @@ def sign_filter(oracle: MeasurementOracle, live, passes, k: int, zero_pool) -> l
     first = list(accumulate(map(len, sizes), initial=0))  # pass i: ids [first[i], first[i+1])
     segment_of = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in segments])
     segment_of += np.repeat(first[:-1], rows)
-    by_segment = np.argsort(segment_of, kind="stable")
+    by_segment = bucket_order(segment_of, first[-1])
     live = np.tile(np.asarray(live, dtype=np.intp), len(passes))[by_segment]
     segment_of = segment_of[by_segment]
     a_bits = _joined([sign_bits(rng.generator, rows, k) for rng in rngs])  # row j: column a_j
-    head = _run_starts(segment_of)  # first live row of its segment
+    head = run_starts(segment_of)  # first live row of its segment
     lone = head.copy()
     lone[:-1] &= head[1:]  # the only live row of its segment
 
@@ -193,7 +187,7 @@ def sign_filter(oracle: MeasurementOracle, live, passes, k: int, zero_pool) -> l
         where = np.concatenate((where, *extra_where))
         order = np.lexsort((coords, where))
         coords, where = coords[order], where[order]
-    heads = np.flatnonzero(_run_starts(where))
+    heads = np.flatnonzero(run_starts(where))
     cuts = np.append(heads, coords.size)  # set i of the batch is coords[cuts[i]:cuts[i+1]]
     # pass i has the sets [set_at[i], set_at[i+1]) and the kept rows
     # [kept_at[i], kept_at[i+1]) of the batch

@@ -214,10 +214,10 @@ def test_one_stream_replays_one_pass():
     assert any(not np.array_equal(fresh[0], other) for other in fresh[1:])
 
 
-@pytest.mark.parametrize("buckets", [255, 256, 65_535, 65_536])
+@pytest.mark.parametrize("buckets", [1, 255, 256, 65_535, 65_536])
 def test_basic_candidate_sets_are_the_stable_argsort_of_the_hash(buckets):
-    # the basic pass sorts the hash values in the narrowest dtype that holds
-    # them; these counts cross each dtype boundary of np.min_scalar_type
+    # the basic pass orders [0, m) by hash value with hashing.bucket_order;
+    # these counts cross each dtype boundary of np.min_scalar_type
     m = 2**17
     cfg = DiscoverConfig.with_buckets(0.25, m, buckets, BASIC)
     ((coords, _),) = candidate_sets(MeasurementOracle(np.zeros(m)), [(cfg, stream("argsort"))])

@@ -314,16 +314,19 @@ def test_every_method_on_tiny_dimensions_and_extreme_budgets():
 
 @pytest.mark.parametrize("levels", [2, 6])
 def test_adaptive_runs_in_the_papers_regime_in_sparse_memory(levels):
-    # m = 2^30 and 2^60, where the cost cap is far below m (n << m); a dense
-    # vector would take 8 GiB at 2^30, so the trials must stay O(nnz) end to
-    # end: the family draw, the oracle, the output and the error. At 2^60 the
-    # products d * m of the equi-hash bounds leave int64
+    # m from 2^16 to 2^60; from 2^30 on the cost cap is far below m (n << m).
+    # A dense vector would take 8 GiB at 2^30, so the trials must stay O(nnz)
+    # end to end: the family draw, the oracle, the output and the error. At
+    # 2^60 the products d * m of the equi-hash bounds leave int64. The cap's
+    # share cap/m falls as m grows
+    shares = []
     tracemalloc.start()
     try:
-        for m in (2**30, 2**60):
+        for m in (2**16, 2**24, 2**30, 2**40, 2**60):
             method = make_method("adaptive", m, 1.0, 2.0, levels=levels, reps=2)
             plan = AdaptivePlan(m=m, p=1.0, q=2.0, levels=levels, reps=2)
-            assert method.cap * 400 < m  # n << m
+            assert m < 2**30 or method.cap * 400 < m  # n << m
+            shares.append(method.cap / m)
             for family in ("spikes:4", "geometric"):
                 est = estimate_error(config(method, family=family, m=m, trials=50, seed=30))
                 assert est.max_cost <= method.cap  # estimate_error also asserts it per trial
@@ -332,6 +335,7 @@ def test_adaptive_runs_in_the_papers_regime_in_sparse_memory(levels):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+    assert all(later < earlier for earlier, later in zip(shares, shares[1:])), shares
 
 
 def test_adaptive_error_at_p_3_is_nonzero_within_the_bound_and_falls_with_L():

@@ -8,11 +8,13 @@ from adasketch.discover import bucket_count
 from adasketch.errors import ParameterError
 from adasketch.hashing import (
     affine_values,
+    bucket_order,
     equi_bounds,
     equi_buckets_of,
     equi_hash,
     next_prime,
     pairwise_hash,
+    run_starts,
 )
 from adasketch.oracle import lp_norm
 from adasketch.rng import RngStream
@@ -105,6 +107,18 @@ def test_equi_hash_bucket_cardinality_cap():
             assert np.count_nonzero(h == h[j]) <= cap  # j's bucket
 
 
+def test_equi_hash_is_the_ceil_of_the_scaled_rank():
+    # rank r (0-based) of the same permutation draw hashes to
+    # ceil((r + 1) D / m), computed here in Python integers: the bounds
+    # rule and the ceil formula label every rank alike
+    for m, d in ((1, 1), (7, 1), (7, 3), (7, 7), (97, 1), (97, 13), (97, 96), (97, 97),
+                 (1000, 333), (2**16, 701), (2**16, 2**16)):
+        hashed = equi_hash(m, d, stream(f"ceil-{m}-{d}"))
+        ranks = stream(f"ceil-{m}-{d}").generator.permutation(m).tolist()
+        assert hashed.dtype == np.int64
+        assert hashed.tolist() == [-(-(r + 1) * d // m) for r in ranks], (m, d)
+
+
 def test_equi_hash_rejects_bad_bucket_counts():
     with pytest.raises(ParameterError):
         equi_hash(5, 6, stream("x"))
@@ -147,6 +161,26 @@ def test_equi_bounds_are_exact_past_int64_products():
         assert equi_bounds(m, d).tolist() == [i * m // d for i in range(d + 1)]
     with pytest.raises(ParameterError, match="D\\^2 < 2\\^63"):
         equi_bounds(2**62, 2**32)
+
+
+@pytest.mark.parametrize("count", [1, 256, 257, 65_536, 65_537])
+def test_bucket_order_is_the_stable_argsort_of_the_ids(count):
+    # these counts cross each dtype boundary of np.min_scalar_type(count - 1)
+    gen = stream(f"order-{count}").generator
+    for size in (0, 1, 5_000):
+        ids = gen.integers(0, count, size=size)
+        ids[: min(size, 2)] = count - 1  # the largest id, twice
+        expected = np.argsort(np.asarray(ids, np.intp), kind="stable")
+        order = bucket_order(ids, count)
+        assert order.dtype == expected.dtype and np.array_equal(order, expected)
+
+
+def test_run_starts_marks_the_first_of_each_run():
+    assert run_starts(np.array([], dtype=np.int64)).tolist() == []
+    assert run_starts(np.array([4])).tolist() == [True]
+    assert run_starts(np.full(5, 3)).tolist() == [True, False, False, False, False]
+    assert run_starts(np.array([0, 0, 2, 5, 5, 5, 6])).tolist() == [
+        True, False, True, True, False, False, True]
 
 
 def test_affine_values_equal_python_integer_arithmetic():

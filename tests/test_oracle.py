@@ -107,6 +107,19 @@ def test_grouped_measure_rows_one_row_is_bincount():
     assert np.allclose(sums, expected, rtol=1e-12, atol=1e-15)
 
 
+def test_grouped_one_row_on_an_empty_support_measures_float_zeros():
+    # an empty group measures 0.0, also when every group is empty
+    oracle = MeasurementOracle(np.ones(4))
+    float_row = oracle.measure_rows([], np.zeros((1, 0)), groups=[], group_count=3)
+    assert oracle.cost == 3
+    packed_row = oracle.measure_rows([], np.zeros((0, 1), np.uint8), groups=[], group_count=3,
+                                     row_count=1)
+    assert oracle.cost == 6
+    for values in (float_row, packed_row):
+        assert values.dtype == np.float64 and values.shape == (1, 3)
+        assert np.array_equal(values, np.zeros((1, 3)))
+
+
 def test_grouped_measure_rows_one_group_is_the_ungrouped_call():
     # the same functionals; the grouped sum runs in support order, the
     # ungrouped product in BLAS order, so they agree to rounding
@@ -395,8 +408,9 @@ def test_lp_norm_examples():
     assert lp_norm([3.0, 4.0], 2) == 5.0
     assert lp_norm([1.0, -1.0, 1.0], 1) == 3.0
     assert lp_norm([1.0, -2.0], math.inf) == 2.0
-    with pytest.raises(ParameterError):
-        lp_norm([1.0], 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(ParameterError):
+            lp_norm([1.0], p)
 
 
 @settings(max_examples=50, deadline=None)
