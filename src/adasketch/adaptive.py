@@ -37,7 +37,7 @@ from .discover import (
 )
 from .errors import DimensionError, ParameterError
 from .hashing import run_starts
-from .oracle import MeasurementOracle, SparseVector
+from .oracle import MeasurementOracle, SparseVector, as_count
 from .rng import RngStream
 
 
@@ -83,6 +83,8 @@ class AdaptivePlan:
 
     def __post_init__(self):
         check_pq(self.p, self.q)
+        for name in ("m", "levels", "reps"):
+            as_count(getattr(self, name), name)
         if self.m < 1:
             raise ParameterError("m must be >= 1")
         if self.levels < 0:

@@ -28,7 +28,7 @@ from . import adaptive, nonadaptive
 from .discover import PRECONDITIONED, VARIANTS
 from .errors import CapViolationError, ParameterError
 from .families import VectorFamily, gen_vector
-from .oracle import MeasurementOracle, SparseVector, lp_norm
+from .oracle import MeasurementOracle, SparseVector, as_count, lp_norm
 from .rng import RngStream
 
 CSV_COLUMNS = [
@@ -76,7 +76,7 @@ def make_method(name: str, m: int, p: float, q: float, budget: int | None = None
         raise ParameterError(f"unknown method {name!r}")
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}")
-    if budget is not None and budget < 0:
+    if budget is not None and as_count(budget, "budget") < 0:
         raise ParameterError("budget must be >= 0")
     if levels is not None and name not in ("adaptive", "countsketch", "countsketch_denoised"):
         raise ParameterError(f"{name} does not read levels")

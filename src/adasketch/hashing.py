@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
+from .oracle import as_index_array
 from .rng import RngStream
 
 
@@ -150,8 +151,8 @@ def pairwise_hash(indices, m: int, buckets: int, rng: RngStream) -> np.ndarray:
     """Labels in [1, D] of ``indices``, coordinates of [0, m), under one
     draw (a, b) of the affine family modulo P = next_prime(max(m, D))."""
     _check_bucket_args(m, buckets, require_le_m=False)
+    indices = as_index_array(indices, m)
     prime = next_prime(max(m, buckets))
-    gen = rng.generator
-    a = int(gen.integers(1, prime))
-    b = int(gen.integers(0, prime))
+    a = int(rng.generator.integers(1, prime))
+    b = int(rng.generator.integers(0, prime))
     return affine_values(indices, a, b, prime, buckets)

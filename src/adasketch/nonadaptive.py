@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .oracle import MeasurementOracle
+from .oracle import MeasurementOracle, as_count
 from .rng import RngStream, unpack_signs
 
 _MAX_GROUP_COUNT = 2**32  # group ids are the top bits of one 32-bit word
@@ -99,12 +99,12 @@ def countsketch_params(level: int, m: int) -> tuple[int, int]:
     Groups G = 2^(4+level), at most 2^32 (level <= 28); rounds R = smallest
     odd number with R >= max(5, 2 + 3*log2(m)).
     """
-    if level < 0:
+    if as_count(level, "level") < 0:
         raise ParameterError("level must be >= 0")
     if 2 ** (4 + level) > _MAX_GROUP_COUNT:
         raise ParameterError(f"count-sketch level {level} needs 2^{4 + level} groups, "
                              "above the cap of 2^32")
-    if m < 1:
+    if as_count(m, "m") < 1:
         raise ParameterError("m must be >= 1")
     reps = max(5, math.ceil(2.0 + 3.0 * math.log2(m)))
     if reps % 2 == 0:

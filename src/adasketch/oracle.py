@@ -1,17 +1,17 @@
 """Hidden-vector container with linear-only access and exact cost accounting.
 
 Algorithms never touch the hidden vector directly: they submit linear
-functionals to a :class:`MeasurementOracle` and get back exact inner
-products, each evaluation incrementing the information-cost counter by
-exactly one. A functional is a support plus one coefficient row; the entry
-points (`measure_rows`, `read_entries`, `charge`) take several functionals
-per call and charge one unit apiece, which keeps Monte Carlo experiments
-fast without changing the cost model. `measure_rows` has one product per
-row type: float rows on the whole support (a dense product); with group
-ids, one functional per (row, group) pair, either one float row
-(`np.bincount`, also for one packed ±1 row) or k >= 2 ±1 rows packed as
-sign bits, unpacked a cache-sized block of equal-sized groups at a time
-and summed in support order by `np.einsum`.
+functionals to a :class:`MeasurementOracle` and get back exact inner products.
+A functional is a support plus one coefficient row; the entry points
+(`measure_rows`, `read_entries`, `charge`) take several per call, which keeps
+Monte Carlo experiments fast, and charge one unit apiece to the stage the call
+names: the cost is the sum of that ledger. Counts and indices are integers
+(`as_count`; `as_index_array`, the one index rule): a float raises, never
+truncates. `measure_rows` has one product per row type: float rows on the
+whole support (a dense product); with group ids, one functional per (row,
+group) pair, either one float row (`np.bincount`, also for one packed ±1 row)
+or k >= 2 ±1 rows packed as sign bits, unpacked a cache-sized block of
+equal-sized groups at a time and summed in support order by `np.einsum`.
 
 The hidden vector is a dense array, checked by `as_vector`, or a
 :class:`SparseVector`, which checks itself. The oracle finds the nonzero
@@ -26,7 +26,7 @@ which only speeds up exact fast paths, and the charged `gaussian_sketch`,
 which stands for n Gaussian functionals and samples their sketch from its
 exact law.
 
-An oracle instance is single-writer (its counter mutates per call); use one
+An oracle instance is single-writer (its ledger mutates per call); use one
 oracle per concurrent unit. The pure helper `lp_norm` is safe from any
 thread.
 """
@@ -34,6 +34,7 @@ thread.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -73,11 +74,11 @@ class SparseVector:
     __slots__ = ("m", "index", "values")
 
     def __init__(self, m: int, index, values):
-        self.m = int(m)
+        self.m = as_count(m, "dimension m")
         index, self.values = np.asarray(index), np.array(values, dtype=np.float64)
         if self.m < 1 or index.ndim != 1 or self.values.shape != index.shape:
             raise DimensionError("a sparse vector needs m >= 1 and one value per index")
-        self.index = _as_index_array(index, self.m).copy()
+        self.index = as_index_array(index, self.m).copy()
         if (self.index[1:] <= self.index[:-1]).any():
             raise DimensionError("a sparse support must be sorted and unique")
         if not np.isfinite(self.values).all():
@@ -115,13 +116,26 @@ def lp_norm(v, p) -> float:
     return top * float(np.sum((a / top) ** p)) ** (1.0 / p)
 
 
-def _as_index_array(indices, m: int) -> np.ndarray:
-    """``indices`` as a flat intp array in [0, m). An empty list (float64 to
-    numpy) passes; any other non-integer dtype raises instead of truncating."""
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu" and idx.size:
-        raise DimensionError("coordinate indices must be integers")
-    idx = idx.astype(np.intp, copy=False).ravel()
+def as_count(value, name: str) -> int:
+    """``value`` as an int; a float, integral or not, raises instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _as_ids(values, name: str) -> np.ndarray:
+    """``values`` as intp; a non-integer dtype raises (an empty list passes)."""
+    ids = np.asarray(values)
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise DimensionError(f"{name} must be integers")
+    return ids.astype(np.intp, copy=False)
+
+
+def as_index_array(indices, m: int) -> np.ndarray:
+    """``indices`` as a flat intp array in [0, m), the one index rule of the
+    oracle and of every algorithm that takes coordinates."""
+    idx = _as_ids(indices, "coordinate indices").ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= m):
         raise DimensionError(f"coordinate indices must lie in [0, {m})")
     return idx
@@ -175,9 +189,8 @@ def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.nda
 class MeasurementOracle:
     """Answers linear-functional evaluations on a hidden vector, counting each.
 
-    The counter increases by exactly one per evaluated functional, never
-    decreases, and changes in no other way. Optional ``stage`` labels feed
-    the per-stage cost breakdown used by audits.
+    The cost rises by exactly one per evaluated functional and in no other
+    way: it is the sum of the ledger, the cost of each ``stage`` a call names.
     """
 
     def __init__(self, hidden):
@@ -192,7 +205,7 @@ class MeasurementOracle:
             self._dimension = self._dense.size
             self._nonzero = np.flatnonzero(self._dense)
         self._nonzero.setflags(write=False)
-        self._cost, self._stage_costs = 0, {}
+        self._stage_costs = {}
 
     @property
     def dimension(self) -> int:
@@ -208,19 +221,17 @@ class MeasurementOracle:
 
     @property
     def cost(self) -> int:
-        return self._cost
+        return sum(self._stage_costs.values())
 
     def stage_costs(self) -> dict:
         return dict(self._stage_costs)
 
     def _charge(self, count: int, stage):  # the one writer of the ledger
-        self._cost += count
-        if stage is not None:
-            self._stage_costs[stage] = self._stage_costs.get(stage, 0) + count
+        self._stage_costs[stage] = self._stage_costs.get(stage, 0) + count
 
     # -- measurement entry points -------------------------------------------
 
-    def measure_rows(self, support, rows, stage=None, groups=None,
+    def measure_rows(self, support, rows, stage, groups=None,
                      group_count=None, row_count=None) -> np.ndarray:
         """Evaluate each row of ``rows`` as a functional on ``support``; cost += #rows.
 
@@ -235,7 +246,7 @@ class MeasurementOracle:
         row's kernel, and k >= 2 are unpacked block by block (see
         ``_grouped_product``), never as one (len(support), k) float64 block.
         """
-        sup = _as_index_array(support, self.dimension)
+        sup = as_index_array(support, self.dimension)
         if groups is None and group_count is None and row_count is None:
             rows = np.asarray(rows, dtype=np.float64)
             if rows.ndim != 2 or rows.shape[1] != sup.size:
@@ -246,15 +257,15 @@ class MeasurementOracle:
             raise ParameterError("give groups and group_count together")
         packed = row_count is not None
         if packed:
-            row_count, rows = int(row_count), np.asarray(rows, dtype=np.uint8)
+            row_count, rows = as_count(row_count, "row_count"), np.asarray(rows, np.uint8)
             if row_count < 1 or rows.shape != (sup.size, (row_count + 7) // 8):
                 raise DimensionError("packed rows must be (len(support), ceil(row_count / 8))")
         else:
             rows, row_count = np.asarray(rows, dtype=np.float64), 1
             if rows.shape != (1, sup.size):
                 raise DimensionError("grouped float rows must be one (1, len(support)) row")
-        groups = np.asarray(groups, dtype=np.intp)
-        group_count = int(group_count)
+        groups = _as_ids(groups, "group ids")
+        group_count = as_count(group_count, "group_count")
         if groups.shape != sup.shape:
             raise DimensionError("groups must hold one id per support entry")
         if group_count < 1 or (groups.size and (groups.min() < 0
@@ -269,19 +280,19 @@ class MeasurementOracle:
         sums = np.bincount(groups, weights=rows[0] * values, minlength=group_count)
         return sums.astype(np.float64, copy=False)[None]  # int64 on an empty support
 
-    def read_entries(self, indices, stage=None) -> np.ndarray:
-        idx = _as_index_array(indices, self.dimension)
+    def read_entries(self, indices, stage) -> np.ndarray:
+        idx = as_index_array(indices, self.dimension)
         self._charge(idx.size, stage)
         return self._entries(idx)
 
-    def charge(self, count: int, stage=None):
-        """Count ``count`` evaluations whose values are deterministically known.
-
-        Used when a whole block of functionals is supported on coordinates
-        that are provably zero (every value is 0.0); the cost model stays
-        exact without doing the arithmetic.
+    def charge(self, count: int, stage):
+        """Count ``count`` evaluations that the caller makes without needing
+        their answers, so the cost model stays exact without the arithmetic:
+        functionals supported on zero coordinates (each answers 0.0), and
+        ones whose answer cannot change the caller's result, as a lone
+        segment's x_j * a_j in ``precondition.sign_filter``.
         """
-        count = int(count)
+        count = as_count(count, "charge count")
         if count < 0:
             raise ParameterError("charge count must be non-negative")
         self._charge(count, stage)
@@ -297,7 +308,7 @@ class MeasurementOracle:
         """
         return self._nonzero
 
-    def gaussian_sketch(self, n: int, rng, stage=None) -> np.ndarray:
+    def gaussian_sketch(self, n: int, rng, stage) -> np.ndarray:
         """One sample of (1/n) N^T N x for an n x m standard Gaussian N; cost += n.
 
         Charged simulation affordance: it stands for the n functionals of N
@@ -309,6 +320,7 @@ class MeasurementOracle:
         nothing and returns zeros. Unlike ``nonadaptive.linsketch`` it is not
         linear in x under a shared stream.
         """
+        n = as_count(n, "n")
         if n < 1:
             raise ParameterError("n must be >= 1")
         self._charge(n, stage)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .hashing import bucket_order, run_starts
-from .oracle import MeasurementOracle
+from .oracle import MeasurementOracle, as_count, as_index_array
 from .rng import RngStream, rademacher, sign_bits
 
 _EMPTY = np.empty(0, dtype=np.intp)
@@ -202,12 +202,12 @@ def precond(oracle: MeasurementOracle, candidates, k: int, rng: RngStream):
 
     The direct construction: k sign bits for every candidate, zero or not.
     Returns the sorted surviving indices; an empty candidate set returns
-    empty at zero cost.
+    empty at zero cost. The candidates pass ``oracle.as_index_array`` first.
     """
-    k = int(k)
+    k = as_count(k, "k")
     if k < 1:
         raise ParameterError("k must be >= 1")
-    idx = np.sort(np.asarray(candidates, dtype=np.intp))
+    idx = np.sort(as_index_array(candidates, oracle.dimension))
     if idx.size == 0:
         return _EMPTY
     matrix = rademacher(rng.generator, (k, idx.size))

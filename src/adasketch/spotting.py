@@ -6,9 +6,10 @@ step's sub-bucket count, measures y1 = <g, x> and y2 = <g * label, x> with
 fresh Gaussian weights g, and keeps the sub-bucket whose label the ratio
 y2/y1 rounds to: when one coordinate carries almost all the mass of the set,
 the ratio concentrates at that coordinate's label. The last step labels the
-surviving candidates injectively, so the output has at most one element.
-A step budget of ``depth`` intermediate shrinks keeps the cost of one spot
-call at most 2 * (depth + 1) measurements.
+surviving candidates injectively, so the output has at most one element. A
+step budget of ``depth`` intermediate shrinks keeps the cost of one spot
+call at most 2 * (depth + 1) measurements. Candidates pass
+``oracle.as_index_array`` before any draw.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .hashing import pairwise_hash
-from .oracle import MeasurementOracle
+from .oracle import MeasurementOracle, as_index_array
 from .rng import RngStream
 
 _EMPTY = np.empty(0, dtype=np.intp)
@@ -87,7 +88,7 @@ def shrink(oracle: MeasurementOracle, indices, labels, label_count: int,
     falls outside [1, label_count]. Exactly 2 measurements unless
     ``indices`` is empty (then none).
     """
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = as_index_array(indices, oracle.dimension)
     if idx.size == 0:
         return _EMPTY
     labels = np.asarray(labels, dtype=np.float64)
@@ -115,7 +116,7 @@ def spot(oracle: MeasurementOracle, candidates, params: SpotParams,
     the final schedule slot (possible only when the caller's set exceeds the
     depth's design size), the attempt counts as a failure.
     """
-    current = np.asarray(candidates, dtype=np.intp)
+    current = as_index_array(candidates, oracle.dimension)
     if current.size <= 1:
         return current.copy()
     for step in range(params.depth):

@@ -59,6 +59,17 @@ def test_repetitions_examples():
         repetitions(2, 2)
 
 
+def test_plan_sizes_are_integers():
+    # a float size fails at construction, not in ``configs`` or as a float cap
+    sizes = {"m": 64, "levels": 2, "reps": 2}
+    for name, bad in (("m", 64.0), ("levels", 1.5), ("reps", 1.5)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            AdaptivePlan(p=1, q=2, **{**sizes, name: bad})
+    numpy_sizes = {name: np.int64(size) for name, size in sizes.items()}
+    assert (plan_cost_cap(AdaptivePlan(p=1, q=2, **numpy_sizes))
+            == plan_cost_cap(AdaptivePlan(p=1, q=2, **sizes)))
+
+
 def test_levels_for_accuracy_examples():
     assert levels_for_accuracy(0.1, 1, 2) == 9
     assert levels_for_accuracy(math.sqrt(3) / 2, 1, 2) == 2
@@ -210,12 +221,12 @@ class ReadLog(MeasurementOracle):
         super().__init__(hidden)
         self.reads, self.measured = [], []
 
-    def measure_rows(self, support, rows, stage=None, groups=None, group_count=None,
+    def measure_rows(self, support, rows, stage, groups=None, group_count=None,
                      row_count=None):
         self.measured.append(stage)
         return super().measure_rows(support, rows, stage, groups, group_count, row_count)
 
-    def read_entries(self, indices, stage=None):
+    def read_entries(self, indices, stage):
         self.reads.append(indices)
         return super().read_entries(indices, stage)
 

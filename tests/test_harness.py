@@ -105,8 +105,8 @@ def test_ci_matches_reference_computation():
 
 
 def test_estimate_error_enforces_the_cap():
-    lying = Method("read_all", 10,
-                   lambda oracle, rng: oracle.read_entries(np.arange(oracle.dimension)))
+    lying = Method("read_all", 10, lambda oracle, rng: oracle.read_entries(
+        np.arange(oracle.dimension), stage="reads"))
     with pytest.raises(CapViolationError):
         estimate_error(config(lying))
 
@@ -236,8 +236,9 @@ def test_make_method_validation():
         with pytest.raises(ParameterError):
             make_method(name, 64, 1.0, 2.0)
     for name in ("linsketch", "linsketch_denoised", "countsketch", "countsketch_denoised"):
-        with pytest.raises(ParameterError):
-            make_method(name, 64, 1.0, 2.0, budget=-5)
+        for budget in (-5, 10.5):  # a float budget is rejected, not taken as the cap
+            with pytest.raises(ParameterError):
+                make_method(name, 64, 1.0, 2.0, budget=budget)
     # a given budget bounds the resolved cap, whatever chose the size
     for name, knobs in (("read_all", {}), ("adaptive", {"levels": 3}),
                         ("countsketch", {"levels": 2})):

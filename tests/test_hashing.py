@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adasketch.discover import bucket_count
-from adasketch.errors import ParameterError
+from adasketch.errors import DimensionError, ParameterError
 from adasketch.hashing import (
     affine_values,
     bucket_order,
@@ -208,6 +208,12 @@ def test_pairwise_hash_degenerate_cases():
     v = pairwise_hash([0], 1, 7, stream("pw2"))
     assert v.shape == (1,) and 1 <= v[0] <= 7
     assert pairwise_hash([], 9, 4, stream("pw3")).shape == (0,)
+    # float indices raise before (a, b) is drawn, integral or not
+    for indices in ([0.5, 3.7], [1.0, 2.0]):
+        rng = stream("pw4")
+        with pytest.raises(DimensionError):
+            pairwise_hash(indices, 9, 4, rng)
+        assert rng.generator.random() == stream("pw4").generator.random()
 
 
 def test_pairwise_hash_labels_the_given_coordinates_of_one_draw():

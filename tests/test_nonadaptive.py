@@ -69,7 +69,7 @@ def test_gaussian_sketch_stream_use_is_pinned():
     unchanged.
     """
     x = stream("pin-x").generator.standard_normal(16)
-    out = MeasurementOracle(x).gaussian_sketch(32, stream("pin"))
+    out = MeasurementOracle(x).gaussian_sketch(32, stream("pin"), stage="t")
     digest = hashlib.sha256(out.tobytes()).hexdigest()
     assert digest == "e58cecf373bd5131f78d3fd8ba8f7617d86d6c745f1c1f1d73f6abf5750d6b85"
 
@@ -157,7 +157,7 @@ def test_gaussian_sketch_in_one_dimension():
     n = 8
     for x in (3.25, -0.5, 1e-300):
         oracle = MeasurementOracle([x])
-        out = oracle.gaussian_sketch(n, stream(f"g1-{x}"))
+        out = oracle.gaussian_sketch(n, stream(f"g1-{x}"), stage="t")
         s = stream(f"g1-{x}").generator.chisquare(n)
         assert out[0] == pytest.approx(x * s / n, rel=1e-15, abs=0.0)
         assert np.sign(out[0]) == np.sign(x)
@@ -295,6 +295,8 @@ def test_countsketch_plan_rejects_group_counts_off_the_word_draw():
             countsketch_plan(8, 1, group_count, stream("bad-g"))
     with pytest.raises(ParameterError, match="above the cap of 2\\^32"):
         countsketch_params(29, 8)
+    with pytest.raises(ParameterError, match="must be an integer"):  # not 2^5.5 groups
+        countsketch_params(1.5, 100)
     assert countsketch_params(28, 8) == (11, 2**32)
 
 
@@ -373,7 +375,7 @@ def test_countsketch_non_adaptive_replay():
         round_groups, round_signs = plan.round(r)
         for g in range(groups):
             members = np.flatnonzero(round_groups == g)
-            value = replay.measure_rows(members, round_signs[members][None])[0]
+            value = replay.measure_rows(members, round_signs[members][None], stage="t")[0]
             mask = round_groups == g
             est_rg = round_signs[mask] * value
             assert np.allclose(est[mask, r], est_rg, rtol=1e-12, atol=1e-14)

@@ -14,36 +14,36 @@ from adasketch.rng import RngStream, sign_bits, unpack_signs
 
 def test_measure_coordinate_functional():
     oracle = MeasurementOracle([1.0, 2.0, 3.0])
-    assert np.array_equal(oracle.measure_rows([1], [[1.0]]), [2.0])
+    assert np.array_equal(oracle.measure_rows([1], [[1.0]], stage="t"), [2.0])
     assert oracle.cost == 1
 
 
 def test_measure_sum_functional():
     oracle = MeasurementOracle([1.0, 2.0, 3.0])
-    assert np.array_equal(oracle.measure_rows([0, 1, 2], [[1.0, 1.0, 1.0]]), [6.0])
+    assert np.array_equal(oracle.measure_rows([0, 1, 2], [[1.0, 1.0, 1.0]], stage="t"), [6.0])
 
 
 def test_measure_sign_pattern():
     oracle = MeasurementOracle([0.5, -0.5])
-    assert np.array_equal(oracle.measure_rows([0, 1], [[1.0, -1.0]]), [1.0])
+    assert np.array_equal(oracle.measure_rows([0, 1], [[1.0, -1.0]], stage="t"), [1.0])
 
 
 def test_read_entry_values_and_cost():
     oracle = MeasurementOracle([7.0, 0.0])
-    assert np.array_equal(oracle.read_entries([0]), [7.0])
-    assert np.array_equal(oracle.read_entries([1]), [0.0])
+    assert np.array_equal(oracle.read_entries([0], stage="t"), [7.0])
+    assert np.array_equal(oracle.read_entries([1], stage="t"), [0.0])
     assert oracle.cost == 2
-    assert np.array_equal(MeasurementOracle([-3.5]).read_entries([0]), [-3.5])
+    assert np.array_equal(MeasurementOracle([-3.5]).read_entries([0], stage="t"), [-3.5])
 
 
 def test_cost_counts_each_evaluation_exactly_once():
     oracle = MeasurementOracle([1.0, 2.0, 3.0])
     assert oracle.cost == 0
     for _ in range(3):
-        oracle.measure_rows([0], [[1.0]])
+        oracle.measure_rows([0], [[1.0]], stage="t")
     assert oracle.cost == 3
-    oracle.measure_rows([0, 1, 2], [[0.0, 1.0, 0.0]])
-    oracle.read_entries([2])
+    oracle.measure_rows([0, 1, 2], [[0.0, 1.0, 0.0]], stage="t")
+    oracle.read_entries([2], stage="t")
     assert oracle.cost == 5
 
 
@@ -53,13 +53,13 @@ def test_batch_entry_points_match_single_calls():
     oracle = MeasurementOracle(hidden)
     support = np.array([1, 4, 9, 16, 25])
     rows = rng.standard_normal((4, 5))
-    batch = oracle.measure_rows(support, rows)
+    batch = oracle.measure_rows(support, rows, stage="t")
     assert oracle.cost == 4
-    singles = [oracle.measure_rows(support, row[None])[0] for row in rows]
+    singles = [oracle.measure_rows(support, row[None], stage="t")[0] for row in rows]
     assert np.allclose(batch, singles, rtol=1e-12)
     assert oracle.cost == 8
 
-    reads = oracle.read_entries([3, 5, 7])
+    reads = oracle.read_entries([3, 5, 7], stage="t")
     assert np.array_equal(reads, hidden[[3, 5, 7]])
     assert oracle.cost == 11
 
@@ -67,7 +67,7 @@ def test_batch_entry_points_match_single_calls():
 def _per_group_rows(hidden, support, rows, groups, group_count):
     """Reference values: one ungrouped call per group, on its own entries."""
     reference = MeasurementOracle(hidden)
-    columns = [reference.measure_rows(support[groups == g], rows[:, groups == g])
+    columns = [reference.measure_rows(support[groups == g], rows[:, groups == g], stage="t")
                for g in range(group_count)]
     assert reference.cost == rows.shape[0] * group_count
     return np.stack(columns, axis=1)
@@ -98,7 +98,7 @@ def test_grouped_measure_rows_one_row_is_bincount():
     groups[groups == 2] = 4  # group 2 is empty
     weights = np.where(rng.random(24) < 0.5, -1.0, 1.0)
     oracle = MeasurementOracle(hidden)
-    sums = oracle.measure_rows(support, weights[None], groups=groups, group_count=5)
+    sums = oracle.measure_rows(support, weights[None], groups=groups, group_count=5, stage="t")
     assert oracle.cost == 5
     assert np.array_equal(sums, np.bincount(groups, weights=weights * hidden,
                                             minlength=5)[None])
@@ -110,10 +110,10 @@ def test_grouped_measure_rows_one_row_is_bincount():
 def test_grouped_one_row_on_an_empty_support_measures_float_zeros():
     # an empty group measures 0.0, also when every group is empty
     oracle = MeasurementOracle(np.ones(4))
-    float_row = oracle.measure_rows([], np.zeros((1, 0)), groups=[], group_count=3)
+    float_row = oracle.measure_rows([], np.zeros((1, 0)), groups=[], group_count=3, stage="t")
     assert oracle.cost == 3
     packed_row = oracle.measure_rows([], np.zeros((0, 1), np.uint8), groups=[], group_count=3,
-                                     row_count=1)
+                                     row_count=1, stage="t")
     assert oracle.cost == 6
     for values in (float_row, packed_row):
         assert values.dtype == np.float64 and values.shape == (1, 3)
@@ -129,10 +129,10 @@ def test_grouped_measure_rows_one_group_is_the_ungrouped_call():
     bits = sign_bits(rng, support.size, 3)
     oracle = MeasurementOracle(hidden)
     values = oracle.measure_rows(support, bits, groups=np.zeros(4, dtype=int), group_count=1,
-                                 row_count=3)
+                                 row_count=3, stage="t")
     assert values.shape == (3, 1)
     assert oracle.cost == 3
-    ungrouped = MeasurementOracle(hidden).measure_rows(support, unpack_signs(bits, 3).T)
+    ungrouped = MeasurementOracle(hidden).measure_rows(support, unpack_signs(bits, 3).T, stage="t")
     assert np.allclose(values[:, 0], ungrouped, rtol=1e-12, atol=1e-15)
 
 
@@ -207,7 +207,7 @@ def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
     support, groups = np.arange(10 + big), np.repeat([0, 1], [10, big])
     bits = sign_bits(gen, support.size, 9)
     values = MeasurementOracle(hidden).measure_rows(support, bits, groups=groups,
-                                                    group_count=2, row_count=9)
+                                                    group_count=2, row_count=9, stage="t")
     assert shapes == [(10, 9), (big, 9)]
     expected = _unchunked_product(hidden, support, unpack_signs(bits, 9).T, groups, 2)
     assert np.array_equal(values, expected)
@@ -217,45 +217,63 @@ def test_grouped_measure_rows_rejects_bad_groups():
     oracle = MeasurementOracle(np.arange(8.0))
     support = np.array([0, 3, 5])
     for rows, k in ((np.ones((1, 3)), None), (np.zeros((3, 1), dtype=np.uint8), 5)):
+        def measure(groups, group_count=2, row_count=k):
+            return oracle.measure_rows(support, rows, stage="t", groups=groups,
+                                       group_count=group_count, row_count=row_count)
         with pytest.raises(DimensionError):
-            oracle.measure_rows(support, rows, groups=[0, 1], group_count=2, row_count=k)
+            measure([0, 1])
+        # a float id raises instead of being truncated, integral or not
+        for groups in ([0.7, 1.2, 1.9], [0.0, 1.0, 1.0]):
+            with pytest.raises(DimensionError):
+                measure(groups)
+        # so does a float count: 2.9 groups are not 2, nor 2.5 rows 2
+        for groups, group_count in (([0, 1, 2], 2), ([0, -1, 1], 2), ([0, 0, 0], 0),
+                                    ([0, 0, 0], None), ([0, 1, 1], 2.9)):
+            with pytest.raises(ParameterError):
+                measure(groups, group_count)
         with pytest.raises(ParameterError):
-            oracle.measure_rows(support, rows, groups=[0, 1, 2], group_count=2, row_count=k)
-        with pytest.raises(ParameterError):
-            oracle.measure_rows(support, rows, groups=[0, -1, 1], group_count=2, row_count=k)
-        with pytest.raises(ParameterError):
-            oracle.measure_rows(support, rows, groups=[0, 0, 0], group_count=0, row_count=k)
-        with pytest.raises(ParameterError):
-            oracle.measure_rows(support, rows, groups=[0, 0, 0], row_count=k)
+            measure([0, 1, 1], row_count=2.5)
     assert oracle.cost == 0
 
 
 def test_charge_and_stage_accounting():
+    # every entry point names its stage, and the cost is the sum of the ledger
     oracle = MeasurementOracle([1.0, 2.0])
-    oracle.measure_rows([0], [[1.0]], stage="a")
-    oracle.charge(10, stage="b")
-    oracle.read_entries([1], stage="a")
-    assert oracle.cost == 12
-    assert oracle.stage_costs() == {"a": 2, "b": 10}
-    # unlabelled charges count in the total only, and the breakdown is a copy
-    oracle.charge(3)
-    oracle.read_entries([0, 1])
+    rng = RngStream(8).child("sketch")
+    calls = (
+        lambda stage: oracle.measure_rows([0], [[1.0]], stage),
+        lambda stage: oracle.charge(10, stage),
+        lambda stage: oracle.read_entries([1], stage),
+        lambda stage: oracle.measure_rows([0, 1], [[1.0, 1.0]], stage, [0, 1], 2),
+        lambda stage: oracle.gaussian_sketch(3, rng, stage),
+    )
+    for call, stage in zip(calls, "abaca"):
+        call(stage)
+        assert oracle.cost == sum(oracle.stage_costs().values())
+    assert oracle.cost == 17
+    assert oracle.stage_costs() == {"a": 5, "b": 10, "c": 2}
+    # an unlabelled call is a TypeError, before it charges
+    for entry, args in ((oracle.measure_rows, ([0], [[1.0]])), (oracle.charge, (3,)),
+                        (oracle.read_entries, ([0],)), (oracle.gaussian_sketch, (3, rng))):
+        with pytest.raises(TypeError):
+            entry(*args)
+    # and the breakdown is a copy
     oracle.stage_costs()["a"] = 0
     assert oracle.cost == 17
-    assert oracle.stage_costs() == {"a": 2, "b": 10}
+    assert oracle.stage_costs() == {"a": 5, "b": 10, "c": 2}
 
 
 def test_dimension_errors():
     oracle = MeasurementOracle([1.0, 2.0])
     with pytest.raises(DimensionError):
-        oracle.measure_rows([2], [[1.0]])
+        oracle.measure_rows([2], [[1.0]], stage="t")
     with pytest.raises(DimensionError):
-        oracle.read_entries([-1])
+        oracle.read_entries([-1], stage="t")
     with pytest.raises(DimensionError):
-        oracle.read_entries([0, 5])
+        oracle.read_entries([0, 5], stage="t")
     with pytest.raises(DimensionError):
-        oracle.measure_rows([0, 1], np.ones((2, 3)))
-    one_group = {"groups": [0, 0], "group_count": 1}
+        oracle.measure_rows([0, 1], np.ones((2, 3)), stage="t")
+    one_group = {"stage": "t", "groups": [0, 0], "group_count": 1}
     with pytest.raises(DimensionError):  # packed rows: one byte row per support entry
         oracle.measure_rows([0, 1], np.zeros((3, 2), dtype=np.uint8), row_count=9, **one_group)
     with pytest.raises(DimensionError):
@@ -263,22 +281,30 @@ def test_dimension_errors():
     with pytest.raises(DimensionError):
         oracle.measure_rows([0, 1], np.zeros((2, 1), dtype=np.uint8), row_count=0, **one_group)
     with pytest.raises(ParameterError):  # packed rows come with groups
-        oracle.measure_rows([0, 1], np.zeros((2, 2), dtype=np.uint8), row_count=9)
+        oracle.measure_rows([0, 1], np.zeros((2, 2), dtype=np.uint8), row_count=9, stage="t")
     with pytest.raises(DimensionError):  # grouped float rows are one row
         oracle.measure_rows([0, 1], np.ones((2, 2)), **one_group)
     # a non-integer index raises instead of being truncated, integral or not
     with pytest.raises(DimensionError):
-        oracle.read_entries([1.7])
+        oracle.read_entries([1.7], stage="t")
     with pytest.raises(DimensionError):
-        oracle.measure_rows([0.5, 1.0], [[1.0, 1.0]])
+        oracle.measure_rows([0.5, 1.0], [[1.0, 1.0]], stage="t")
     with pytest.raises(DimensionError):
         oracle.measure_rows(np.array([0.0, 1.0]), [[1.0, 1.0]], **one_group)
     for index in ([1.5, 3.9], [1.0, 3.0]):
         with pytest.raises(DimensionError):
             SparseVector(10, index, [1.0, 2.0])
+    # a float count or dimension is a parameter error, never truncated
+    for count in (2.7, 2.0):
+        with pytest.raises(ParameterError):
+            oracle.charge(count, stage="t")
+    with pytest.raises(ParameterError):
+        oracle.gaussian_sketch(2.5, RngStream(9).child("g"), stage="t")
+    with pytest.raises(ParameterError):
+        SparseVector(3.7, [1], [1.0])
     assert oracle.cost == 0
     # an empty list is float64 to numpy and stays the empty index
-    assert oracle.read_entries([]).size == 0
+    assert oracle.read_entries([], stage="t").size == 0
     assert SparseVector(10, [], []).index.dtype == np.intp
 
 
@@ -399,8 +425,8 @@ def test_a_sparse_vector_holds_read_only_copies_of_its_inputs():
         with pytest.raises(ValueError):
             held[0] = 0
     assert np.array_equal(oracle.nonzero_indices(), [1, 3, 6])
-    assert np.array_equal(oracle.measure_rows([1, 6, 7], np.ones((1, 3))), [2.5])
-    assert np.array_equal(oracle.read_entries(np.arange(8)),  # m entries densify it
+    assert np.array_equal(oracle.measure_rows([1, 6, 7], np.ones((1, 3)), stage="t"), [2.5])
+    assert np.array_equal(oracle.read_entries(np.arange(8), stage="t"),  # m entries densify it
                           [0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.5, 0.0])
 
 
@@ -425,8 +451,8 @@ def test_measure_is_linear(seed, t):
     f[sup_f] = gen.standard_normal(7)
     g[sup_g] = gen.standard_normal(5)
     support = np.arange(20)
-    lhs, ft = oracle.measure_rows(support, np.vstack([f + g, t * f]))
-    rhs_f, rhs_g = oracle.measure_rows(support, np.vstack([f, g]))
+    lhs, ft = oracle.measure_rows(support, np.vstack([f + g, t * f]), stage="t")
+    rhs_f, rhs_g = oracle.measure_rows(support, np.vstack([f, g]), stage="t")
     assert lhs == pytest.approx(rhs_f + rhs_g, rel=1e-12, abs=1e-12)
     assert ft == pytest.approx(t * rhs_f, rel=1e-12, abs=1e-12)
 

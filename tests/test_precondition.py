@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from adasketch.errors import ParameterError
+from adasketch.errors import DimensionError, ParameterError
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.precondition import (
     precond,
@@ -106,8 +106,14 @@ def test_singleton_bucket_always_survives():
 def test_empty_candidates_are_free():
     oracle = MeasurementOracle([1.0, 2.0])
     assert precond(oracle, [], 60, stream("e")).size == 0
-    with pytest.raises(ParameterError):  # k is checked on an empty set too
-        precond(oracle, [], 0, stream("e"))
+    for k in (0, 60.5):  # k is checked on an empty set too, and never truncated
+        with pytest.raises(ParameterError):
+            precond(oracle, [], k, stream("e"))
+    # float candidates raise, not measured as [0, 1], and draw nothing
+    rng = stream("e")
+    with pytest.raises(DimensionError):
+        precond(oracle, [0.5, 1.7], 60, rng)
+    assert rng.generator.random() == stream("e").generator.random()
     assert oracle.cost == 0
 
 
@@ -141,7 +147,7 @@ def replay_sign_filter(hidden, live, segment_of, segments, k, label):
         if not rows.size:
             continue
         matrix = block[rows].T
-        y = MeasurementOracle(hidden).measure_rows(grouped[rows], matrix)
+        y = MeasurementOracle(hidden).measure_rows(grouped[rows], matrix, stage="t")
         zero_rows += np.count_nonzero(y == 0.0)
         kept = grouped[rows][sign_filter_mask(signs_of(y) @ matrix, k)]
         if kept.size:
@@ -237,7 +243,7 @@ class MeasureLog(MeasurementOracle):
         super().__init__(hidden)
         self.group_counts = []
 
-    def measure_rows(self, support, rows, stage=None, groups=None, group_count=None,
+    def measure_rows(self, support, rows, stage, groups=None, group_count=None,
                      row_count=None):
         self.group_counts.append(group_count)
         return super().measure_rows(support, rows, stage, groups, group_count, row_count)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adasketch.discover import BASIC, DiscoverConfig, discover
-from adasketch.errors import ParameterError
+from adasketch.errors import DimensionError, ParameterError
 from adasketch.hashing import pairwise_hash
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.rng import RngStream
@@ -115,6 +115,18 @@ def test_spot_singleton_is_free():
     got = spot(oracle, np.array([], dtype=np.intp), SpotParams(1 / 3, 4), stream("s2"))
     assert got.size == 0
     assert oracle.cost == 0
+
+
+def test_float_candidates_raise_before_any_charge_or_draw():
+    # not truncated to coordinate 3, or to [0, 3]; integral floats raise too
+    for run in (lambda o, c, rng: spot(o, c, SpotParams(0.25, 0), rng),
+                lambda o, c, rng: shrink(o, c, [1, 2], 2, rng)):
+        for candidates in ([2.9, 3.2], [0.5, 3.7], [2.0, 3.0]):
+            oracle, rng = MeasurementOracle(np.arange(5.0)), stream("float")
+            with pytest.raises(DimensionError):
+                run(oracle, candidates, rng)
+            assert oracle.cost == 0
+            assert rng.generator.random() == stream("float").generator.random()
 
 
 def test_spot_one_sparse_exactness():
