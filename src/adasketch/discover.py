@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .hashing import bucket_order, equi_bounds, equi_buckets_of, equi_hash
-from .oracle import CHUNK_ROWS, MeasurementOracle
+from .oracle import CHUNK_ROWS, MeasurementOracle, as_count
 from .precondition import precond_measurements, sign_filter
 from .rng import RngStream
 from .spotting import (
@@ -83,7 +83,7 @@ def _validate_peps(p: float, eps: float, m: int):
         raise ParameterError("p must lie in [1, inf)")
     if not 0.0 < eps < 1.0:
         raise ParameterError("eps must lie in (0, 1)")
-    if m < 1:
+    if as_count(m, "m") < 1:
         raise ParameterError("m must be >= 1")
 
 
@@ -139,8 +139,8 @@ class DiscoverConfig:
     def with_buckets(cls, eps: float, m: int, buckets: int,
                      variant: str = PRECONDITIONED) -> "DiscoverConfig":
         size = PRECOND_MEASUREMENTS if variant == PRECONDITIONED else 0
-        return cls(variant=variant, eps=float(eps), m=int(m), buckets=int(buckets),
-                   precond_size=size)
+        return cls(variant=variant, eps=float(eps), m=as_count(m, "m"),
+                   buckets=as_count(buckets, "bucket count"), precond_size=size)
 
     @property
     def delta2(self) -> float:

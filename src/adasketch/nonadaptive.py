@@ -52,7 +52,7 @@ def linsketch_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
 def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream) -> np.ndarray:
     """Output (1/n) N^T N x from n Gaussian measurements (a linear method):
     one ``linsketch_matrix`` draw, measured by one ``measure_rows`` call."""
-    if n < 1:
+    if as_count(n, "n") < 1:
         raise ParameterError("n must be >= 1")
     m = oracle.dimension
     matrix = linsketch_matrix(m, n, rng)
@@ -90,7 +90,7 @@ class CountSketchPlan:
         else:
             groups = np.zeros(m, dtype=np.intp)
         sign_bytes = row.astype("<u4", copy=False).view(np.uint8)
-        return groups, unpack_signs(sign_bytes[None], m)[0]
+        return groups, unpack_signs(sign_bytes[None], m)[0].astype(np.float64)
 
 
 def countsketch_params(level: int, m: int) -> tuple[int, int]:
@@ -125,6 +125,8 @@ def countsketch_level_for_budget(budget: int, m: int) -> int | None:
 
 
 def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> CountSketchPlan:
+    m, reps = as_count(m, "m"), as_count(reps, "reps")
+    group_count = as_count(group_count, "group_count")
     if reps < 1 or reps % 2 == 0:
         raise ParameterError("reps must be odd and >= 1")
     if group_count < 1 or group_count & (group_count - 1) or group_count > _MAX_GROUP_COUNT:
@@ -168,7 +170,7 @@ def countsketch(oracle: MeasurementOracle, reps: int, group_count: int,
 def keep_largest(z, k: int) -> np.ndarray:
     """Zero all but the k largest-magnitude entries (ties: smaller index wins)."""
     z = np.asarray(z, dtype=np.float64)
-    if k < 0:
+    if as_count(k, "k") < 0:
         raise ParameterError("k must be >= 0")
     out = np.zeros_like(z)
     if k == 0:

@@ -10,8 +10,10 @@ names: the cost is the sum of that ledger. Counts and indices are integers
 truncates. `measure_rows` has one product per row type: float rows on the
 whole support (a dense product); with group ids, one functional per (row,
 group) pair, either one float row (`np.bincount`, also for one packed ±1 row)
-or k >= 2 ±1 rows packed as sign bits, unpacked a cache-sized block of
-equal-sized groups at a time and summed in support order by `np.einsum`.
+or k >= 2 ±1 rows packed as sign bits, unpacked to int8 ±1 a block of
+equal-sized groups at a time and summed in support order by `np.einsum`,
+which casts each sign to float64 in its inner loop: no float64 sign block
+is written.
 
 The hidden vector is a dense array, checked by `as_vector`, or a
 :class:`SparseVector`, which checks itself. The oracle finds the nonzero
@@ -141,10 +143,10 @@ def as_index_array(indices, m: int) -> np.ndarray:
     return idx
 
 
-# Support rows per block of the grouped product. A block is read back from
-# cache, not memory: on a dense pass (4,096 rows, k = 701) one float64
-# block of all rows took twice as long, and blocks of 256, 512 and 1,024
-# rows took 48-54 ms per adaptive-dense trial alike (2-core machine).
+# Support rows per block of the grouped product, whose int8 signs take k
+# bytes per row. On a dense pass (4,096 rows, k = 701, 54 groups) one call
+# took 2.5 ms at 256 to 1,024 rows per block, 2.6 ms in one block of all
+# rows and 3.1 ms at 128 (best of 15, 2-core machine, numpy 2.4).
 # ``discover.candidate_sets`` fills one block per filter batch.
 CHUNK_ROWS = 512
 
@@ -155,30 +157,28 @@ def _grouped_product(values, packed, groups, group_count: int, k: int) -> np.nda
     Row j of ``packed`` holds the k >= 2 signs a_j as ``rng.sign_bits``
     packs them. The groups are taken in order of size, those of one size
     in blocks of at most ``CHUNK_ROWS`` rows (a larger group is a block of
-    its own). Each block is unpacked into one reused float64 buffer and
-    summed over its size axis by one ``np.einsum``, whose inner loop runs
-    over the k rows: y[g] += x_j * a_j per support row, in support order
-    within the group, the additions of a csr product.
+    its own). Each block is unpacked to int8 ±1 and summed over its size
+    axis by one ``np.einsum``, which casts the signs to float64 in its
+    buffered inner loop, so no float64 sign block is ever written. The
+    loop runs over the k rows: y[g] += x_j * a_j per support row, in
+    support order within the group, the additions of a csr product, and
+    each product x_j * a_j is exact.
     """
     sizes = np.bincount(groups, minlength=group_count)
     by_size = np.argsort(sizes, kind="stable")
     order = np.lexsort((groups, sizes[groups]))  # rows group by group, as in by_size
     sizes, data = sizes[by_size], values[order]
     g = int(np.searchsorted(sizes, 1))  # the empty groups before g measure 0.0
-    rows = max(CHUNK_ROWS, int(sizes[-1]))
-    # one allocation of one size on most calls for the block, its sums and
-    # y, carved by glibc from the same heap top: a block-sized buffer and a
-    # separate y took 2.6 minor faults per adaptive-sparse trial, this 0.09
-    scratch = np.empty((rows + CHUNK_ROWS + group_count) * k)
-    y = scratch[(rows + CHUNK_ROWS) * k:].reshape(group_count, k)
+    # one float64 allocation for the block sums and y
+    scratch = np.empty((CHUNK_ROWS + group_count) * k)
+    y = scratch[CHUNK_ROWS * k:].reshape(group_count, k)
     y[by_size[:g]] = 0.0
     r = 0
     while g < group_count:
         s = int(sizes[g])
         n = min(max(1, CHUNK_ROWS // s), int(np.searchsorted(sizes, s, side="right")) - g)
-        block = unpack_signs(packed[order[r:r + n * s]], k,
-                             out=scratch[:n * s * k].reshape(n * s, k))
-        sums = scratch[rows * k:(rows + n) * k].reshape(n, k)
+        block = unpack_signs(packed[order[r:r + n * s]], k)
+        sums = scratch[:n * k].reshape(n, k)
         np.einsum("gs,gsk->gk", data[r:r + n * s].reshape(n, s), block.reshape(n, s, k),
                   out=sums)
         y[by_size[g:g + n]] = sums
@@ -243,8 +243,8 @@ class MeasurementOracle:
         ``np.bincount``, or, with ``row_count`` = k, k ±1 rows packed as
         ``rng.sign_bits`` returns them: one byte row per support entry, bit
         1 for +1, padding bits ignored. One packed row takes the float
-        row's kernel, and k >= 2 are unpacked block by block (see
-        ``_grouped_product``), never as one (len(support), k) float64 block.
+        row's kernel, and k >= 2 are unpacked to int8 block by block (see
+        ``_grouped_product``), never to a float64 sign block.
         """
         sup = as_index_array(support, self.dimension)
         if groups is None and group_count is None and row_count is None:

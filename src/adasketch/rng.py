@@ -88,20 +88,18 @@ def sign_bits(generator: np.random.Generator, rows: int, k: int) -> np.ndarray:
     return packed
 
 
-def unpack_signs(packed: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The first k bits of each row of ``packed`` as float64 ±1 (bit 1 is +1),
-    written to ``out`` (shape (rows, k)) when it is given."""
+def unpack_signs(packed: np.ndarray, k: int) -> np.ndarray:
+    """The first k bits of each row of ``packed`` as int8 ±1 (bit 1 is +1),
+    shape (rows, k); the bits past k are ignored. A caller that needs
+    float64 casts, exactly."""
     signs = np.unpackbits(packed, axis=1, count=k).view(np.int8)
     signs += signs
-    signs -= 1  # exact ±1 in int8, then one cast into the float64 block
-    if out is None:
-        out = np.empty(signs.shape)
-    np.copyto(out, signs)
-    return out
+    signs -= 1
+    return signs
 
 
 def rademacher(generator: np.random.Generator, shape) -> np.ndarray:
     """Uniform ±1 float64 array; one raw random bit per entry."""
     shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
     count = math.prod(shape)
-    return unpack_signs(sign_bits(generator, 1, count), count).reshape(shape)
+    return unpack_signs(sign_bits(generator, 1, count), count).reshape(shape).astype(np.float64)

@@ -70,6 +70,11 @@ def test_bucket_count_domain_checks():
         bucket_count(1, 1.0, 100)
     with pytest.raises(ParameterError):
         bucket_count(1, 0.1, 100, "fancy")
+    # a float size raises instead of being truncated: not m = 64, not 10 buckets
+    with pytest.raises(ParameterError, match="must be an integer"):
+        DiscoverConfig.for_sensitivity(1.0, 0.5, 64.5, BASIC)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        DiscoverConfig.with_buckets(0.5, 64, 10.7, BASIC)
 
 
 def test_config_derivation():

@@ -56,8 +56,9 @@ def test_linsketch_cost_is_exactly_n():
             sketch(oracle, n, stream(f"c{n}"))
             assert oracle.cost == n and oracle.stage_costs() == {"linsketch": n}
         oracle = MeasurementOracle(np.ones(8))
-        with pytest.raises(ParameterError):
-            sketch(oracle, 0, stream("c0"))
+        for n in (0, 2.5):  # a float count raises, it is not truncated
+            with pytest.raises(ParameterError):
+                sketch(oracle, n, stream("c0"))
         assert oracle.cost == 0
 
 
@@ -297,6 +298,9 @@ def test_countsketch_plan_rejects_group_counts_off_the_word_draw():
         countsketch_params(29, 8)
     with pytest.raises(ParameterError, match="must be an integer"):  # not 2^5.5 groups
         countsketch_params(1.5, 100)
+    for reps, group_count in ((1, 4.0), (3.0, 4)):  # integral floats raise too
+        with pytest.raises(ParameterError, match="must be an integer"):
+            countsketch_plan(8, reps, group_count, stream("bad-g"))
     assert countsketch_params(28, 8) == (11, 2**32)
 
 
@@ -388,6 +392,8 @@ def test_keep_largest_ties_break_to_smaller_index():
     z = np.array([1.0, -1.0, 1.0, 0.5])
     assert np.array_equal(keep_largest(z, 2), [1.0, -1.0, 0.0, 0.0])
     assert np.array_equal(keep_largest(z, 3), [1.0, -1.0, 1.0, 0.0])
+    with pytest.raises(ParameterError, match="must be an integer"):
+        keep_largest(z, 1.5)
 
 
 # ties, signed zeros, infinities and NaN, drawn often enough to collide

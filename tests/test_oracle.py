@@ -8,6 +8,7 @@ from scipy.sparse import csr_array
 
 from adasketch import oracle as oracle_module
 from adasketch.errors import DimensionError, ParameterError
+from adasketch.hashing import equi_hash
 from adasketch.oracle import MeasurementOracle, SparseVector, lp_norm
 from adasketch.rng import RngStream, sign_bits, unpack_signs
 
@@ -193,14 +194,22 @@ def test_packed_grouped_rows_equal_the_float_product_bytewise(seed, k, layout):
 
 def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
     # groups of 10 and chunk + 188 rows: two blocks, each unpacked once, and
-    # no empty block after the large last group
-    shapes = []
+    # no empty block after the large last group; einsum reads each block as
+    # int8 signs, never as a float64 block
+    shapes, block_dtypes = [], []
 
-    def spy(packed, k, out):
-        shapes.append(out.shape)
-        return unpack_signs(packed, k, out=out)
+    def spy(packed, k):
+        signs = unpack_signs(packed, k)
+        shapes.append(signs.shape)
+        return signs
 
+    def einsum_spy(subscripts, data, block, **kwargs):
+        block_dtypes.append(block.dtype)
+        return einsum(subscripts, data, block, **kwargs)
+
+    einsum = np.einsum
     monkeypatch.setattr(oracle_module, "unpack_signs", spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
     gen = RngStream(11).child("chunks").generator
     big = oracle_module.CHUNK_ROWS + 188
     hidden = gen.standard_normal(10 + big)
@@ -209,7 +218,25 @@ def test_a_group_larger_than_a_chunk_ends_the_chunks(monkeypatch):
     values = MeasurementOracle(hidden).measure_rows(support, bits, groups=groups,
                                                     group_count=2, row_count=9, stage="t")
     assert shapes == [(10, 9), (big, 9)]
+    assert block_dtypes == [np.int8, np.int8]
     expected = _unchunked_product(hidden, support, unpack_signs(bits, 9).T, groups, 2)
+    assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("buckets", [27, 54, 108, 215])
+def test_packed_product_on_a_dense_pass_equals_the_float_product_bytewise(buckets):
+    # a dense preconditioned pass: every one of m = 4,096 coordinates is
+    # live, in equi-hash buckets of 19 to 152 rows, so every group is shared
+    m, k = 4096, 701
+    rng = RngStream(buckets).child("dense-pass")
+    gen = rng.child("x").generator
+    hidden = gen.standard_normal(m) * 10.0 ** gen.uniform(-3.0, 3.0, size=m)
+    support, groups = np.arange(m), equi_hash(m, buckets, rng.child("hash")) - 1
+    bits = sign_bits(gen, m, k)
+    expected = _unchunked_product(hidden, support, unpack_signs(bits, k).T, groups, buckets)
+    values = MeasurementOracle(hidden).measure_rows(support, bits, groups=groups,
+                                                    group_count=buckets, row_count=k,
+                                                    stage="precond")
     assert np.array_equal(values, expected)
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasketch.errors import ParameterError
-from adasketch.rng import RngStream, rademacher
+from adasketch.rng import RngStream, rademacher, sign_bits, unpack_signs
 
 
 def test_same_seed_and_label_is_bit_identical():
@@ -48,10 +48,28 @@ def test_seed_must_be_non_negative():
 def test_rademacher_values_and_determinism():
     gen = RngStream(11).child("signs").generator
     a = rademacher(gen, (50, 37))
-    assert a.shape == (50, 37)
+    assert a.shape == (50, 37) and a.dtype == np.float64
     assert set(np.unique(a)) <= {-1.0, 1.0}
     b = rademacher(RngStream(11).child("signs").generator, (50, 37))
     assert np.array_equal(a, b)
+
+
+def test_unpack_signs_are_int8_and_ignore_the_padding_bits():
+    # bit 1 is +1 and bit 0 is -1, most significant bit first
+    packed = np.array([[0b10110000, 0b10000000], [0b01001111, 0b01111111]], dtype=np.uint8)
+    signs = unpack_signs(packed, 9)
+    assert signs.dtype == np.int8 and signs.shape == (2, 9)
+    assert signs.tolist() == [[1, -1, 1, 1, -1, -1, -1, -1, 1],
+                              [-1, 1, -1, -1, 1, 1, 1, 1, -1]]
+    gen = RngStream(12).child("padding").generator
+    for k in (1, 7, 8, 9, 701):
+        bits = sign_bits(gen, 5, k)
+        noisy = bits.copy()
+        if k % 8:  # set random padding bits past k
+            noisy[:, -1] |= gen.integers(0, 256, size=5, dtype=np.uint8) >> (k % 8)
+        assert np.array_equal(unpack_signs(noisy, k), unpack_signs(bits, k))
+        assert np.array_equal(unpack_signs(bits, k),
+                              2 * np.unpackbits(bits, axis=1, count=k).astype(np.int8) - 1)
 
 
 def test_rademacher_is_roughly_balanced():
