@@ -4,7 +4,11 @@ Every generated vector lies in the unit l_p ball of its family (exactly for
 spike constructions, numerically for the rest). The families mirror the
 structures that stress sparse-recovery methods: few equal spikes, geometric
 decay, spikes over a decaying tail, the equal-mass construction that is
-worst for top-k denoising, uniform draws from the ball, and zero.
+worst for top-k denoising, entries at many scales, uniform draws from the
+ball, and zero. ``multiscale:J`` holds 2^j entries of magnitude
+(1/(J·2^j))^(1/p) for each j < J, on random signs: each scale carries
+1/J of the l_p mass, so its error keeps falling with the level count where
+the other sparse families reach 0.
 
 ``uniform_ball`` is the uniform law on the unit l_p ball of R^m, built as in
 Barthe, Guédon, Mendelson and Naor (Ann. Probab. 33, 2005): the direction
@@ -31,8 +35,9 @@ from .oracle import SparseVector
 from .rng import RngStream, rademacher
 
 KINDS = ("spikes", "geometric", "spike_plus_tail", "uniform_ball", "zero",
-         "denoise_adversarial")
-_COUNTED_KINDS = ("spikes", "spike_plus_tail", "denoise_adversarial")  # take ``kind:count``
+         "denoise_adversarial", "multiscale")
+_COUNTED_KINDS = ("spikes", "spike_plus_tail", "denoise_adversarial",
+                  "multiscale")  # take ``kind:count``
 
 _GEOMETRIC_RATIO = 0.5  # each geometric entry is this fraction of the previous one
 # geometric tails are cut once entries drop below 1e-18 of the head; the
@@ -46,7 +51,7 @@ class VectorFamily:
 
     kind: str
     p: float = 1.0
-    count: int = 1  # spikes / adversarial block size
+    count: int = 1  # spikes / adversarial block size / scales
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -115,6 +120,15 @@ def gen_vector(family: VectorFamily, m: int, rng: RngStream) -> SparseVector | n
             raise ParameterError(f"denoise_adversarial:{family.count} needs m >= {block}")
         where = gen.choice(m, size=block, replace=False)
         return _sparse(m, where, np.full(block, block ** (-1.0 / p)))
+
+    if family.kind == "multiscale":
+        scales = family.count
+        if 2 ** scales - 1 > m:
+            raise ParameterError(f"multiscale:{scales} needs m >= {2 ** scales - 1}")
+        where = gen.choice(m, size=2 ** scales - 1, replace=False)
+        sizes = 2 ** np.arange(scales)
+        mags = np.repeat((1.0 / (scales * sizes)) ** (1.0 / p), sizes)
+        return _sparse(m, where, rademacher(gen, where.size) * mags)
 
     if family.kind == "geometric":
         length = min(m, _TAIL_LENGTH)

@@ -126,6 +126,9 @@ def as_count(value, name: str) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
+_INTP_END = int(np.iinfo(np.intp).max) + 1  # above every intp id
+
+
 def _as_ids(values, name: str) -> np.ndarray:
     """``values`` as intp; a non-integer dtype raises (an empty list passes)."""
     ids = np.asarray(values)
@@ -134,11 +137,17 @@ def _as_ids(values, name: str) -> np.ndarray:
     return ids.astype(np.intp, copy=False)
 
 
+def _outside(ids, bound: int) -> bool:
+    """Whether the intp ``ids`` hold one outside [0, bound), by one
+    reduction: read as unsigned, a negative id wraps above every intp."""
+    return bool(ids.size) and ids.view(np.uintp).max() >= min(bound, _INTP_END)
+
+
 def as_index_array(indices, m: int) -> np.ndarray:
     """``indices`` as a flat intp array in [0, m), the one index rule of the
     oracle and of every algorithm that takes coordinates."""
     idx = _as_ids(indices, "coordinate indices").ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
+    if _outside(idx, m):
         raise DimensionError(f"coordinate indices must lie in [0, {m})")
     return idx
 
@@ -268,8 +277,7 @@ class MeasurementOracle:
         group_count = as_count(group_count, "group_count")
         if groups.shape != sup.shape:
             raise DimensionError("groups must hold one id per support entry")
-        if group_count < 1 or (groups.size and (groups.min() < 0
-                                                or groups.max() >= group_count)):
+        if group_count < 1 or _outside(groups, group_count):
             raise ParameterError("group ids must lie in [0, group_count)")
         self._charge(row_count * group_count, stage)
         values = self._entries(sup)

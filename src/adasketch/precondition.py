@@ -25,10 +25,13 @@ set. Two distribution-exact devices keep it fast:
   as one block of packed sign bits, one byte row per live candidate. The
   shared segments (two or more live candidates) of every pass are measured
   by one ``measure_rows`` call grouped by segment, and the correlations
-  <a_j, s> are exact integer popcounts of the same packed bits. A lone
-  segment (one live candidate) needs no arithmetic: its signs are its
+  <a_j, s> are exact integer popcounts of the same packed bits, counted in
+  the widest word that divides a row (64 bits at k = 701's 88 bytes). A
+  lone segment (one live candidate) needs no arithmetic: its signs are its
   column's, so its candidate survives; it takes only its sign bytes and its
-  charge, which one ``charge`` call makes for every pass.
+  charge, which one ``charge`` call makes for every pass. When no segment
+  is lone (a dense pass), the measurement takes the sign block, the live
+  rows and the segment starts as they are, with no masked copies.
 * A zero candidate's retention is then an independent Binomial(k, 1/2)
   tail event of probability ``sign_tail_probability(k)`` (about 3.7e-76 at
   k = 701). Their total over a pass's segments is one Binomial draw from
@@ -157,13 +160,15 @@ def sign_filter(oracle: MeasurementOracle, live, passes, k: int, zero_pool) -> l
     kept = np.ones(live.size, dtype=bool)
     measured = 0
     if not lone.all():
-        shared = ~lone
+        shared = ~lone if lone.any() else slice(None)  # a slice takes views, no copies
         groups, bits = np.cumsum(head[shared]) - 1, a_bits[shared]
         measured = int(groups[-1]) + 1
         y = oracle.measure_rows(live[shared], bits, stage="precond", groups=groups,
                                 group_count=measured, row_count=k)
         s_bits = np.packbits(y.T >= 0.0, axis=1)  # sign(0) := +1
-        distance = np.bitwise_count(bits ^ s_bits[groups]).sum(axis=1, dtype=np.int64)
+        word = f"u{math.gcd(s_bits.shape[1], 8)}"  # the widest word that divides a row
+        counts = np.bitwise_count(bits.view(word) ^ s_bits.view(word)[groups])
+        distance = counts @ np.ones(counts.shape[1], dtype=np.int64)  # row sums, exact
         kept[shared] = sign_filter_mask(k - 2 * distance, k)
     if first[-1] > measured:
         oracle.charge(k * (first[-1] - measured), stage="precond")

@@ -12,6 +12,12 @@ each label hashed to a 64-bit key. The stream builds it from the uint32
 entropy words that ``SeedSequence`` assembles from those arguments (the
 seed's words, zero-padded to the pool size 4, then each path entry's
 words), which gives the same state at half the seeding cost.
+
+Signs are random bits. ``sign_bits`` packs k per row, ceil(k/8) bytes a
+row, and takes them from whole 64-bit outputs of the stream: the same bytes
+and the same stream state after them as numpy's uint8 draw, which takes
+them 32 bits at a time (a 32-bit draw is half a 64-bit output, and the
+generator buffers the other half for the next 32-bit draw).
 """
 
 from __future__ import annotations
@@ -80,9 +86,31 @@ class RngStream:
 def sign_bits(generator: np.random.Generator, rows: int, k: int) -> np.ndarray:
     """k uniform signs per row, packed: each row takes its own ceil(k/8)
     random bytes (bit 1 stands for +1, padding bits are 0), ready for
-    XOR/popcount comparisons and for ``unpack_signs``."""
+    XOR/popcount comparisons and for ``unpack_signs``.
+
+    The bytes, and the stream after them, are those of
+    ``integers(0, 256, size=(rows, ceil(k/8)), dtype=uint8)``, which packs
+    the little-endian bytes of 32-bit draws, four per draw; a PCG64 32-bit
+    draw is the low half of a 64-bit output, then its buffered high half.
+    So the bytes are drawn as whole 64-bit outputs (``random_raw``): one
+    leading 32-bit draw first if a half is buffered at entry
+    (``has_uint32``), and one trailing 32-bit draw if the count of halves
+    left is odd, which leaves its high half buffered as the byte draw
+    would.
+    """
     rows, k = int(rows), int(k)
-    packed = generator.integers(0, 256, size=(rows, (k + 7) // 8), dtype=np.uint8)
+    width = (k + 7) // 8
+    count = rows * width
+    halves = -(-count // 4)  # the 32-bit draws of the byte draw
+    words = []
+    if halves and generator.bit_generator.state["has_uint32"]:
+        words.append(generator.integers(0, 2**32, size=1, dtype=np.uint32))
+        halves -= 1
+    words.append(generator.bit_generator.random_raw(halves // 2))  # 64-bit outputs
+    if halves % 2:
+        words.append(generator.integers(0, 2**32, size=1, dtype=np.uint32))
+    raw = [w.astype(w.dtype.newbyteorder("<"), copy=False).view(np.uint8) for w in words]
+    packed = (raw[0] if len(raw) == 1 else np.concatenate(raw))[:count].reshape(rows, width)
     if k % 8:
         packed[:, -1] &= np.uint8((0xFF << (8 - k % 8)) & 0xFF)
     return packed

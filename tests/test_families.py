@@ -40,6 +40,23 @@ def test_adversarial_block_values():
         gen_vector(fam, 4, stream("a2"))
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_multiscale_scales_carry_equal_mass(p):
+    # 2^j entries of magnitude (1/(J 2^j))^(1/p) for each j < J, on random
+    # signs: 2^J - 1 distinct nonzeros on the unit l_p sphere, in O(nnz)
+    scales = 10
+    x = gen_vector(VectorFamily.parse(f"multiscale:{scales}", p), 2**40, stream(f"ms{p}"))
+    assert isinstance(x, SparseVector) and x.index.size == 2**scales - 1
+    mags, counts = np.unique(np.abs(x.values), return_counts=True)
+    assert counts.tolist() == [2**j for j in reversed(range(scales))]
+    assert np.array_equal(mags[::-1], (1.0 / (scales * 2.0 ** np.arange(scales))) ** (1.0 / p))
+    assert lp_norm(x.values, p) == pytest.approx(1.0, rel=1e-12)
+    assert 0 < np.count_nonzero(x.values > 0) < x.index.size
+    assert gen_vector(VectorFamily.parse("multiscale:3", p), 7, stream("fits")).index.size == 7
+    with pytest.raises(ParameterError):
+        gen_vector(VectorFamily.parse("multiscale:3", p), 6, stream("too-many"))
+
+
 def test_zero_family():
     x = gen_vector(VectorFamily("zero"), 16, stream("z"))
     assert np.array_equal(x, np.zeros(16))
@@ -122,6 +139,7 @@ PINNED_DRAWS = [
     ("spike_plus_tail:2", "e3f017cf973244910ba9146cd95eb9cde027bb4ccb23c42e8a07f68d7404c7e2"),
     ("denoise_adversarial:2", "5cd2d2d241ba9448a608d08ccf22b719c605aa11cfa96dfab64b9205e13ffd18"),
     ("zero", "b3c760df8073f03985cc103a70d07f1cc6de98009c2173a4718d5ebfb1f00895"),
+    ("multiscale:5", "01c4366383cfdcc262c51e17673951d26a26fed673c5d39be1e8c137268596c2"),
 ]
 
 

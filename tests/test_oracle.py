@@ -9,7 +9,7 @@ from scipy.sparse import csr_array
 from adasketch import oracle as oracle_module
 from adasketch.errors import DimensionError, ParameterError
 from adasketch.hashing import equi_hash
-from adasketch.oracle import MeasurementOracle, SparseVector, lp_norm
+from adasketch.oracle import MeasurementOracle, SparseVector, as_index_array, lp_norm
 from adasketch.rng import RngStream, sign_bits, unpack_signs
 
 
@@ -333,6 +333,47 @@ def test_dimension_errors():
     # an empty list is float64 to numpy and stays the empty index
     assert oracle.read_entries([], stage="t").size == 0
     assert SparseVector(10, [], []).index.dtype == np.intp
+
+
+def test_ids_are_checked_by_one_unsigned_reduction():
+    # a negative intp id reads as unsigned above every bound, wherever it
+    # stands in the array and whatever the array's strides; the errors are
+    # those of the two-sided check
+    m = 2**20
+    oracle = MeasurementOracle(SparseVector(m, [3, 9], [1.0, -2.0]))
+    tail = np.arange(m, dtype=np.intp)
+    tail[-1] = -1
+    with pytest.raises(DimensionError, match=r"must lie in \[0, 1048576\)"):
+        oracle.read_entries(tail, stage="t")
+    with pytest.raises(DimensionError):
+        as_index_array(tail, m)
+    strided = np.arange(0, 2 * m, dtype=np.intp)[::2]  # ids 0, 2, ..., 2m - 2
+    assert not strided.flags.contiguous
+    assert np.array_equal(as_index_array(strided[: m // 2], m), np.arange(0, m, 2))
+    with pytest.raises(DimensionError):
+        as_index_array(strided, m)
+    negative = np.arange(-8, 8, dtype=np.intp)[::-2]
+    with pytest.raises(DimensionError):
+        as_index_array(negative, m)
+    # bounds past every intp: a negative id still fails
+    for bound in (2**63, 2**64):
+        with pytest.raises(DimensionError):
+            SparseVector(bound, [-1], [1.0])
+    # group ids: the last of many negative, or a strided view
+    support = np.arange(4096)
+    packed = np.zeros((support.size, 1), dtype=np.uint8)
+    groups = np.zeros(support.size, dtype=np.intp)
+    groups[-1] = -1
+    every_other = np.zeros(2 * support.size, dtype=np.intp)[::2]
+    every_other[-1] = 2
+    for bad in (groups, every_other):
+        with pytest.raises(ParameterError, match=r"group ids must lie in \[0, group_count\)"):
+            oracle.measure_rows(support, packed, stage="t", groups=bad, group_count=2,
+                                row_count=5)
+    every_other[-1] = 1
+    y = oracle.measure_rows(support, packed, stage="t", groups=every_other, group_count=2,
+                            row_count=5)
+    assert y.shape == (5, 2) and oracle.cost == 10
 
 
 def test_vector_validation():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from adasketch.errors import DimensionError, ParameterError
+from adasketch import precondition as precondition_module
 from adasketch.oracle import MeasurementOracle, lp_norm
 from adasketch.precondition import (
     precond,
@@ -189,6 +190,43 @@ def test_sign_filter_replays_the_direct_filter_on_its_sign_block():
         assert cost == k * segments, label
         assert len(got) == len(expected), label
         assert all(np.array_equal(a, b) for a, b in zip(got, expected)), label
+
+
+@pytest.mark.parametrize("k", [1, 12, 24, 30, 60, 64, 100, 701, 703])
+@pytest.mark.parametrize("lone", [False, True])
+def test_sign_filter_correlations_are_exact_in_every_word_width(monkeypatch, k, lone):
+    # the filter popcounts each XOR row in the widest word that divides it
+    # (bytes at k = 1, 24 and 100; 16, 32 and 64 bits at k = 12, 30 and
+    # 60-703): the correlations k - 2 * distance it hands to the mask equal
+    # the exact ones, signs_of(y) @ a_j, of the same sign block, with no
+    # lone segment and with one
+    gen = stream(f"widths-{k}-{lone}").generator
+    segment_of = np.repeat(np.arange(4), [7, 3, 1 if lone else 2, 12])
+    segment_of = gen.permutation(segment_of)
+    live = np.sort(gen.choice(60, size=segment_of.size, replace=False))
+    hidden = np.zeros(60)
+    hidden[live] = gen.standard_normal(live.size)
+    seen = []
+
+    def spy(corr, k):
+        seen.append(np.array(corr))
+        return sign_filter_mask(corr, k)
+
+    monkeypatch.setattr(precondition_module, "sign_filter_mask", spy)
+    label = f"widths-{k}-{lone}-signs"
+    sign_filter(MeasurementOracle(hidden), live, [(segment_of, np.bincount(segment_of),
+                                                   stream(label))], k, None)
+    order = np.argsort(segment_of, kind="stable")
+    block = unpack_signs(sign_bits(stream(label).generator, live.size, k), k)  # segment order
+    expected = []
+    for d in range(4):
+        rows = np.flatnonzero(segment_of[order] == d)
+        if rows.size > 1:
+            y = MeasurementOracle(hidden).measure_rows(live[order][rows], block[rows].T,
+                                                       stage="t")
+            expected.append(block[rows].astype(np.int64) @ signs_of(y).astype(np.int64))
+    assert len(seen) == 1
+    assert seen[0].dtype == np.int64 and np.array_equal(seen[0], np.concatenate(expected))
 
 
 def random_segments(gen, layout):

@@ -72,6 +72,35 @@ def test_unpack_signs_are_int8_and_ignore_the_padding_bits():
                               2 * np.unpackbits(bits, axis=1, count=k).astype(np.int8) - 1)
 
 
+def byte_draw(gen, rows, k):
+    """numpy's uint8 draw of ceil(k/8) bytes per row, padding bits cleared:
+    the bytes ``sign_bits`` takes from whole 64-bit outputs."""
+    packed = gen.integers(0, 256, size=(rows, (k + 7) // 8), dtype=np.uint8)
+    packed[:, -1] &= np.uint8((0xFF << (-k % 8)) & 0xFF)
+    return packed
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 4096])
+@pytest.mark.parametrize("k", [1, 7, 8, 24, 701, 703])
+@pytest.mark.parametrize("halves_before", [0, 1, 3])
+def test_sign_bits_are_the_uint8_draw(rows, k, halves_before):
+    # on a fresh stream, and after an odd number of 32-bit draws, which
+    # leaves a half-word buffered at entry: the same bytes, then the same
+    # stream, seen by two 32-bit draws (a buffered half first, if any) and
+    # the 128-bit state
+    label = f"words-{rows}-{k}-{halves_before}"
+    ours, theirs = RngStream(31).child(label).generator, RngStream(31).child(label).generator
+    for gen in (ours, theirs):
+        gen.integers(0, 2**32, size=halves_before, dtype=np.uint32)
+    bits = sign_bits(ours, rows, k)
+    expected = byte_draw(theirs, rows, k)
+    assert bits.dtype == np.uint8 and bits.shape == expected.shape
+    assert bits.tobytes() == expected.tobytes()
+    after = ours.integers(0, 2**32, size=2, dtype=np.uint32)
+    assert after.tobytes() == theirs.integers(0, 2**32, size=2, dtype=np.uint32).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_rademacher_is_roughly_balanced():
     gen = RngStream(4).child("signs").generator
     a = rademacher(gen, 200_000)
