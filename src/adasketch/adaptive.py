@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .discover import (
     PRECONDITIONED,
     VARIANTS,
@@ -36,7 +34,7 @@ from .discover import (
     discover_cost_cap,
 )
 from .errors import DimensionError, ParameterError
-from .hashing import run_starts
+from .hashing import sorted_union
 from .oracle import MeasurementOracle, SparseVector, as_count
 from .rng import RngStream
 
@@ -154,8 +152,7 @@ def approximate(oracle: MeasurementOracle, plan: AdaptivePlan, rng: RngStream) -
         found = discover(oracle, cfg, pass_rng, sets)
         if found.size:
             pieces.append(found)
-    if not pieces:
+    if not pieces:  # no candidate, so no read and no ``reads`` entry in the ledger
         return SparseVector(plan.m, [], [])
-    detected = np.sort(np.concatenate(pieces))  # passes can repeat a coordinate
-    candidates = detected[run_starts(detected)]
+    candidates = sorted_union(pieces)  # passes can repeat a coordinate
     return SparseVector(plan.m, candidates, oracle.read_entries(candidates, stage="reads"))

@@ -28,6 +28,7 @@ from . import adaptive, nonadaptive
 from .discover import PRECONDITIONED, VARIANTS
 from .errors import CapViolationError, ParameterError
 from .families import VectorFamily, gen_vector
+from .hashing import sorted_union
 from .oracle import MeasurementOracle, SparseVector, as_count, lp_norm
 from .rng import RngStream
 
@@ -180,7 +181,7 @@ def _trial_streams(seed: int, family: VectorFamily, method_name: str, t: int):
 def _error(x, out, q: float) -> float:
     """||x - out||_q, on the union of the supports when both are sparse."""
     if isinstance(x, SparseVector) and isinstance(out, SparseVector):
-        union = np.union1d(x.index, out.index)
+        union = sorted_union((x.index, out.index))
         return lp_norm(x[union] - out[union], q)
     return lp_norm(np.asarray(x) - np.asarray(out), q)
 

@@ -18,7 +18,8 @@ Hash vectors are plain int64 arrays with values in [1, D]. Two families:
 Each family has one draw path, used by the algorithms and by the tests of
 its law alike: a Monte Carlo check stacks single draws from one stream.
 Every pass orders its rows by bucket with ``bucket_order`` and marks where
-each bucket's run starts with ``run_starts``.
+each bucket's run starts with ``run_starts``; ``sorted_union``, a stable
+sort then ``run_starts``, is the one union of sorted coordinate sets.
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def run_starts(ids: np.ndarray) -> np.ndarray:
     starts = np.ones(ids.size, dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=starts[1:])
     return starts
+
+
+def sorted_union(arrays) -> np.ndarray:
+    """The sorted distinct values of one or more sorted integer arrays: a
+    stable sort of their concatenation merges the sorted pieces, and the
+    first entry of each run is kept."""
+    joined = np.sort(np.concatenate(arrays), kind="stable")
+    return joined[run_starts(joined)]
 
 
 def affine_values(indices, a: int, b: int, prime: int, buckets: int) -> np.ndarray:

@@ -8,18 +8,17 @@ parameters alone, so they replay without an oracle: the count sketch as a
 count-sketch round is one grouped ``measure_rows`` call: its signs are the
 one row, its group ids split the coordinates, one functional per group.
 
-The plan is one block of 32-bit words from the stream. Each round takes one
-word per coordinate, whose top log2(G) bits are its group id, then
-ceil(m/32) words whose little-endian bytes are its packed signs. That is
-the words, in order, that per-round ``integers(0, G, m)`` and
-``rademacher(m)`` calls take: numpy's bounded draw (Lemire's rule) keeps
-the top bits of a word and never rejects one when G is a power of two, so
-G must be 2^b with b <= 32; at G = 1 a round draws no group words.
-The plan keeps that block as drawn, one row per round, and
-``CountSketchPlan.round`` decodes a round's group ids and signs from its
-row when the round is measured. The round's estimates fill one column of a
-coordinate-major (m, reps) block, so each coordinate's median comes from
-one in-place sort of its contiguous row.
+The plan is one ``sign_bits`` draw, one row of raw bytes per round: the
+little-endian bytes of one 32-bit word per coordinate, whose top log2(G)
+bits are its group id, then the round's packed signs, 4 * ceil(m/32)
+bytes. Those are the bytes of the words, in order, that per-round
+``integers(0, G, m)`` and ``rademacher(m)`` calls take: numpy's bounded
+draw (Lemire's rule) keeps the top bits of a word and never rejects one
+when G is a power of two, so G must be 2^b with b <= 32; at G = 1 a round
+draws no group words. ``CountSketchPlan.round`` decodes a round's group
+ids and signs from its row when the round is measured. The round's
+estimates fill one column of a coordinate-major (m, reps) block, so each
+coordinate's median comes from one in-place sort of its contiguous row.
 
 The Gaussian-sketch methods (``denoised_linsketch`` here, the harness's
 ``linsketch``) sample the sketch's output from its exact law through
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .oracle import MeasurementOracle, as_count
-from .rng import RngStream, unpack_signs
+from .rng import RngStream, sign_bits, unpack_signs
 
 _MAX_GROUP_COUNT = 2**32  # group ids are the top bits of one 32-bit word
 
@@ -66,31 +65,30 @@ def linsketch(oracle: MeasurementOracle, n: int, rng: RngStream) -> np.ndarray:
 class CountSketchPlan:
     """All functionals of a count-sketch run, fixed before any measurement.
 
-    ``words`` is the plan's one draw: row r holds round r's m group words
-    (none when G = 1), then its ceil(m/32) sign words. ``round(r)`` decodes
-    round r's functionals from its row alone, so a run never holds a
-    (reps, m) block of group ids or signs.
+    ``bits`` is the plan's one draw: row r holds the bytes of round r's m
+    group words (none when G = 1), then its packed sign bytes. ``round(r)``
+    decodes round r's functionals from its row alone, so a run never holds
+    a (reps, m) block of group ids or signs.
     """
 
-    words: np.ndarray  # (reps, W) uint32, W = m + ceil(m/32), or ceil(m/32) at G = 1
+    bits: np.ndarray  # (reps, 4W) uint8, W = m + ceil(m/32), or ceil(m/32) at G = 1
     dimension: int
     group_count: int
 
     @property
     def reps(self) -> int:
-        return self.words.shape[0]
+        return self.bits.shape[0]
 
     def round(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Round r's group id (intp) and ±1 sign (float64) of each coordinate."""
-        m, row = self.dimension, self.words[r]
+        m, row = self.dimension, self.bits[r]
         if self.group_count > 1:  # Lemire's rule at G = 2^b keeps the word's top b bits
-            groups = row[:m].astype(np.intp)
+            groups = row[:4 * m].view("<u4").astype(np.intp)
             groups >>= 33 - self.group_count.bit_length()
-            row = row[m:]
+            row = row[4 * m:]
         else:
             groups = np.zeros(m, dtype=np.intp)
-        sign_bytes = row.astype("<u4", copy=False).view(np.uint8)
-        return groups, unpack_signs(sign_bytes[None], m)[0].astype(np.float64)
+        return groups, unpack_signs(row[None], m)[0].astype(np.float64)
 
 
 def countsketch_params(level: int, m: int) -> tuple[int, int]:
@@ -134,9 +132,8 @@ def countsketch_plan(m: int, reps: int, group_count: int, rng: RngStream) -> Cou
     # per round (see the module docstring): m group words, none when G = 1,
     # then the sign words, 4 packed sign bytes each
     group_words = m if group_count > 1 else 0
-    words = rng.generator.integers(0, 2**32, size=(reps, group_words + -(-m // 32)),
-                                   dtype=np.uint32)
-    return CountSketchPlan(words, m, group_count)
+    bits = sign_bits(rng.generator, reps, 32 * (group_words + -(-m // 32)))
+    return CountSketchPlan(bits, m, group_count)
 
 
 def countsketch_estimates(oracle: MeasurementOracle, plan: CountSketchPlan) -> np.ndarray:

@@ -13,11 +13,13 @@ entropy words that ``SeedSequence`` assembles from those arguments (the
 seed's words, zero-padded to the pool size 4, then each path entry's
 words), which gives the same state at half the seeding cost.
 
-Signs are random bits. ``sign_bits`` packs k per row, ceil(k/8) bytes a
-row, and takes them from whole 64-bit outputs of the stream: the same bytes
-and the same stream state after them as numpy's uint8 draw, which takes
-them 32 bits at a time (a 32-bit draw is half a 64-bit output, and the
-generator buffers the other half for the next 32-bit draw).
+``sign_bits`` is the one raw-bit draw, used by the sign filter,
+``rademacher`` and the count-sketch plan. It packs k bits per row,
+ceil(k/8) bytes a row, and takes them from whole 64-bit outputs of the
+stream: the same bytes and the same stream state after them as numpy's
+uint8 draw, which takes them 32 bits at a time (a 32-bit draw is half a
+64-bit output, and the generator buffers the other half for the next
+32-bit draw).
 """
 
 from __future__ import annotations

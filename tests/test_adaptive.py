@@ -171,6 +171,9 @@ def test_zero_input_gives_exact_zero_output():
     out = approximate(oracle, plan, stream("z"))
     assert np.array_equal(out, np.zeros(2**10))
     assert oracle.cost <= plan_cost_cap(plan)
+    # the sign filter drops every coordinate: no candidate, so no read and
+    # no "reads" entry in the ledger
+    assert out.index.size == 0 and "reads" not in oracle.stage_costs()
 
 
 def test_zero_levels_is_the_zero_algorithm():

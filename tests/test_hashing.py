@@ -15,6 +15,7 @@ from adasketch.hashing import (
     next_prime,
     pairwise_hash,
     run_starts,
+    sorted_union,
 )
 from adasketch.oracle import lp_norm
 from adasketch.rng import RngStream
@@ -181,6 +182,26 @@ def test_run_starts_marks_the_first_of_each_run():
     assert run_starts(np.full(5, 3)).tolist() == [True, False, False, False, False]
     assert run_starts(np.array([0, 0, 2, 5, 5, 5, 6])).tolist() == [
         True, False, True, True, False, False, True]
+
+
+def test_sorted_union_is_the_union_of_sorted_coordinate_sets():
+    # against np.union1d (two pieces) and np.unique of the concatenation:
+    # one piece or up to 12, empty pieces, repeats within and across pieces,
+    # and values near 2^62
+    gen = stream("sorted-union").generator
+    empty = np.empty(0, dtype=np.intp)
+    assert sorted_union([empty]).dtype == np.intp and sorted_union([empty, empty]).size == 0
+    assert sorted_union([np.array([2, 2, 5])]).tolist() == [2, 5]
+    for _ in range(600):
+        base = int(gen.choice([0, 2**62 - 64]))
+        span = int(gen.choice([1, 8, 1000]))
+        pieces = [np.sort(gen.integers(base, base + span, size=int(gen.integers(0, 20)))
+                          .astype(np.intp)) for _ in range(int(gen.integers(1, 13)))]
+        union = sorted_union(pieces)
+        expected = np.unique(np.concatenate(pieces))
+        assert union.dtype == np.intp and union.tobytes() == expected.tobytes()
+        if len(pieces) == 2:
+            assert union.tobytes() == np.union1d(*pieces).tobytes()
 
 
 def test_affine_values_equal_python_integer_arithmetic():

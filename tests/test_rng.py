@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -80,9 +81,11 @@ def byte_draw(gen, rows, k):
     return packed
 
 
-@pytest.mark.parametrize("rows", [0, 1, 3, 4096])
-@pytest.mark.parametrize("k", [1, 7, 8, 24, 701, 703])
-@pytest.mark.parametrize("halves_before", [0, 1, 3])
+@pytest.mark.parametrize("halves_before,k,rows", [
+    *itertools.product([0, 1, 3], [1, 7, 8, 24, 701, 703], [0, 1, 3, 4096]),
+    # whole 32-bit words per row, the shape of the count-sketch plan's draw
+    *itertools.product([0, 1], [32, 64, 96], [1, 5, 39]),
+])
 def test_sign_bits_are_the_uint8_draw(rows, k, halves_before):
     # on a fresh stream, and after an odd number of 32-bit draws, which
     # leaves a half-word buffered at entry: the same bytes, then the same
@@ -96,6 +99,11 @@ def test_sign_bits_are_the_uint8_draw(rows, k, halves_before):
     expected = byte_draw(theirs, rows, k)
     assert bits.dtype == np.uint8 and bits.shape == expected.shape
     assert bits.tobytes() == expected.tobytes()
+    if k % 32 == 0:  # and the little-endian bytes of the uint32 draw of k/32 words a row
+        words = RngStream(31).child(label).generator
+        words.integers(0, 2**32, size=halves_before, dtype=np.uint32)
+        expected = words.integers(0, 2**32, size=(rows, k // 32), dtype=np.uint32)
+        assert bits.tobytes() == expected.astype("<u4", copy=False).tobytes()
     after = ours.integers(0, 2**32, size=2, dtype=np.uint32)
     assert after.tobytes() == theirs.integers(0, 2**32, size=2, dtype=np.uint32).tobytes()
     assert ours.bit_generator.state == theirs.bit_generator.state
